@@ -337,7 +337,7 @@ def _check_limits(cfg, out):
         p = _draw_point(
             rng, "W", lambda q: limit_probe_args(lab, q), budget=cfg.budget
         )
-        rep = check_limit(lab, p)
+        rep = check_limit(lab, p, decay=cfg.limit_decay)
         ok = ok and rep.verdict
         reports.append(rep.to_dict())
     lines = []

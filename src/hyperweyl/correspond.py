@@ -598,6 +598,7 @@ class LimitReport:
     verdict: bool
     target_log: Optional[LogC] = None
     failure: Optional[str] = None
+    values: tuple = ()
 
     def to_dict(self):
         out = {
@@ -618,10 +619,12 @@ def _shifted_point(p: PointW, t: float) -> PointW:
     return PointW(p.a, p.b + 1j * t, p.c, p.d, p.e, p.f, p.g)
 
 
-def check_limit(t, p: PointW, shifts=(8.0, 16.0, 32.0), ctrl: SeriesCtrl = None) -> LimitReport:
+def check_limit(t, p: PointW, shifts=(8.0, 16.0, 32.0), ctrl: SeriesCtrl = None,
+                decay: float = LIMIT_DECAY) -> LimitReport:
     """Drive the normalized row at p through the shifts and compare against
     pi/2 times the target value; the verdict wants strictly decreasing
-    relative errors with the last at most 0.6 of the first."""
+    relative errors with the last at most `decay` times the first.  The
+    report keeps the normalized shifted values, one per shift."""
     label = parse_label(t) if isinstance(t, str) else t
     row = appendix_row(label)
     norm = limit_normalizer(label)
@@ -629,18 +632,19 @@ def check_limit(t, p: PointW, shifts=(8.0, 16.0, 32.0), ctrl: SeriesCtrl = None)
     try:
         target_log = row.target_term().eval_log(p.args(), ctrl)
         ref = LogC.from_real(math.pi / 2) + target_log
-        errors = []
+        values = []
         for t_im in shifts:
             vals = _shifted_point(p, t_im).args()
-            val = norm.eval_log(vals) + eval_M_log(
+            values.append(norm.eval_log(vals) + eval_M_log(
                 [f.evaluate(vals) for f in row.m_args], ctrl
-            )
-            errors.append(abs((val - ref).to_complex() - 1.0))
+            ))
+        errors = [abs((val - ref).to_complex() - 1.0) for val in values]
     except (EvaluationDomainError, OverflowError) as exc:
         return LimitReport(label, shifts, (), False, failure=f"{type(exc).__name__}: {exc}")
     decreasing = all(b < a for a, b in zip(errors, errors[1:]))
-    verdict = decreasing and errors[-1] <= LIMIT_DECAY * errors[0]
-    return LimitReport(label, shifts, tuple(errors), verdict, target_log=target_log)
+    verdict = decreasing and errors[-1] <= decay * errors[0]
+    return LimitReport(label, shifts, tuple(errors), verdict, target_log=target_log,
+                       values=tuple(values))
 
 
 # ---------------------------------------------------------------------------

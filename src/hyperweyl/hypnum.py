@@ -4,12 +4,21 @@ Everything downstream needs quotients of many gamma and sine factors whose
 individual magnitudes overflow doubles long before the quotient does, so the
 building blocks here work in log space: a value is carried as log-magnitude
 plus an unnormalized phase, products are additions, and a single
-exponentiation happens at the end.  On top of that sit a block-vectorized
-summation engine for one-more-numerator hypergeometric series at unit
-argument, and evaluators for the three special functions of interest: the
-44-label pair (a sum and a difference of two Saalschutzian 4F3(1) series)
-and the eight-parameter function built from two very-well-poised 9F8(1)
-series.
+exponentiation happens at the end.
+
+On top of that sits the summation engine for one-more-numerator
+hypergeometric series at unit argument.  Such a series converges like
+N^-sigma, with sigma the excess of the denominator over the numerator
+parameters, and the tail of its partial sums expands in powers
+N^-(sigma+i) with sigma known exactly; so a Richardson table over partial
+sums at doubling lengths removes the tail term by term, and a few thousand
+terms give near double-precision values.  The evaluators for the three
+special functions of interest sit on the engine: the 44-label pair (a sum
+and a difference of two Saalschutzian 4F3(1) series, with a very-well-poised
+7F6(1) as a second route to the difference) and the eight-parameter
+function built from two very-well-poised 9F8(1) series.  Each evaluator
+issues a PrecisionWarning when one of its series falls short of its
+tolerance, or when its two halves cancel to fewer than nine digits.
 """
 
 from __future__ import annotations
@@ -334,17 +343,22 @@ def is_very_well_poised(nums, dens, tol: float = 1e-9) -> bool:
 # ---------------------------------------------------------------------------
 
 
+_N0_MIN = 32
+_BLOCK = 65536
+
+
 @dataclass(frozen=True)
 class SeriesCtrl:
+    """Target relative accuracy, and the most terms one sum may take."""
+
     rel_tol: float = 1e-12
     n_max: int = 1 << 20
-    tail_window: int = 64
 
     def __post_init__(self):
         if self.rel_tol <= 0:
             raise ValueError("rel_tol must be positive")
-        if self.n_max < 2 * self.tail_window:
-            raise ValueError("n_max must be at least twice the tail window")
+        if self.n_max < 2 * _N0_MIN:
+            raise ValueError(f"n_max must be at least {2 * _N0_MIN}")
 
 
 @dataclass(frozen=True)
@@ -353,57 +367,6 @@ class SeriesResult:
     terms_used: int
     err_estimate: float
     converged: bool
-
-
-class _Accum:
-    """Neumaier-compensated accumulator for complex block sums."""
-
-    __slots__ = ("re", "im", "cre", "cim")
-
-    def __init__(self):
-        self.re = self.im = self.cre = self.cim = 0.0
-
-    def add(self, z: complex):
-        x, y = z.real, z.imag
-        t = self.re + x
-        if abs(self.re) >= abs(x):
-            self.cre += (self.re - t) + x
-        else:
-            self.cre += (x - t) + self.re
-        self.re = t
-        t = self.im + y
-        if abs(self.im) >= abs(y):
-            self.cim += (self.im - t) + y
-        else:
-            self.cim += (y - t) + self.im
-        self.im = t
-
-    def total(self) -> complex:
-        return complex(self.re + self.cre, self.im + self.cim)
-
-
-def _stop_index(below: np.ndarray, carry: int, need: int = 3):
-    """First index at which `need` consecutive below-threshold terms end,
-    counting `carry` consecutive hits from before this block."""
-    false_pos = np.flatnonzero(~below)
-    if false_pos.size == 0:
-        idx = max(0, need - 1 - carry)
-        return idx if idx < below.size else None
-    first = int(false_pos[0])
-    idx = max(0, need - 1 - carry)
-    if idx < first:
-        return idx
-    nxt = np.append(false_pos[1:], below.size)
-    cand = false_pos + need
-    hits = cand[cand < np.minimum(nxt, below.size)]
-    return int(hits[0]) if hits.size else None
-
-
-def _trailing_streak(below: np.ndarray, carry: int) -> int:
-    false_pos = np.flatnonzero(~below)
-    if false_pos.size == 0:
-        return carry + below.size
-    return below.size - 1 - int(false_pos[-1])
 
 
 def _term_ratio(nums, all_dens, k: int) -> complex:
@@ -415,17 +378,64 @@ def _term_ratio(nums, all_dens, k: int) -> complex:
     return r
 
 
+def _start_length(params, n_max: int) -> int:
+    # the tail expansion in 1/N only settles once N is well past every
+    # parameter; keep at least two partial sums under n_max
+    want = max(_N0_MIN, 4 * max(abs(p) for p in params))
+    n0 = 1 << math.ceil(math.log2(want))
+    while 2 * n0 > n_max:
+        n0 //= 2
+    return n0
+
+
+def _partial_sums(nums, all_dens, n0: int, n_max: int):
+    """Yield (N, sum of the first N terms) for N = n0, 2 n0, 4 n0, ... <= n_max.
+
+    Terms come from the multiplicative recurrence, in vectorized blocks of at
+    most _BLOCK terms so that memory stays flat however long the sum runs.
+    """
+    a_np = np.array(nums, dtype=complex)
+    b_np = np.array(all_dens, dtype=complex)
+    total = last = 1.0 + 0j
+    count = 1
+    n = n0
+    while n <= n_max:
+        while count < n:
+            size = min(_BLOCK, n - count)
+            ks = np.arange(count - 1, count - 1 + size, dtype=float)
+            ratios = np.ones(size, dtype=complex)
+            for a in a_np:
+                ratios *= a + ks
+            for b in b_np:
+                ratios /= b + ks
+            terms = last * np.cumprod(ratios)
+            total += complex(np.sum(terms))
+            last = complex(terms[-1])
+            count += size
+        yield n, total
+        n *= 2
+
+
 def sum_pfq(nums: Sequence[complex], dens: Sequence[complex], ctrl: SeriesCtrl = None) -> SeriesResult:
     """Unit-argument series with one more numerator than denominator parameter.
 
-    Terms follow the multiplicative recurrence; blocks of terms are generated
-    with vectorized cumulative products and folded into a compensated total.
-    The running stop test asks for three consecutive terms below
-    rel_tol * |partial sum|.  After stopping (or hitting n_max) an algebraic
-    tail correction term_N * N / sigma is added, and one doubling pass to 2N
-    re-corrects; the discrepancy between the two corrected values is the
-    error estimate.  A numerator at a non-positive integer short-circuits all
-    of that and sums the finitely many terms exactly.
+    With sigma = sum(dens) - sum(nums), the partial sum of the first N terms
+    misses the value by N^-sigma (d0 + d1/N + d2/N^2 + ...), and sigma is
+    known exactly.  Partial sums are taken at N = N0, 2 N0, 4 N0, ... and
+    fed to a Richardson table whose column i removes the N^-(sigma+i) term
+    with the factor 2^(sigma+i).  N0 is a power of two past four times the
+    largest parameter modulus (at least 32), where the expansion holds.
+
+    The table grows until two successive diagonal entries agree to rel_tol,
+    until their difference has failed to shrink twice in a row (rounding
+    noise, amplified by the table, has taken over; a single failure also
+    happens while the expansion is still settling), or until the next
+    partial sum would pass n_max.  The result is the diagonal entry that
+    differed least from its predecessor; that difference is err_estimate,
+    and converged means err_estimate <= rel_tol * |value|.
+
+    A numerator at a non-positive integer ends the series, whose finitely
+    many terms are summed directly.
     """
     if ctrl is None:
         ctrl = SeriesCtrl()
@@ -446,13 +456,11 @@ def sum_pfq(nums: Sequence[complex], dens: Sequence[complex], ctrl: SeriesCtrl =
     if trunc is not None:
         if trunc + 1 > (1 << 22):
             raise ValueError("terminating index too large to sum")
-        acc = _Accum()
-        term = 1.0 + 0j
-        acc.add(term)
+        total = term = 1.0 + 0j
         for k in range(trunc):
             term *= _term_ratio(nums, all_dens, k)
-            acc.add(term)
-        return SeriesResult(acc.total(), trunc + 1, 0.0, True)
+            total += term
+        return SeriesResult(total, trunc + 1, 0.0, True)
 
     sigma = series_sigma(nums, dens)
     if sigma.real <= 0:
@@ -460,61 +468,27 @@ def sum_pfq(nums: Sequence[complex], dens: Sequence[complex], ctrl: SeriesCtrl =
             f"parameter sums give convergence exponent {sigma}; series diverges"
         )
 
-    a_np = np.array(nums, dtype=complex)
-    b_np = np.array(all_dens, dtype=complex)
-
-    def block_terms(t_prev: complex, start: int, size: int) -> np.ndarray:
-        ks = np.arange(start - 1, start - 1 + size, dtype=float)
-        ratios = np.ones(size, dtype=complex)
-        for a in a_np:
-            ratios *= a + ks
-        for b in b_np:
-            ratios /= b + ks
-        return t_prev * np.cumprod(ratios)
-
-    acc = _Accum()
-    acc.add(1.0 + 0j)
-    count = 1
-    t_cur = 1.0 + 0j
-    streak = 0
-    block = ctrl.tail_window
-    stopped = False
-    while count < ctrl.n_max:
-        size = min(block, ctrl.n_max - count)
-        terms = block_terms(t_cur, count, size)
-        partials = acc.total() + np.cumsum(terms)
-        below = np.abs(terms) < ctrl.rel_tol * np.abs(partials)
-        idx = _stop_index(below, streak)
-        if idx is not None:
-            kept = terms[: idx + 1]
-            acc.add(complex(np.sum(kept)))
-            t_cur = complex(terms[idx])
-            count += idx + 1
-            stopped = True
-            break
-        acc.add(complex(np.sum(terms)))
-        t_cur = complex(terms[-1])
-        streak = _trailing_streak(below, streak)
-        count += size
-        block = min(block * 2, 65536)
-
-    # `count` terms are in; t_cur is the last included term
-    big_n = count
-    t_next = t_cur * _term_ratio(nums, all_dens, big_n - 1)
-    v1 = acc.total() + t_next * big_n / sigma
-
-    # doubling validation: push to 2N with the stop test off
-    while count < 2 * big_n:
-        size = min(65536, 2 * big_n - count)
-        terms = block_terms(t_cur, count, size)
-        acc.add(complex(np.sum(terms)))
-        t_cur = complex(terms[-1])
-        count += size
-    t_next = t_cur * _term_ratio(nums, all_dens, count - 1)
-    v2 = acc.total() + t_next * count / sigma
-    err = abs(v1 - v2)
-    converged = stopped and err <= ctrl.rel_tol * abs(v2)
-    return SeriesResult(v2, count, err, converged)
+    n0 = _start_length(nums + dens, ctrl.n_max)
+    prev_row = []
+    best = None
+    prev_err = math.inf
+    stalls = 0
+    for big_n, partial in _partial_sums(nums, all_dens, n0, ctrl.n_max):
+        row = [partial]
+        for i, r in enumerate(prev_row):
+            f = 2.0 ** (sigma + i)
+            row.append((f * row[i] - r) / (f - 1.0))
+        if prev_row:
+            err = abs(row[-1] - prev_row[-1])
+            if best is None or err < best[1]:
+                best = (row[-1], err)
+            stalls = stalls + 1 if err >= prev_err else 0
+            if err <= ctrl.rel_tol * abs(row[-1]) or stalls == 2:
+                break
+            prev_err = err
+        prev_row = row
+    value, err = best
+    return SeriesResult(value, big_n, err, err <= ctrl.rel_tol * abs(value))
 
 
 # ---------------------------------------------------------------------------
@@ -712,14 +686,26 @@ def _warn_if_cancelled(ratio: float, what: str):
         )
 
 
+def _warn_if_unconverged(res: SeriesResult, what: str):
+    if not res.converged:
+        warnings.warn(
+            f"{what}: series stopped after {res.terms_used} terms with error "
+            f"estimate {res.err_estimate:.1e}, short of its tolerance",
+            PrecisionWarning,
+            stacklevel=3,
+        )
+
+
 def eval_J_log(x, ctrl: SeriesCtrl = None) -> LogC:
     """Log of the sum-of-complementary-series function J(A;B,C,D;E,F,G)."""
     A, B, C, D, E, F, G = _seven(x)
     require_margins(*j_probe_args((A, B, C, D, E, F, G)))
-    f1, _ = f43_star_log((A, B, C, D, E, F, G), ctrl)
-    f2, _ = f43_star_log(
+    f1, r1 = f43_star_log((A, B, C, D, E, F, G), ctrl)
+    f2, r2 = f43_star_log(
         (A, 1 + A - E, 1 + A - F, 1 + A - G, 1 + A - B, 1 + A - C, 1 + A - D), ctrl
     )
+    _warn_if_unconverged(r1, "J evaluation, first 4F3")
+    _warn_if_unconverged(r2, "J evaluation, second 4F3")
     den = log_sin_pi(A) + _lgamma_sum(
         (A, B, C, D, A, 1 + A - E, 1 + A - F, 1 + A - G)
     )
@@ -742,11 +728,13 @@ def eval_L_log(args, ctrl: SeriesCtrl = None) -> LogC:
     """Log of the difference-of-supplementary-series function L(A,B,C,D;E;F,G)."""
     A, B, C, D, E, F, G = _seven(args)
     require_margins(*l_probe_args((A, B, C, D, E, F, G)))
-    f1, _ = f43_star_log((A, B, C, D, E, F, G), ctrl)
-    f2, _ = f43_star_log(
+    f1, r1 = f43_star_log((A, B, C, D, E, F, G), ctrl)
+    f2, r2 = f43_star_log(
         (1 + A - E, 1 + B - E, 1 + C - E, 1 + D - E, 2 - E, 1 + F - E, 1 + G - E),
         ctrl,
     )
+    _warn_if_unconverged(r1, "L evaluation, first 4F3")
+    _warn_if_unconverged(r2, "L evaluation, second 4F3")
     den = log_sin_pi(E) + _lgamma_sum(
         (A, B, C, D, 1 - E + A, 1 - E + B, 1 - E + C, 1 - E + D)
     )
@@ -773,6 +761,7 @@ def eval_L_7f6_log(args, ctrl: SeriesCtrl = None) -> LogC:
     nums = (a, 1 + 0.5 * a, b, c, d, e, f)
     dens = (0.5 * a, 1 + a - b, 1 + a - c, 1 + a - d, 1 + a - e, 1 + a - f)
     res = sum_pfq(nums, dens, ctrl)
+    _warn_if_unconverged(res, "L evaluation by the 7F6 route")
     pref = (
         lgamma(1 + a)
         - LogC.from_real(math.pi)
@@ -788,8 +777,9 @@ def eval_L_7f6(args, ctrl: SeriesCtrl = None) -> complex:
     return eval_L_7f6_log(args, ctrl).to_complex()
 
 
-def _v_half_log(head: complex, params, ctrl: SeriesCtrl) -> LogC:
-    # (pi/2) Gamma[1+head, params / 1+head-params] * 9F8 at unit argument
+def _v_half_log(head: complex, params, ctrl: SeriesCtrl):
+    # (pi/2) Gamma[1+head, params / 1+head-params] * 9F8 at unit argument,
+    # returned with the raw SeriesResult
     nums = (head, 1 + 0.5 * head) + tuple(params)
     dens = (0.5 * head,) + tuple(1 + head - p for p in params)
     res = sum_pfq(nums, dens, ctrl)
@@ -799,7 +789,7 @@ def _v_half_log(head: complex, params, ctrl: SeriesCtrl) -> LogC:
         + _lgamma_sum(params)
         - _lgamma_sum([1 + head - p for p in params])
     )
-    return pref + LogC.from_complex(res.value)
+    return pref + LogC.from_complex(res.value), res
 
 
 def eval_M_log(w, ctrl: SeriesCtrl = None) -> LogC:
@@ -807,15 +797,18 @@ def eval_M_log(w, ctrl: SeriesCtrl = None) -> LogC:
 
     Both very-well-poised halves and the shared sine/gamma denominator are
     assembled in log space; the two halves meet in one rescaled subtraction,
-    with a warning if more than nine digits cancel.
+    with a warning if more than nine digits cancel or a series falls short
+    of its tolerance.
     """
     a, b, c, d, e, f, g, h = _eight(w)
     if abs((2 + 3 * a) - (b + c + d + e + f + g + h)) > 1e-9:
         raise EvaluationDomainError("parameters leave the defining hyperplane")
     require_margins(*m_probe_args((a, b, c, d, e, f, g, h)))
     rest = (c, d, e, f, g, h)
-    v1 = _v_half_log(a, (b,) + rest, ctrl)
-    v2 = _v_half_log(2 * b - a, (b,) + tuple(b - a + t for t in rest), ctrl)
+    v1, r1 = _v_half_log(a, (b,) + rest, ctrl)
+    v2, r2 = _v_half_log(2 * b - a, (b,) + tuple(b - a + t for t in rest), ctrl)
+    _warn_if_unconverged(r1, "M evaluation, first 9F8")
+    _warn_if_unconverged(r2, "M evaluation, second 9F8")
     den = log_sin_pi(b - a) + _lgamma_sum(
         (b,) + rest + tuple(b - a + t for t in rest)
     )

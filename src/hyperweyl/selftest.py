@@ -368,39 +368,46 @@ def _relations(cfg):
 def _limits(cfg):
     rng = random.Random(cfg.seed)
     labels = ("+v(0,7)", "+v(1,7)", "+v(0,1)", "+v(2,7)")
-    finals = []
     reports = {}
     for lab in labels:
         p = gen_point(
             rng, "W", lambda q: limit_probe_args(lab, q), budget=cfg.budget
         )
-        rep = check_limit(lab, p)
+        rep = check_limit(lab, p, decay=cfg.limit_decay)
         reports[lab] = rep
-        if rep.failure is not None or not rep.verdict:
-            return False, f"{lab}: {rep.failure or 'errors not contracting'}"
-        finals.append(rep.errors[-1])
-    # the blue/red pair aims at one target: compare the reference values at
-    # a common point, against the sum of the two final shift errors
+        if rep.failure is not None:
+            return False, f"{lab}: {rep.failure}"
+        if not rep.verdict:
+            errs = " -> ".join(f"{e:.1e}" for e in rep.errors)
+            return False, (
+                f"{lab}: errors {errs} must decrease strictly to at most "
+                f"{cfg.limit_decay:g} of the first"
+            )
+    # the blue/red pair aims at one target: at a common point, their
+    # normalized shifted values must agree at every shift to within the sum
+    # of the two final shift errors
     def pair_probe(q):
         g1, s1 = limit_probe_args("+v(0,7)", q)
         g2, s2 = limit_probe_args("+v(1,7)", q)
         return tuple(g1) + tuple(g2), tuple(s1) + tuple(s2)
 
     p = gen_point(rng, "W", pair_probe, budget=cfg.budget)
-    r1 = check_limit("+v(0,7)", p)
-    r2 = check_limit("+v(1,7)", p)
+    r1 = check_limit("+v(0,7)", p, decay=cfg.limit_decay)
+    r2 = check_limit("+v(1,7)", p, decay=cfg.limit_decay)
     if not (r1.verdict and r2.verdict):
         return False, "blue/red pair fails to contract at the shared point"
-    gap = abs((r1.target_log - r2.target_log).to_complex() - 1.0)
     combined = r1.errors[-1] + r2.errors[-1]
-    if gap > combined:
-        return False, f"pair targets differ by {gap:.2e} > {combined:.2e}"
+    gap = 0.0
+    for t, v1, v2 in zip(r1.shifts, r1.values, r2.values):
+        gap = max(gap, abs((v1 - v2).to_complex() - 1.0))
+        if gap > combined:
+            return False, f"pair values differ by {gap:.2e} > {combined:.2e} at shift {t:g}"
     worst = max(
         rep.errors[-1] / rep.errors[0] for rep in reports.values()
     )
     return True, (
         f"4 rows contract (worst final/initial {worst:.2f}); "
-        f"blue/red target gap {gap:.1e} within {combined:.1e}"
+        f"blue/red value gap {gap:.1e} within {combined:.1e}"
     )
 
 

@@ -242,6 +242,19 @@ def test_check_limits_passes():
         assert all(b < a for a, b in zip(errs, errs[1:]))
 
 
+def test_limit_decay_flag_reaches_the_limit_checks(monkeypatch):
+    # no shift-doubling run shrinks its error by nine orders of magnitude
+    code, data = run_json("--limit-decay", "1e-9", "check", "limits")
+    assert code == 1
+    assert not any(rep["verdict"] for rep in data)
+    only13 = [e for e in CATALOG if e[0] == "13-limit-checks"]
+    monkeypatch.setattr("hyperweyl.selftest.CATALOG", only13)
+    code, text = run_cli("--limit-decay", "1e-9", "selftest")
+    assert code == 1
+    assert "FAIL 13-limit-checks" in text
+    assert "at most 1e-09 of the first" in text
+
+
 def test_check_pipeline_passes():
     code, data = run_json("check", "pipeline")
     assert code == 0

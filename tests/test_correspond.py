@@ -362,6 +362,12 @@ def test_collapsed_rows_share_the_target_value():
     assert r1.verdict and r2.verdict
     diff = abs((r1.target_log - r2.target_log).to_complex() - 1.0)
     assert diff <= 1e-10
+    # the two rows are distinct representatives, and their normalized
+    # shifted values agree at every shift, not only in the limit
+    assert len(r1.values) == len(r2.values) == len(r1.shifts)
+    combined = r1.errors[-1] + r2.errors[-1]
+    for v1, v2 in zip(r1.values, r2.values):
+        assert abs((v1 - v2).to_complex() - 1.0) <= combined
 
 
 def test_normalizer_is_b_aware():

@@ -10,6 +10,7 @@ and against a 50-digit re-run) and pasted here as literals.
 import cmath
 import math
 import random
+import warnings
 from fractions import Fraction
 
 import pytest
@@ -31,6 +32,7 @@ from hyperweyl.hypnum import (
     LogC,
     PointV,
     PointW,
+    PrecisionWarning,
     SeriesCtrl,
     combine_exponentials,
     eval_J,
@@ -38,7 +40,10 @@ from hyperweyl.hypnum import (
     eval_K,
     eval_L,
     eval_L_7f6,
+    eval_L_7f6_log,
+    eval_L_log,
     eval_M,
+    eval_M_log,
     f43_star,
     is_saalschutzian,
     is_very_well_poised,
@@ -67,6 +72,14 @@ PINNED_4F3 = complex(1.0875719198195207677, 0.0015366262926327931569)
 PINNED_J = complex(0.38239832567088425904, 0.065238519690119300821)
 PINNED_L = complex(0.20340401175767391872, 0.2824890484936075603)
 PINNED_M = complex(0.27197589412488745434, 0.045860246344310993931)
+# a very-well-poised 9F8(1) half of M met in the degeneration pipeline, with
+# its head and parameters rounded to four places (mpmath.hyper, 30 digits)
+SETTLING_9F8_HEAD = complex(0.5124, 0.0706)
+SETTLING_9F8_PARAMS = (
+    0.641 + 7.7324j, 0.8196 + 0.168j, 0.7996 + 0.1787j, 0.4139 - 0.0606j,
+    0.1828 + 0.0806j, 0.1498 - 0.2596j, 0.5305 - 7.6278j,
+)
+PINNED_SETTLING_9F8 = complex(1.0579779188457552652, -0.025147658618128636752)
 
 # the pinned sample points themselves (sixth / seventh coordinate derived)
 V_POINT = PointV(
@@ -358,32 +371,102 @@ def test_sum_pfq_error_preconditions():
 
 
 def test_sum_pfq_nmax_cutoff():
-    ctrl = SeriesCtrl(rel_tol=1e-12, n_max=256, tail_window=64)
+    # two partial sums (32 and 64 terms) are all the table gets
+    ctrl = SeriesCtrl(rel_tol=1e-12, n_max=64)
     r = sum_pfq((0.3, 0.5, 0.7, 0.2), (1.1, 0.9, 0.7), ctrl)
     assert not r.converged
+    assert r.terms_used == 64
     assert r.err_estimate > 0
     full = sum_pfq((0.3, 0.5, 0.7, 0.2), (1.1, 0.9, 0.7))
     assert rel(r.value, full.value) < 1e-3
     assert full.converged
 
 
-def test_sum_pfq_doubling_consistency():
-    # loosening the tolerance must stay inside the reported error bars
-    tight = sum_pfq((0.3 + 0.1j, 0.5, 0.7 - 0.2j, 0.2), (1.1, 0.9 + 0.05j, 0.7 + 0.05j))
-    loose = sum_pfq(
-        (0.3 + 0.1j, 0.5, 0.7 - 0.2j, 0.2),
-        (1.1, 0.9 + 0.05j, 0.7 + 0.05j),
-        SeriesCtrl(rel_tol=1e-8),
-    )
-    assert tight.converged and loose.converged
-    assert abs(tight.value - loose.value) <= 10 * (tight.err_estimate + loose.err_estimate)
+def test_sum_pfq_tolerance_consistency():
+    # a looser tolerance stops the table earlier, inside the reported error
+    # bars, and the flag is exactly err_estimate <= rel_tol * |value|
+    nums, dens = (0.3 + 0.1j, 0.5, 0.7 - 0.2j, 0.2), (1.1, 0.9 + 0.05j, 0.7 + 0.05j)
+    results = {tol: sum_pfq(nums, dens, SeriesCtrl(rel_tol=tol)) for tol in (1e-6, 1e-8, 1e-12)}
+    tight = results[1e-12]
+    for tol, r in results.items():
+        assert r.converged == (r.err_estimate <= tol * abs(r.value))
+        assert r.converged
+        assert r.terms_used <= tight.terms_used
+        assert abs(tight.value - r.value) <= 10 * (tight.err_estimate + r.err_estimate)
+    assert results[1e-6].terms_used < tight.terms_used
+
+
+def test_sum_pfq_one_stall_is_not_the_rounding_floor():
+    # the table's differences at 128 and 256 terms read 1.9e-8 and 2.5e-8
+    # while the expansion settles, then fall to 2e-16 by 2048 terms
+    a = SETTLING_9F8_HEAD
+    nums = (a, 1 + a / 2) + SETTLING_9F8_PARAMS
+    dens = (a / 2,) + tuple(1 + a - t for t in SETTLING_9F8_PARAMS)
+    r = sum_pfq(nums, dens)
+    assert r.converged and r.terms_used > 256
+    assert rel(r.value, PINNED_SETTLING_9F8) < 1e-13
 
 
 def test_seriesctrl_validation():
     with pytest.raises(ValueError):
         SeriesCtrl(rel_tol=0)
+    # the table needs two partial sums from the smallest start of 32 terms
     with pytest.raises(ValueError):
-        SeriesCtrl(n_max=100, tail_window=64)
+        SeriesCtrl(n_max=63)
+    SeriesCtrl(n_max=64)
+
+
+def _assert_matches_oracle(r, ref):
+    assert abs(r.value - ref) <= 1e-12 * abs(ref)
+    # the error estimate covers the true error
+    assert abs(r.value - ref) <= 10 * r.err_estimate + 1e-15 * abs(ref)
+    assert r.converged
+
+
+@pytest.mark.parametrize("sigma", [1.0, 0.5, 0.1, 0.05 + 0.3j])
+def test_sum_pfq_gauss_oracle(sigma):
+    # 2F1(a, b; c; 1) = Gamma(c) Gamma(c-a-b) / (Gamma(c-a) Gamma(c-b))
+    mp = pytest.importorskip("mpmath")
+    a, b = 0.3 + 0.1j, 0.45 - 0.2j
+    c = a + b + sigma
+    with mp.workdps(30):
+        A, B, C = mp.mpc(a), mp.mpc(b), mp.mpc(c)
+        ref = complex(mp.gammaprod([C, C - A - B], [C - A, C - B]))
+    _assert_matches_oracle(sum_pfq((a, b), (c,)), ref)
+
+
+@pytest.mark.parametrize("sigma", [0.6, 0.3 + 0.2j, 0.16])
+def test_sum_pfq_dougall_oracle(sigma):
+    # Dougall's very-well-poised
+    # 5F4(a, 1+a/2, b, c, d; a/2, 1+a-b, 1+a-c, 1+a-d; 1), whose exponent
+    # is 2(1 + a - b - c - d)
+    mp = pytest.importorskip("mpmath")
+    a, b, c = 0.7 + 0.1j, 0.35 - 0.05j, 0.25 + 0.15j
+    d = 1 + a - b - c - sigma / 2
+    nums = (a, 1 + a / 2, b, c, d)
+    dens = (a / 2, 1 + a - b, 1 + a - c, 1 + a - d)
+    assert abs(series_sigma(nums, dens) - sigma) < 1e-14
+    with mp.workdps(30):
+        A, B, C, D = (mp.mpc(z) for z in (a, b, c, d))
+        ref = complex(mp.gammaprod(
+            [1 + A - B, 1 + A - C, 1 + A - D, 1 + A - B - C - D],
+            [1 + A, 1 + A - B - C, 1 + A - B - D, 1 + A - C - D],
+        ))
+    _assert_matches_oracle(sum_pfq(nums, dens), ref)
+
+
+def test_sum_pfq_shifted_9f8_oracle():
+    # the head = a half of M at the pinned point with b shifted by 32i, as a
+    # limit check evaluates it; mpmath.hyper takes about 0.4 s here at 20
+    # digits and over 5 s at 30, and 20 digits leave 8 to spare
+    mp = pytest.importorskip("mpmath")
+    p = W_POINT
+    a, *params = PointW(p.a, p.b + 32j, p.c, p.d, p.e, p.f, p.g).args()
+    nums = [a, 1 + a / 2] + params
+    dens = [a / 2] + [1 + a - t for t in params]
+    with mp.workdps(20):
+        ref = complex(mp.hyper([mp.mpc(z) for z in nums], [mp.mpc(z) for z in dens], 1))
+    _assert_matches_oracle(sum_pfq(nums, dens), ref)
 
 
 # ---------------------------------------------------------------------------
@@ -462,6 +545,22 @@ def test_probe_lists_cover_shifted_arguments():
     gammas, sins = m_probe_args(wargs)
     assert any(abs(g - (wargs[1] - wargs[0] + wargs[2])) < 1e-15 for g in gammas)
     assert abs(sins[0] - (wargs[1] - wargs[0])) < 1e-15
+
+
+def test_evaluators_warn_on_unconverged_series():
+    short = SeriesCtrl(n_max=64)
+    for fn, x in (
+        (eval_J_log, V_POINT),
+        (eval_L_log, V_POINT),
+        (eval_L_7f6_log, V_POINT),
+        (eval_M_log, W_POINT),
+    ):
+        with pytest.warns(PrecisionWarning, match="stopped after 64 terms"):
+            fn(x, short)
+        # with the default budget the same evaluations are silent
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", PrecisionWarning)
+            fn(x)
 
 
 def test_eval_rejects_degenerate_point():
