@@ -21,11 +21,9 @@ from typing import Optional, Sequence
 
 from .appendix_fixture import FIXTURE_TEXT
 from .coxeter import (
-    J_BFS_GENERATOR_ORDER,
     JLabel,
     LLabel,
     MLabel,
-    act_l,
     classify_j,
     classify_l,
     classify_m,
@@ -1127,27 +1125,6 @@ def twiddle_classify(forms7, space: str):
     return table[key]
 
 
-@lru_cache(maxsize=1)
-def _l_rep_words() -> dict:
-    """Shortest words from the identity-arrangement L label, kept coherent
-    with the matrix convention (the identity classifies as label 4)."""
-    start = LLabel(4, False)
-    words = {start: ()}
-    frontier = [start]
-    while frontier:
-        nxt = []
-        for lab in frontier:
-            for gname in J_BFS_GENERATOR_ORDER:
-                out = act_l(gname, lab)
-                if out not in words:
-                    words[out] = words[lab] + (gname,)
-                    nxt.append(out)
-        frontier = nxt
-    if len(words) != 12:
-        raise AssertionError("L label walk must reach all twelve labels")
-    return words
-
-
 def twiddle_check(rng, space: str, tol: float = 1e-7, budget: int = 10_000,
                   ctrl: SeriesCtrl = None):
     """Draw one random even-sign coordinate permutation, classify its image,
@@ -1165,7 +1142,7 @@ def twiddle_check(rng, space: str, tol: float = 1e-7, budget: int = 10_000,
         signs[0] = -signs[0]
     transformed = signed_perm_transform(twiddle_x_forms(), tuple(perm), tuple(signs))
     label = twiddle_classify(transformed, space)
-    word = (representative_words("J") if space == "J" else _l_rep_words())[label]
+    word = representative_words(space)[label]
     beta = word_to_matrix(word, "v")
     evaluator = eval_J_log if space == "J" else eval_L_log
     probe = j_probe_args if space == "J" else l_probe_args

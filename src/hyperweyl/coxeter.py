@@ -13,29 +13,30 @@ jl_label sends every eight-slot label to a colored seven-slot one (blue and
 red copies of the 12 L labels, plus the 32 J labels), it intertwines the two
 generator actions through matching_generator, and it compresses the
 discrete distance in a controlled way (t_distance).
+
+Words, orbits, group orders and triple censuses share one permutation-group
+core: every generator as a permutation of label indices (built on first
+use), one breadth-first orbit walk that records words, and Schreier-Sims.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import combinations
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .exactalg import (
     LinForm,
-    RatMatrix,
-    SUBGROUP_GENERATORS,
+    SUBGROUP_WORDS,
     SymVec,
-    V_GENERATOR_NAMES,
     V_SYMBOLS,
     W_GENERATOR_NAMES,
     W_SYMBOLS,
-    eq_mod_constraint,
-    identity_symvec,
     v_constraint,
     w_constraint,
 )
@@ -58,7 +59,6 @@ __all__ = [
     "classify_m",
     "classify_j",
     "classify_l",
-    "classify_t",
     "orbit_color",
     "jl_label",
     "jl_preimage",
@@ -73,7 +73,7 @@ __all__ = [
     "triple_orbits",
     "group_order",
     "full_group_census",
-    "m_label_orbit_bfs",
+    "perm_group_order",
     "representative_words",
     "M_BFS_GENERATOR_ORDER",
     "J_BFS_GENERATOR_ORDER",
@@ -426,14 +426,6 @@ def classify_l(vec: SymVec) -> LLabel:
     return table[key]
 
 
-def classify_t(vec: SymVec):
-    """J or L label of a seven-slot vector, trying the J first slot first."""
-    try:
-        return classify_j(vec)
-    except ValueError:
-        return classify_l(vec)
-
-
 # ---------------------------------------------------------------------------
 # the blue/red/J correspondence
 # ---------------------------------------------------------------------------
@@ -522,31 +514,6 @@ def matching_generator(gen: str) -> str:
     return _GENERATOR_BRIDGE[gen]
 
 
-def color_orbits():
-    """The three orbits of the 56 labels under the six index-action generators."""
-    gens = ("s1", "s2", "s3", "s4", "s5", "s3'")
-    seen = {}
-    orbits = []
-    for start in sorted(all_m_labels(), key=MLabel.sort_key):
-        if start in seen:
-            continue
-        frontier = [start]
-        members = {start}
-        while frontier:
-            nxt = []
-            for lab in frontier:
-                for g in gens:
-                    out = act_m(g, lab)
-                    if out not in members:
-                        members.add(out)
-                        nxt.append(out)
-            frontier = nxt
-        for lab in members:
-            seen[lab] = len(orbits)
-        orbits.append(sorted(members, key=MLabel.sort_key))
-    return orbits
-
-
 # ---------------------------------------------------------------------------
 # vectors and distances
 # ---------------------------------------------------------------------------
@@ -589,198 +556,255 @@ def t_distance(s, t) -> int:
 
 
 # ---------------------------------------------------------------------------
-# triples
-# ---------------------------------------------------------------------------
-
-
-def _pairwise(vals):
-    return sorted(vals)
-
-
-def triple_type(space: str, triple) -> str:
-    """Type tag of a three-element set: sorted pairwise distances, or the
-    coherence tag in the L space."""
-    a, b, c = triple
-    if space == "M":
-        ds = _pairwise([dd(a, b), dd(a, c), dd(b, c)])
-        return "".join(str(d) for d in ds)
-    if space == "J":
-        ds = _pairwise([hamming(a, b), hamming(a, c), hamming(b, c)])
-        return "".join(str(d) for d in ds)
-    if space == "L":
-        idx = {a.index, b.index, c.index}
-        return "coherent" if len(idx) == 3 else "incoherent"
-    if space == "T":
-        ds = _pairwise([t_distance(a, b), t_distance(a, c), t_distance(b, c)])
-        comp = "".join(sorted("L" if isinstance(x, LLabel) else "J" for x in (a, b, c)))
-        return comp + ":" + "".join(str(d) for d in ds)
-    raise ValueError(f"unknown space {space!r}")
-
-
-_SPACE_DATA = {
-    "M": (all_m_labels, ("s1", "s2", "s3", "s4", "s5", "s3'", "s6"), act_m, lambda l: l.sort_key()),
-    "J": (all_j_labels, V_GENERATOR_NAMES, act_j, lambda l: l.sort_key()),
-    "L": (all_l_labels, V_GENERATOR_NAMES, act_l, lambda l: l.sort_key()),
-    "T": (all_t_labels, V_GENERATOR_NAMES, act_t, lambda l: (isinstance(l, JLabel), l.sort_key())),
-}
-
-
-def triple_orbits(space: str):
-    """Orbit decomposition of all three-element label sets under the action.
-
-    Returns a list of dicts (size, type, representative), sorted by the
-    representative, plus the invariant that the type tag is constant on each
-    orbit (checked here, not assumed).
-    """
-    labels_fn, gens, act, key = _SPACE_DATA[space]
-    labels = labels_fn()
-    canon = lambda tri: tuple(sorted(tri, key=key))
-    all_triples = [canon(t) for t in combinations(labels, 3)]
-    all_set = set(all_triples)
-    seen = set()
-    orbits = []
-    for start in all_triples:
-        if start in seen:
-            continue
-        members = {start}
-        frontier = [start]
-        while frontier:
-            nxt = []
-            for tri in frontier:
-                for g in gens:
-                    out = canon(tuple(act(g, x) for x in tri))
-                    if out not in members:
-                        members.add(out)
-                        nxt.append(out)
-            frontier = nxt
-        ttype = triple_type(space, start)
-        for tri in members:
-            assert triple_type(space, tri) == ttype, "type tag not orbit-constant"
-        seen |= members
-        orbits.append(
-            {
-                "space": space,
-                "size": len(members),
-                "type": ttype,
-                "representative": tuple(str(x) for x in start),
-            }
-        )
-    assert sum(o["size"] for o in orbits) == len(all_set)
-    return orbits
-
-
-# ---------------------------------------------------------------------------
-# group enumeration
-# ---------------------------------------------------------------------------
-
-
-def _bfs_matrix_group(generators: Sequence[RatMatrix], limit: int = 4_000_000):
-    n = generators[0].order
-    gen_arrays = [g.twice for g in generators]
-    ident = 2 * np.eye(n, dtype=np.int64)
-    seen = {ident.astype(np.int16).tobytes()}
-    frontier = ident[None, :, :]
-    total = 1
-    chunk = 65536
-    while frontier.shape[0]:
-        fresh = []
-        for g in gen_arrays:
-            for lo in range(0, frontier.shape[0], chunk):
-                prod = frontier[lo : lo + chunk] @ g
-                if (prod & 1).any():
-                    raise ArithmeticError("group product left the half-integer domain")
-                prod >>= 1
-                if np.abs(prod).max() > 32000:
-                    raise ArithmeticError("matrix entries too large for compact keys")
-                keys = prod.astype(np.int16)
-                for idx in range(prod.shape[0]):
-                    k = keys[idx].tobytes()
-                    if k not in seen:
-                        seen.add(k)
-                        fresh.append(keys[idx])
-        total += len(fresh)
-        if total > limit:
-            raise MemoryError("group enumeration exceeded the allowed size")
-        if fresh:
-            frontier = np.stack(fresh).astype(np.int64)
-        else:
-            frontier = np.empty((0, n, n), dtype=np.int64)
-    return total
-
-
-def group_order(name: str) -> int:
-    """Order of a named subgroup by breadth-first closure of its generators."""
-    if name not in SUBGROUP_GENERATORS:
-        raise KeyError(f"unknown group {name!r}")
-    return _bfs_matrix_group(SUBGROUP_GENERATORS[name])
-
-
-def full_group_census(acknowledge_memory: bool = False) -> int:
-    """Order of the full eight-slot-side group (about 2.9 million matrices).
-
-    Refuses to run unless the caller acknowledges the memory cost (several
-    hundred MB of key storage).
-    """
-    if not acknowledge_memory:
-        raise RuntimeError(
-            "full group enumeration holds ~3M matrix keys in memory; "
-            "pass acknowledge_memory=True to proceed"
-        )
-    from .exactalg import W_GENERATORS
-
-    gens = [W_GENERATORS[n] for n in W_GENERATOR_NAMES]
-    return _bfs_matrix_group(gens)
-
-
-# ---------------------------------------------------------------------------
-# label BFS with words
+# the permutation-group core
 # ---------------------------------------------------------------------------
 
 # fixed expansion order: reproducible minimal-length lexicographically-first words
 M_BFS_GENERATOR_ORDER = ("s1", "s2", "s3", "s4", "s5", "s3'", "s6")
 J_BFS_GENERATOR_ORDER = ("a1", "a2", "a3", "a4", "a5", "a1'")
 
+# label list, generators in expansion order, and action of each space
+_SPACES = {
+    "M": (all_m_labels, M_BFS_GENERATOR_ORDER, act_m),
+    "J": (all_j_labels, J_BFS_GENERATOR_ORDER, act_j),
+    "L": (all_l_labels, J_BFS_GENERATOR_ORDER, act_l),
+    "T": (all_t_labels, J_BFS_GENERATOR_ORDER, act_t),
+}
 
-def m_label_orbit_bfs():
-    """All 56 labels reached from +v(0,7) under the seven generators."""
-    start = MLabel(1, 0, 7)
-    seen = {start}
+
+@lru_cache(maxsize=None)
+def _space(space: str):
+    """Labels of a space, their indices, and each generator as the tuple of
+    image indices (label k goes to label perms[g][k])."""
+    labels_fn, gens, act = _SPACES[space]
+    labels = tuple(labels_fn())
+    index = {lab: k for k, lab in enumerate(labels)}
+    perms = {g: tuple(index[act(g, lab)] for lab in labels) for g in gens}
+    return labels, index, perms
+
+
+def _orbit_words(perms: dict, start: int) -> dict:
+    """Breadth-first orbit of a point: each point reached, in the order
+    reached, with the first minimal-length word (letters in the order of
+    perms) that carries start to it."""
+    words = {start: ()}
     frontier = [start]
     while frontier:
         nxt = []
-        for lab in frontier:
-            for g in M_BFS_GENERATOR_ORDER:
-                out = act_m(g, lab)
-                if out not in seen:
-                    seen.add(out)
-                    nxt.append(out)
+        for p in frontier:
+            for g, perm in perms.items():
+                q = perm[p]
+                if q not in words:
+                    words[q] = words[p] + (g,)
+                    nxt.append(q)
         frontier = nxt
-    return seen
+    return words
+
+
+def _mul(p: tuple, q: tuple) -> tuple:
+    # p, then q
+    return tuple(q[k] for k in p)
+
+
+def _inv(p: tuple) -> tuple:
+    return tuple(sorted(range(len(p)), key=p.__getitem__))
+
+
+def _word_perm(space: str, word: Sequence[str]) -> tuple:
+    """Permutation of a word, its letters applied in order."""
+    labels, _, perms = _space(space)
+    return reduce(_mul, (perms[g] for g in word), tuple(range(len(labels))))
+
+
+def perm_group_order(gens: Sequence[tuple]) -> int:
+    """Order of the group generated by permutations of 0..n-1 (tuples of
+    images, at least one), by the Schreier-Sims algorithm.
+
+    The chain keeps base points b_0, b_1, ... and one list of strong
+    generators.  Level i acts through every strong generator that fixes
+    b_0..b_{i-1}, including those found at deeper levels, and holds the
+    orbit of b_i with the inverses of a transversal.  Levels are verified
+    from the deepest up: each Schreier generator of level i must sift to the
+    identity through the levels below it.  One that does not becomes a
+    strong generator, and the check restarts at the level where its sifting
+    stopped.  The order is the product of the orbit lengths.
+    """
+    ident = tuple(range(len(gens[0])))
+    base, strong, chain = [], [], []
+
+    def add(g):
+        if all(g[b] == b for b in base):
+            base.append(next(k for k, gk in enumerate(g) if gk != k))
+            chain.append(None)
+        strong.append(g)
+
+    def sift(g, i):
+        for j in range(i, len(base)):
+            u_inv = chain[j].get(g[base[j]])
+            if u_inv is None:
+                return g, j
+            g = _mul(g, u_inv)
+        return g, len(base)
+
+    for g in gens:
+        if tuple(g) != ident:
+            add(tuple(g))
+    i = len(base) - 1
+    while i >= 0:
+        level = [g for g in strong if all(g[b] == b for b in base[:i])]
+        words = _orbit_words(dict(enumerate(level)), base[i])
+        trans = {p: reduce(_mul, (level[k] for k in w), ident) for p, w in words.items()}
+        chain[i] = {p: _inv(u) for p, u in trans.items()}
+        sifted = (
+            sift(_mul(_mul(u, s), chain[i][s[p]]), i + 1)
+            for p, u in trans.items()
+            for s in level
+        )
+        h, j = next(((h, j) for h, j in sifted if h != ident), (None, i - 1))
+        if h is not None:
+            add(h)
+        i = j
+    return math.prod(len(orbit) for orbit in chain)
 
 
 def representative_words(space: str = "M"):
     """Minimal-length, first-found representative word for every label.
 
     Words compose left to right; the word's label is the result of applying
-    its letters in order to the base label (+v(0,7) or the all-plus string).
+    its letters in order to the base label: +v(0,7), the all-plus string or
+    the label 4, the labels of the identity arrangement under classify_m,
+    classify_j and classify_l.
     """
-    if space == "M":
-        start, order, act = MLabel(1, 0, 7), M_BFS_GENERATOR_ORDER, act_m
-    elif space == "J":
-        start, order, act = JLabel((1,) * 6), J_BFS_GENERATOR_ORDER, act_j
-    elif space == "L":
-        start, order, act = LLabel(6, False), J_BFS_GENERATOR_ORDER, act_l
-    else:
+    bases = {"M": MLabel(1, 0, 7), "J": JLabel((1,) * 6), "L": LLabel(4)}
+    if space not in bases:
         raise ValueError("space must be M, J or L")
-    words = {start: ()}
-    frontier = [start]
-    while frontier:
-        nxt = []
-        for lab in frontier:
-            for g in order:
-                out = act(g, lab)
-                if out not in words:
-                    words[out] = words[lab] + (g,)
-                    nxt.append(out)
-        frontier = nxt
-    return words
+    labels, index, perms = _space(space)
+    words = _orbit_words(perms, index[bases[space]])
+    return {labels[k]: word for k, word in words.items()}
+
+
+def color_orbits():
+    """The three orbits of the 56 labels under the six index-action generators."""
+    labels, index, perms = _space("M")
+    gens = {g: perms[g] for g in _GENERATOR_BRIDGE}
+    seen = set()
+    orbits = []
+    for start in sorted(labels, key=MLabel.sort_key):
+        if index[start] in seen:
+            continue
+        members = _orbit_words(gens, index[start])
+        seen.update(members)
+        orbits.append(sorted((labels[k] for k in members), key=MLabel.sort_key))
+    return orbits
+
+
+def group_order(name: str) -> int:
+    """Order of a named subgroup: Schreier-Sims on the permutations its
+    generator words induce on the 56 labels (eight-slot side) or on the 44
+    T labels (seven-slot side).  See full_group_census for why the
+    permutation order is the order of the matrix group."""
+    if name not in SUBGROUP_WORDS:
+        raise KeyError(f"unknown group {name!r}")
+    side, words = SUBGROUP_WORDS[name]
+    space = "M" if side == "w" else "T"
+    return perm_group_order([_word_perm(space, word) for word in words])
+
+
+def full_group_census() -> int:
+    """Order of the full eight-slot-side group W(E7), by Schreier-Sims on the
+    permutations its seven generators induce on the 56 labels.
+
+    The permutation order certifies the order of the matrix group:
+
+    1. Check 03 proves that the generator matrices satisfy the Coxeter
+       relations of E7, so the matrix group is a quotient of the abstract
+       W(E7), whose order is the product of its degrees, 2,903,040.
+    2. Each generator matrix induces act_m's permutation on the cosets
+       through classify_m (tested), so the permutation group is the image
+       of the matrix group acting on cosets.
+    3. An image of the full order 2,903,040 therefore makes both maps
+       isomorphisms.
+
+    The seven-slot side is certified the same way, with W(D6) (order
+    23,040), act_j/act_l and classify_j/classify_l.
+    """
+    return perm_group_order([_word_perm("M", (g,)) for g in W_GENERATOR_NAMES])
+
+
+# ---------------------------------------------------------------------------
+# triples
+# ---------------------------------------------------------------------------
+
+# the pairwise value behind each space's type tag (in L, 1 when two labels
+# share an index)
+_PAIR_VALUE = {"M": dd, "J": hamming, "L": lambda a, b: int(a.index == b.index), "T": t_distance}
+
+
+@lru_cache(maxsize=None)
+def _pair_table(space: str) -> np.ndarray:
+    labels = _space(space)[0]
+    table = np.array([[_PAIR_VALUE[space](a, b) for b in labels] for a in labels])
+    table.setflags(write=False)
+    return table
+
+
+def _type_keys(space: str, tri: np.ndarray) -> np.ndarray:
+    """Type key of each row of label indices: the sorted pairwise values as
+    three decimal digits and, in T, the number of L labels as the fourth."""
+    pairs = np.sort(_pair_table(space)[tri[:, [0, 0, 1]], tri[:, [1, 2, 2]]], axis=1)
+    keys = pairs @ np.array([100, 10, 1])
+    if space == "T":
+        is_l = np.array([isinstance(lab, LLabel) for lab in _space(space)[0]])
+        keys += 1000 * is_l[tri].sum(axis=1)
+    return keys
+
+
+def triple_type(space: str, triple) -> str:
+    """Type tag of a three-element set: its sorted pairwise distances (after
+    its J/L mixture in T), or the coherence tag in the L space (coherent when
+    the three indices differ)."""
+    if space not in _SPACES:
+        raise ValueError(f"unknown space {space!r}")
+    index = _space(space)[1]
+    key = int(_type_keys(space, np.array([[index[x] for x in triple]]))[0])
+    if space == "L":
+        return "incoherent" if key else "coherent"
+    n_l, digits = divmod(key, 1000)
+    mixture = "J" * (3 - n_l) + "L" * n_l + ":" if space == "T" else ""
+    return f"{mixture}{digits:03d}"
+
+
+def triple_orbits(space: str):
+    """Orbit decomposition of all three-element label sets under the action.
+
+    Returns a list of dicts (space, size, type, representative), one per
+    orbit in the order in which combinations() first meets it; the
+    representative is that first set with its members sorted.  The type tag
+    is checked to be constant on each orbit, not assumed.
+    """
+    labels, _, perms = _space(space)
+    n = len(labels)
+    tri = np.array(list(combinations(range(n), 3)))
+    code = np.array([n * n, n, 1])
+    position = np.zeros(n**3, dtype=np.int64)
+    position[tri @ code] = np.arange(len(tri))
+    images = [position[np.sort(np.array(p)[tri], axis=1) @ code] for p in perms.values()]
+    # every set takes the smallest position in its orbit
+    orbit, last = np.arange(len(tri)), None
+    while not np.array_equal(orbit, last):
+        last = orbit
+        for img in images:
+            orbit = np.minimum(orbit, orbit[img])
+    keys = _type_keys(space, tri)
+    assert np.array_equal(keys, keys[orbit]), "type tag not orbit-constant"
+    out = []
+    for first, size in zip(*np.unique(orbit, return_counts=True)):
+        # members in label order, L labels before J labels in T
+        rep = sorted((labels[k] for k in tri[first]), key=lambda l: (isinstance(l, JLabel), l.sort_key()))
+        out.append({
+            "space": space,
+            "size": int(size),
+            "type": triple_type(space, rep),
+            "representative": tuple(str(x) for x in rep),
+        })
+    return out

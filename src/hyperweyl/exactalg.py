@@ -535,36 +535,6 @@ V_GENERATORS = _build_v_generators()
 CENTRAL_W = _central_w()
 CENTRAL_V = _central_v()
 
-# G_L's conjugated generator lives on the seven-slot side
-_P57 = RatMatrix.permutation([(5, 7)], 7)
-X1_CONJ_57 = _P57 @ _x1_matrix() @ _P57
-
-# named subgroup generator lists (matrix side)
-SUBGROUP_GENERATORS = {
-    # stabilizer of the two-term family on the eight-slot side
-    "G": [W_GENERATORS[n] for n in ("s2", "s3", "s4", "s5", "s6", "s3'")],
-    # index-56 action subgroup missing the last simple reflection
-    "Q": [W_GENERATORS[n] for n in ("s1", "s2", "s3", "s4", "s5", "s3'")],
-    # full seven-slot group
-    "H1": [V_GENERATORS[n] for n in V_GENERATOR_NAMES],
-    # stabilizer of the first coordinate (seven-slot side)
-    "G_J": [
-        RatMatrix.permutation([(2, 3)], 7),
-        RatMatrix.permutation([(3, 4)], 7),
-        RatMatrix.permutation([(5, 6)], 7),
-        RatMatrix.permutation([(6, 7)], 7),
-        _x1_matrix(),
-    ],
-    # stabilizer of the second summand structure (seven-slot side)
-    "G_L": [
-        RatMatrix.permutation([(1, 2)], 7),
-        RatMatrix.permutation([(2, 3)], 7),
-        RatMatrix.permutation([(3, 4)], 7),
-        RatMatrix.permutation([(6, 7)], 7),
-        X1_CONJ_57,
-    ],
-}
-
 
 def generator(side: str, name: str) -> RatMatrix:
     table = W_GENERATORS if side == "w" else V_GENERATORS
@@ -596,6 +566,30 @@ def word_to_matrix(word: Sequence[str], side: str) -> RatMatrix:
         else:
             raise KeyError(f"unknown generator {name!r}")
     return out
+
+
+# named subgroups: the side each acts on, and its generators as words in the
+# named generators
+SUBGROUP_WORDS = {
+    # stabilizer of the two-term family on the eight-slot side
+    "G": ("w", (("s2",), ("s3",), ("s4",), ("s5",), ("s6",), ("s3'",))),
+    # index-56 action subgroup missing the last simple reflection
+    "Q": ("w", (("s1",), ("s2",), ("s3",), ("s4",), ("s5",), ("s3'",))),
+    # full seven-slot group
+    "H1": ("v", tuple((n,) for n in V_GENERATOR_NAMES)),
+    # stabilizer of the first coordinate (seven-slot side): (23) (34) (56) (67) X1
+    "G_J": ("v", (("a1",), ("a2",), ("a4",), ("a5",), ("a3",))),
+    # stabilizer of the second summand structure (seven-slot side):
+    # (12) (23) (34) (67) and X1 conjugated by (57)
+    "G_L": ("v", (("a1", "a2", "a1", "a1'", "a1", "a2", "a1"), ("a1",), ("a2",), ("a5",),
+                  ("a4", "a5", "a4", "a3", "a4", "a5", "a4"))),
+}
+
+# the same generators as matrices
+SUBGROUP_GENERATORS = {
+    name: [word_to_matrix(word, side) for word in words]
+    for name, (side, words) in SUBGROUP_WORDS.items()
+}
 
 
 def coxeter_order(side: str, g1: str, g2: str) -> int:

@@ -20,6 +20,7 @@ from hyperweyl.coxeter import (
     all_t_labels,
     central_involution,
     classify_j,
+    classify_l,
     classify_m,
     color_orbits,
     dd,
@@ -31,18 +32,18 @@ from hyperweyl.coxeter import (
     jl_preimage,
     j_label_from_name,
     label_vector,
-    m_label_orbit_bfs,
     matching_generator,
     orbit_color,
     parse_label,
+    perm_group_order,
     representative_words,
     t_distance,
     triple_orbits,
     triple_type,
 )
 from hyperweyl.exactalg import (
-    V_GENERATOR_NAMES,
     coxeter_order,
+    generator,
     identity_symvec,
     word_to_matrix,
 )
@@ -147,7 +148,7 @@ def test_central_involution_commutes_with_actions():
 
 
 def test_transitivity_from_base_label():
-    assert len(m_label_orbit_bfs()) == 56
+    assert len(representative_words("M")) == 56
     words = representative_words("J")
     assert len(words) == 32
     words = representative_words("L")
@@ -196,6 +197,29 @@ def test_representative_words_reach_their_labels():
         assert fold_m(word) == lab
     for lab, word in representative_words("J").items():
         assert fold_j(word) == lab
+
+
+TIES = {
+    "M": ("w", W_GENS, act_m, classify_m),
+    "J": ("v", V_GENS, act_j, classify_j),
+    "L": ("v", V_GENS, act_l, classify_l),
+}
+
+
+@pytest.mark.parametrize("space", sorted(TIES))
+def test_generator_matrices_induce_the_label_permutations(space):
+    # the coset reached by a representative word and then one generator
+    # matrix is the one the generator's label permutation gives
+    side, gens, act, classify = TIES[space]
+    ident = identity_symvec(side)
+    words = representative_words(space)
+    assert len(words) == {"M": 56, "J": 32, "L": 12}[space]
+    for lab, word in words.items():
+        rep = word_to_matrix(word, side)
+        assert classify(rep.apply(ident)) == lab
+        for g in gens:
+            moved = (rep @ generator(side, g)).apply(ident)
+            assert classify(moved) == act(g, lab), (lab, g)
 
 
 # ---------------------------------------------------------------------------
@@ -354,6 +378,60 @@ def test_triple_type_examples():
     assert triple_type("L", (LLabel(1), LLabel(1, True), LLabel(2))) == "incoherent"
 
 
+SPACE_LABELS = {"M": all_m_labels, "J": all_j_labels, "L": all_l_labels, "T": all_t_labels}
+
+
+def reference_type(space, triple):
+    # the type tag read directly off the distance functions
+    a, b, c = triple
+    if space == "L":
+        return "coherent" if len({a.index, b.index, c.index}) == 3 else "incoherent"
+    dist = {"M": dd, "J": hamming, "T": t_distance}[space]
+    tag = "".join(str(d) for d in sorted([dist(a, b), dist(a, c), dist(b, c)]))
+    if space == "T":
+        tag = "".join(sorted("L" if isinstance(x, LLabel) else "J" for x in triple)) + ":" + tag
+    return tag
+
+
+@pytest.mark.parametrize("space", sorted(SPACE_LABELS))
+def test_triple_type_matches_the_distance_functions(space):
+    labels = SPACE_LABELS[space]()
+    rng = random.Random(5)
+    for _ in range(300):
+        triple = rng.sample(labels, 3)
+        assert triple_type(space, triple) == reference_type(space, triple)
+
+
+@pytest.mark.parametrize("space", sorted(SPACE_LABELS))
+def test_triple_orbits_match_a_walk_over_label_triples(space):
+    # reference: walk each orbit of sorted label triples with the act_* maps
+    gens, act = (W_GENS, act_m) if space == "M" else (V_GENS, act_t)
+    key = lambda lab: (isinstance(lab, JLabel), lab.sort_key())
+    canon = lambda tri: tuple(sorted(tri, key=key))
+    seen, want = set(), []
+    for start in map(canon, itertools.combinations(SPACE_LABELS[space](), 3)):
+        if start in seen:
+            continue
+        members, frontier = {start}, [start]
+        while frontier:
+            nxt = []
+            for tri in frontier:
+                for g in gens:
+                    out = canon(act(g, x) for x in tri)
+                    if out not in members:
+                        members.add(out)
+                        nxt.append(out)
+            frontier = nxt
+        seen |= members
+        want.append({
+            "space": space,
+            "size": len(members),
+            "type": reference_type(space, start),
+            "representative": tuple(str(x) for x in start),
+        })
+    assert triple_orbits(space) == want
+
+
 # ---------------------------------------------------------------------------
 # group orders
 # ---------------------------------------------------------------------------
@@ -365,8 +443,19 @@ def test_subgroup_orders():
     assert group_order("H1") == 23040
     assert group_order("Q") == 23040
     assert group_order("G") == 51840
+    assert full_group_census() == 2 * 6 * 8 * 10 * 12 * 14 * 18
 
 
-def test_full_census_is_gated():
-    with pytest.raises(RuntimeError):
-        full_group_census()
+@pytest.mark.parametrize(
+    "gens, order",
+    [
+        pytest.param([(1, 0, 2, 3), (0, 2, 1, 3), (0, 1, 3, 2)], 24, id="S4"),
+        pytest.param([(1, 2, 0, 3), (0, 2, 3, 1)], 12, id="A4"),
+        pytest.param([(1, 2, 3, 0), (0, 3, 2, 1)], 8, id="D8"),
+        pytest.param([(0, 1, 2)], 1, id="trivial"),
+    ],
+)
+def test_perm_group_order_small_groups(gens, order):
+    # a level that takes its orbit only from the generators found at that
+    # level gets S4 and A4 wrong (8 and 9)
+    assert perm_group_order(gens) == order

@@ -209,3 +209,29 @@ def test_subgroup_generator_catalog_shapes():
     assert len(SUBGROUP_GENERATORS["H1"]) == 6
     assert len(SUBGROUP_GENERATORS["G_J"]) == 5
     assert len(SUBGROUP_GENERATORS["G_L"]) == 5
+
+
+def test_subgroup_words_reproduce_the_explicit_generators():
+    p = lambda *cyc: RatMatrix.permutation([cyc], 7)
+    x1 = RatMatrix.from_rows([
+        [1, 0, 0, 0, 0, 0, 0],
+        [0, 0, -1, 0, 1, 0, 0],
+        [0, -1, 0, 0, 1, 0, 0],
+        [0, 0, 0, 1, 0, 0, 0],
+        [0, 0, 0, 0, 1, 0, 0],
+        [0, -1, -1, 0, 1, 1, 0],
+        [0, -1, -1, 0, 1, 0, 1],
+    ])
+    # X1 conjugated by the transposition (57)
+    x1_conj_57 = RatMatrix.from_rows([
+        [1, 0, 0, 0, 0, 0, 0],
+        [0, 0, -1, 0, 0, 0, 1],
+        [0, -1, 0, 0, 0, 0, 1],
+        [0, 0, 0, 1, 0, 0, 0],
+        [0, -1, -1, 0, 1, 0, 1],
+        [0, -1, -1, 0, 0, 1, 1],
+        [0, 0, 0, 0, 0, 0, 1],
+    ])
+    assert x1_conj_57 == p(5, 7) @ x1 @ p(5, 7)
+    assert SUBGROUP_GENERATORS["G_J"] == [p(2, 3), p(3, 4), p(5, 6), p(6, 7), x1]
+    assert SUBGROUP_GENERATORS["G_L"] == [p(1, 2), p(2, 3), p(3, 4), p(6, 7), x1_conj_57]
