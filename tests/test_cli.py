@@ -311,7 +311,13 @@ def test_groups_verb_matches_expected_orders():
     assert code == 0
     assert data["match"] is True
     assert data["orders"] == data["expected"]
+
+
+def test_groups_full_census():
+    code, data = run_json("groups")
+    assert code == 0
     assert data["orders"]["full"] == 2903040
+    assert data["match"] is True
 
 
 # ---------------------------------------------------------------------------
