@@ -44,7 +44,7 @@ def _as_fraction(x) -> Fraction:
 class LinForm:
     """Affine-linear form  const + sum(coef_i * symbol_i)  with exact coefficients."""
 
-    __slots__ = ("alphabet", "const", "coefs")
+    __slots__ = ("alphabet", "const", "coefs", "_float_terms")
 
     def __init__(self, alphabet: Sequence[str], const=0, coefs=None):
         self.alphabet = tuple(alphabet)
@@ -56,6 +56,9 @@ class LinForm:
             if len(coefs) != len(self.alphabet):
                 raise ValueError("coefficient count does not match alphabet")
         self.coefs = coefs
+        # (indices, float coefficients) of the nonzero terms, built by the
+        # first evaluate: most forms are only ever manipulated exactly
+        self._float_terms = None
 
     # -- constructors ---------------------------------------------------
 
@@ -178,10 +181,15 @@ class LinForm:
 
     def evaluate(self, values: Sequence[complex]) -> complex:
         """Numeric value at the given symbol values (sequence in alphabet order)."""
+        terms = self._float_terms
+        if terms is None:
+            nonzero = [i for i, c in enumerate(self.coefs) if c != 0]
+            terms = self._float_terms = (
+                tuple(nonzero), tuple(float(self.coefs[i]) for i in nonzero)
+            )
         z = complex(self.const)
-        for c, v in zip(self.coefs, values):
-            if c != 0:
-                z += float(c) * v
+        for i, c in zip(*terms):
+            z += c * values[i]
         return z
 
     def reduced(self, constraint: "LinForm") -> "LinForm":

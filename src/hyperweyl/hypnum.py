@@ -4,7 +4,8 @@ Everything downstream needs quotients of many gamma and sine factors whose
 individual magnitudes overflow doubles long before the quotient does, so the
 building blocks here work in log space: a value is carried as log-magnitude
 plus an unnormalized phase, products are additions, and a single
-exponentiation happens at the end.
+exponentiation happens at the end.  Log-gamma recurses upward only to
+|z| > 10, where twelve Stirling terms already reach double precision.
 
 On top of that sits the summation engine for one-more-numerator
 hypergeometric series at unit argument.  Such a series converges like
@@ -12,13 +13,16 @@ N^-sigma, with sigma the excess of the denominator over the numerator
 parameters, and the tail of its partial sums expands in powers
 N^-(sigma+i) with sigma known exactly; so a Richardson table over partial
 sums at doubling lengths removes the tail term by term, and a few thousand
-terms give near double-precision values.  The evaluators for the three
-special functions of interest sit on the engine: the 44-label pair (a sum
-and a difference of two Saalschutzian 4F3(1) series, with a very-well-poised
+terms give near double-precision values.  Terms come from their ratios,
+one complex division per term.  The evaluators for the three special
+functions of interest sit on the engine: the 44-label pair (a sum and a
+difference of two Saalschutzian 4F3(1) series, with a very-well-poised
 7F6(1) as a second route to the difference) and the eight-parameter
-function built from two very-well-poised 9F8(1) series.  Each evaluator
-issues a PrecisionWarning when one of its series falls short of its
-tolerance, or when its two halves cancel to fewer than nine digits.
+function built from two very-well-poised 9F8(1) series.  Gamma factors
+that a series' prefactor shares with the function's denominator are
+cancelled before any is computed.  Each evaluator issues a
+PrecisionWarning when one of its series falls short of its tolerance, or
+when its two halves cancel to fewer than nine digits.
 """
 
 from __future__ import annotations
@@ -53,7 +57,6 @@ __all__ = [
     "SeriesResult",
     "sum_pfq",
     "f43_star",
-    "f43_star_log",
     "PointW",
     "PointV",
     "j_probe_args",
@@ -214,7 +217,9 @@ _STIRLING = (
     -236364091 / 1506960,
 )
 
-_SHIFT_RADIUS = 40.0
+# at |z| > 10 the twelve-term series above truncates at about 2e-22; a
+# larger radius only adds rounding, one log per recursion step
+_SHIFT_RADIUS = 10.0
 
 
 def _expm1_2pii(z: complex) -> complex:
@@ -280,7 +285,7 @@ def _lgamma_c(z: complex) -> complex:
 
 
 def lgamma(z: complex) -> LogC:
-    """log Gamma(z) by upward recursion into |z| > 40 plus the asymptotic
+    """log Gamma(z) by upward recursion into |z| > 10 plus the asymptotic
     series, with reflection through log_sin_pi for Re z < 1/2."""
     return _logc_from_log(_lgamma_c(complex(z)))
 
@@ -369,15 +374,6 @@ class SeriesResult:
     converged: bool
 
 
-def _term_ratio(nums, all_dens, k: int) -> complex:
-    r = 1.0 + 0j
-    for a in nums:
-        r *= a + k
-    for b in all_dens:
-        r /= b + k
-    return r
-
-
 def _start_length(params, n_max: int) -> int:
     # the tail expansion in 1/N only settles once N is well past every
     # parameter; keep at least two partial sums under n_max
@@ -393,22 +389,28 @@ def _partial_sums(nums, all_dens, n0: int, n_max: int):
 
     Terms come from the multiplicative recurrence, in vectorized blocks of at
     most _BLOCK terms so that memory stays flat however long the sum runs.
+    Each term ratio is the product of the numerator factors over the product
+    of the denominator factors, one division per term.  For the 4F3, 7F6 and
+    9F8 series of the evaluators each product has at most nine factors, each
+    below 2^22 + 50 in modulus, so neither passes 1e60.
     """
-    a_np = np.array(nums, dtype=complex)
-    b_np = np.array(all_dens, dtype=complex)
     total = last = 1.0 + 0j
     count = 1
     n = n0
     while n <= n_max:
         while count < n:
             size = min(_BLOCK, n - count)
-            ks = np.arange(count - 1, count - 1 + size, dtype=float)
-            ratios = np.ones(size, dtype=complex)
-            for a in a_np:
-                ratios *= a + ks
-            for b in b_np:
-                ratios /= b + ks
-            terms = last * np.cumprod(ratios)
+            ks = np.arange(count - 1, count - 1 + size, dtype=complex)
+            num = ks + nums[0]
+            den = ks + all_dens[0]
+            tmp = np.empty_like(ks)
+            for a in nums[1:]:
+                num *= np.add(ks, a, out=tmp)
+            for b in all_dens[1:]:
+                den *= np.add(ks, b, out=tmp)
+            num /= den
+            terms = np.cumprod(num, out=num)
+            terms *= last
             total += complex(np.sum(terms))
             last = complex(terms[-1])
             count += size
@@ -456,10 +458,7 @@ def sum_pfq(nums: Sequence[complex], dens: Sequence[complex], ctrl: SeriesCtrl =
     if trunc is not None:
         if trunc + 1 > (1 << 22):
             raise ValueError("terminating index too large to sum")
-        total = term = 1.0 + 0j
-        for k in range(trunc):
-            term *= _term_ratio(nums, all_dens, k)
-            total += term
+        _, total = next(_partial_sums(nums, all_dens, trunc + 1, trunc + 1))
         return SeriesResult(total, trunc + 1, 0.0, True)
 
     sigma = series_sigma(nums, dens)
@@ -502,22 +501,16 @@ def _check_saalschutz_args(args7):
         raise EvaluationDomainError("parameters leave the unit-shift hyperplane")
 
 
-def f43_star_log(args7, ctrl: SeriesCtrl = None):
-    """Gamma-prefactored Saalschutzian 4F3(1) in log space.
-
-    Returns (LogC of Gamma[A,B,C,D / E,F,G] * 4F3, the raw SeriesResult).
-    """
+def f43_star(args7, ctrl: SeriesCtrl = None) -> SeriesResult:
+    """Gamma-prefactored Saalschutzian 4F3(1): Gamma[A,B,C,D / E,F,G] * 4F3,
+    with the series' error estimate scaled by the same prefactor."""
     A, B, C, D, E, F, G = [complex(z) for z in args7]
     _check_saalschutz_args((A, B, C, D, E, F, G))
     res = sum_pfq((A, B, C, D), (E, F, G), ctrl)
     pref = _lgamma_sum((A, B, C, D)) - _lgamma_sum((E, F, G))
-    return pref + LogC.from_complex(res.value), res
-
-
-def f43_star(args7, ctrl: SeriesCtrl = None) -> SeriesResult:
-    lc, res = f43_star_log(args7, ctrl)
-    scale = abs((lc - LogC.from_complex(res.value)).to_complex()) if res.value != 0 else 1.0
-    return SeriesResult(lc.to_complex(), res.terms_used, res.err_estimate * scale, res.converged)
+    value = (pref + LogC.from_complex(res.value)).to_complex()
+    scale = abs(pref.to_complex()) if res.value != 0 else 1.0
+    return SeriesResult(value, res.terms_used, res.err_estimate * scale, res.converged)
 
 
 @dataclass(frozen=True)
@@ -697,19 +690,29 @@ def _warn_if_unconverged(res: SeriesResult, what: str):
 
 
 def eval_J_log(x, ctrl: SeriesCtrl = None) -> LogC:
-    """Log of the sum-of-complementary-series function J(A;B,C,D;E,F,G)."""
+    """Log of the sum-of-complementary-series function J(A;B,C,D;E,F,G).
+
+    J = (Gamma[A,B,C,D / E,F,G] 4F3(A,B,C,D; E,F,G)
+         + Gamma[A,1+A-E,1+A-F,1+A-G / 1+A-B,1+A-C,1+A-D]
+           4F3(A,1+A-E,1+A-F,1+A-G; 1+A-B,1+A-C,1+A-D))
+        / (sin(pi A) Gamma[A,B,C,D,A,1+A-E,1+A-F,1+A-G]);
+    each term is assembled with the gamma factors it shares with the
+    denominator already cancelled.
+    """
     A, B, C, D, E, F, G = _seven(x)
     require_margins(*j_probe_args((A, B, C, D, E, F, G)))
-    f1, r1 = f43_star_log((A, B, C, D, E, F, G), ctrl)
-    f2, r2 = f43_star_log(
-        (A, 1 + A - E, 1 + A - F, 1 + A - G, 1 + A - B, 1 + A - C, 1 + A - D), ctrl
-    )
+    _check_saalschutz_args((A, B, C, D, E, F, G))
+    shifted = (1 + A - E, 1 + A - F, 1 + A - G)
+    r1 = sum_pfq((A, B, C, D), (E, F, G), ctrl)
+    r2 = sum_pfq((A,) + shifted, (1 + A - B, 1 + A - C, 1 + A - D), ctrl)
     _warn_if_unconverged(r1, "J evaluation, first 4F3")
     _warn_if_unconverged(r2, "J evaluation, second 4F3")
-    den = log_sin_pi(A) + _lgamma_sum(
-        (A, B, C, D, A, 1 + A - E, 1 + A - F, 1 + A - G)
+    sin_a = log_sin_pi(A)
+    t1 = LogC.from_complex(r1.value) - sin_a - _lgamma_sum((E, F, G, A) + shifted)
+    t2 = LogC.from_complex(r2.value) - sin_a - _lgamma_sum(
+        (1 + A - B, 1 + A - C, 1 + A - D, A, B, C, D)
     )
-    combo, ratio = combine_exponentials([f1 - den, f2 - den], [1.0, 1.0])
+    combo, ratio = combine_exponentials([t1, t2], [1.0, 1.0])
     _warn_if_cancelled(ratio, "J evaluation")
     return combo
 
@@ -728,17 +731,18 @@ def eval_L_log(args, ctrl: SeriesCtrl = None) -> LogC:
     """Log of the difference-of-supplementary-series function L(A,B,C,D;E;F,G)."""
     A, B, C, D, E, F, G = _seven(args)
     require_margins(*l_probe_args((A, B, C, D, E, F, G)))
-    f1, r1 = f43_star_log((A, B, C, D, E, F, G), ctrl)
-    f2, r2 = f43_star_log(
-        (1 + A - E, 1 + B - E, 1 + C - E, 1 + D - E, 2 - E, 1 + F - E, 1 + G - E),
-        ctrl,
-    )
+    _check_saalschutz_args((A, B, C, D, E, F, G))
+    shifted = (1 + A - E, 1 + B - E, 1 + C - E, 1 + D - E)
+    r1 = sum_pfq((A, B, C, D), (E, F, G), ctrl)
+    r2 = sum_pfq(shifted, (2 - E, 1 + F - E, 1 + G - E), ctrl)
     _warn_if_unconverged(r1, "L evaluation, first 4F3")
     _warn_if_unconverged(r2, "L evaluation, second 4F3")
-    den = log_sin_pi(E) + _lgamma_sum(
-        (A, B, C, D, 1 - E + A, 1 - E + B, 1 - E + C, 1 - E + D)
+    sin_e = log_sin_pi(E)
+    t1 = LogC.from_complex(r1.value) - sin_e - _lgamma_sum((E, F, G) + shifted)
+    t2 = LogC.from_complex(r2.value) - sin_e - _lgamma_sum(
+        (2 - E, 1 + F - E, 1 + G - E, A, B, C, D)
     )
-    combo, ratio = combine_exponentials([f1 - den, f2 - den], [1.0, -1.0])
+    combo, ratio = combine_exponentials([t1, t2], [1.0, -1.0])
     _warn_if_cancelled(ratio, "L evaluation")
     return combo
 
@@ -778,16 +782,16 @@ def eval_L_7f6(args, ctrl: SeriesCtrl = None) -> complex:
 
 
 def _v_half_log(head: complex, params, ctrl: SeriesCtrl):
-    # (pi/2) Gamma[1+head, params / 1+head-params] * 9F8 at unit argument,
-    # returned with the raw SeriesResult
+    # (pi/2) Gamma[1+head / 1+head-params] * 9F8 at unit argument, returned
+    # with the raw SeriesResult; the Gamma[params] of the full half cancel
+    # against the denominator of M
     nums = (head, 1 + 0.5 * head) + tuple(params)
     dens = (0.5 * head,) + tuple(1 + head - p for p in params)
     res = sum_pfq(nums, dens, ctrl)
     pref = (
         LogC.from_real(0.5 * math.pi)
         + lgamma(1 + head)
-        + _lgamma_sum(params)
-        - _lgamma_sum([1 + head - p for p in params])
+        - _lgamma_sum(dens[1:])
     )
     return pref + LogC.from_complex(res.value), res
 
@@ -795,24 +799,29 @@ def _v_half_log(head: complex, params, ctrl: SeriesCtrl):
 def eval_M_log(w, ctrl: SeriesCtrl = None) -> LogC:
     """Log of the eight-parameter function M(a;b;c,d,e,f,g,h).
 
-    Both very-well-poised halves and the shared sine/gamma denominator are
-    assembled in log space; the two halves meet in one rescaled subtraction,
-    with a warning if more than nine digits cancel or a series falls short
-    of its tolerance.
+    M = (V(a; b, c..h) - V(2b-a; b, b-a+c..b-a+h))
+        / (sin(pi(b-a)) Gamma[b, c..h, b-a+c..b-a+h]),
+    with V(head; params) = (pi/2) Gamma[1+head, params / 1+head-params]
+    times a very-well-poised 9F8(1).  Each half is assembled in log space
+    with the Gamma[params] it shares with the denominator cancelled, so it
+    divides only by the sine and the other half's six gamma factors; the two
+    halves meet in one rescaled subtraction, with a warning if more than
+    nine digits cancel or a series falls short of its tolerance.
     """
     a, b, c, d, e, f, g, h = _eight(w)
     if abs((2 + 3 * a) - (b + c + d + e + f + g + h)) > 1e-9:
         raise EvaluationDomainError("parameters leave the defining hyperplane")
     require_margins(*m_probe_args((a, b, c, d, e, f, g, h)))
     rest = (c, d, e, f, g, h)
+    moved = tuple(b - a + t for t in rest)
     v1, r1 = _v_half_log(a, (b,) + rest, ctrl)
-    v2, r2 = _v_half_log(2 * b - a, (b,) + tuple(b - a + t for t in rest), ctrl)
+    v2, r2 = _v_half_log(2 * b - a, (b,) + moved, ctrl)
     _warn_if_unconverged(r1, "M evaluation, first 9F8")
     _warn_if_unconverged(r2, "M evaluation, second 9F8")
-    den = log_sin_pi(b - a) + _lgamma_sum(
-        (b,) + rest + tuple(b - a + t for t in rest)
+    sin_ba = log_sin_pi(b - a)
+    combo, ratio = combine_exponentials(
+        [v1 - sin_ba - _lgamma_sum(moved), v2 - sin_ba - _lgamma_sum(rest)], [1.0, -1.0]
     )
-    combo, ratio = combine_exponentials([v1 - den, v2 - den], [1.0, -1.0])
     _warn_if_cancelled(ratio, "M evaluation")
     return combo
 

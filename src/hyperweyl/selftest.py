@@ -10,8 +10,8 @@ engineering margins, adjustable through RunConfig.
 import cmath
 import math
 import random
-import resource
 import time
+import tracemalloc
 from dataclasses import dataclass
 from itertools import combinations_with_replacement
 
@@ -132,12 +132,26 @@ def _coset_census(cfg):
     return ok, f"{len(labels)} labels reached from the base label"
 
 
+# ceiling on the memory the group orders allocate, measured by tracemalloc;
+# they need about 0.17 MB
+GROUP_ORDERS_PEAK_MB = 16.0
+
+
 def _group_orders(cfg):
-    got = group_orders()
-    peak_gb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1e6
-    ok = got == EXPECTED_ORDERS and peak_gb < 1.0
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    base = tracemalloc.get_traced_memory()[0]
+    tracemalloc.reset_peak()
+    try:
+        got = group_orders()
+        peak_mb = (tracemalloc.get_traced_memory()[1] - base) / 1e6
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    ok = got == EXPECTED_ORDERS and peak_mb < GROUP_ORDERS_PEAK_MB
     parts = " ".join(f"{k}={v}" for k, v in sorted(got.items()))
-    return ok, f"{parts}, peak memory {peak_gb:.2f} GB"
+    return ok, f"{parts}, peak memory {peak_mb:.2f} MB (ceiling {GROUP_ORDERS_PEAK_MB:g} MB)"
 
 
 def _coxeter_presentation(cfg):

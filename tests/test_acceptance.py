@@ -28,3 +28,20 @@ def test_catalog_lists_all_fifteen_checks():
 def test_acceptance(name):
     result = run_check(name)
     assert result.passed, result.line()
+
+
+def test_group_orders_check_fails_past_its_memory_ceiling(monkeypatch):
+    # check 02 bounds what the group orders themselves allocate, not the
+    # process's peak: orders that are right but allocate twice the ceiling
+    # fail it
+    from hyperweyl import selftest
+
+    def hungry_orders():
+        block = bytearray(int(2 * selftest.GROUP_ORDERS_PEAK_MB * 1e6))
+        del block
+        return dict(selftest.EXPECTED_ORDERS)
+
+    monkeypatch.setattr(selftest, "group_orders", hungry_orders)
+    result = run_check("02-group-orders")
+    assert not result.passed
+    assert f"peak memory {2 * selftest.GROUP_ORDERS_PEAK_MB:.2f} MB" in result.detail

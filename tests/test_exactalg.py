@@ -92,6 +92,24 @@ def test_linform_evaluate_is_linear(coefs):
     assert abs(f.evaluate(pt) - direct) < 1e-12
 
 
+@given(
+    st.lists(st.fractions(min_value=-4, max_value=4, max_denominator=6), min_size=8, max_size=8),
+    st.fractions(min_value=-3, max_value=3, max_denominator=4),
+)
+@settings(max_examples=40, deadline=None)
+def test_linform_evaluate_matches_the_coefficient_loop(coefs, const):
+    # the stored (index, float) pairs give the same bits as converting every
+    # nonzero coefficient on each call, on the first call and on later ones
+    f = LinForm(W_SYMBOLS, const, coefs)
+    pt = [complex(0.3 * k - 1, 0.7 - 0.2 * k) for k in range(8)]
+    ref = complex(f.const)
+    for c, v in zip(f.coefs, pt):
+        if c != 0:
+            ref += float(c) * v
+    assert f.evaluate(pt) == ref
+    assert f.evaluate(pt) == ref
+
+
 # -- matrix layer ------------------------------------------------------------
 
 

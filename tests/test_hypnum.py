@@ -13,8 +13,10 @@ import random
 import warnings
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
+from hyperweyl import hypnum
 from hyperweyl.exactalg import (
     LinForm,
     SUBGROUP_GENERATORS,
@@ -211,6 +213,26 @@ def test_lgamma_reflection_residual():
         k = round(d.imag / (2 * math.pi))
         residual = abs(complex(d.real, d.imag - 2 * math.pi * k))
         assert residual <= 1e-12 * max(1.0, abs(lhs))
+
+
+def test_lgamma_mpmath_oracle():
+    # Gamma itself, not one branch of its log, on |z| <= 13 outside 0.1 of
+    # the poles: recursing to |z| > 10 keeps the error near 1.4e-14 here,
+    # against 6.5e-14 when recursing to |z| > 40 (rounding over 40 logs) and
+    # 1.1e-12 when stopping at |z| > 4 (the Stirling series truncates)
+    mp = pytest.importorskip("mpmath")
+    rng = random.Random(2024)
+    worst = 0.0
+    count = 0
+    while count < 400:
+        z = complex(rng.uniform(-13, 13), rng.uniform(-13, 13))
+        if abs(z) > 13 or (round(z.real) <= 0 and abs(z - round(z.real)) < 0.1):
+            continue
+        count += 1
+        with mp.workdps(30):
+            d = complex(mp.mpc(lgamma(z).as_log()) - mp.loggamma(mp.mpc(z)))
+        worst = max(worst, abs(cmath.exp(d) - 1))
+    assert worst <= 3e-14
 
 
 def test_lgamma_recursion_residual():
@@ -469,6 +491,57 @@ def test_sum_pfq_shifted_9f8_oracle():
     _assert_matches_oracle(sum_pfq(nums, dens), ref)
 
 
+def _partial_sums_per_factor(nums, all_dens, n0, n_max):
+    # reference: the term ratios with one multiplication per numerator and
+    # one division per denominator parameter
+    total = last = 1.0 + 0j
+    count = 1
+    n = n0
+    while n <= n_max:
+        while count < n:
+            size = min(hypnum._BLOCK, n - count)
+            ks = np.arange(count - 1, count - 1 + size, dtype=float)
+            ratios = np.ones(size, dtype=complex)
+            for a in nums:
+                ratios *= a + ks
+            for b in all_dens:
+                ratios /= b + ks
+            terms = last * np.cumprod(ratios)
+            total += complex(np.sum(terms))
+            last = complex(terms[-1])
+            count += size
+        yield n, total
+        n *= 2
+
+
+def _series_shapes():
+    A, B, C, D, E, F, G = V_POINT.args()
+    a7 = D + G - E
+    b, c, d, e, f = G - A, G - B, G - C, D, 1 + D - E
+    p = W_POINT
+    a9, *params = PointW(p.a, p.b + 32j, p.c, p.d, p.e, p.f, p.g).args()
+    return {
+        "4F3": ((A, B, C, D), (E, F, G)),
+        "7F6": ((a7, 1 + a7 / 2, b, c, d, e, f),
+                (a7 / 2, 1 + a7 - b, 1 + a7 - c, 1 + a7 - d, 1 + a7 - e, 1 + a7 - f)),
+        "shifted 9F8": ([a9, 1 + a9 / 2] + params, [a9 / 2] + [1 + a9 - t for t in params]),
+    }
+
+
+@pytest.mark.parametrize("shape", ["4F3", "7F6", "shifted 9F8"])
+def test_partial_sums_match_per_factor_ratios(shape):
+    nums, dens = _series_shapes()[shape]
+    nums = [complex(z) for z in nums]
+    all_dens = [complex(z) for z in dens] + [1.0 + 0j]
+    n0 = hypnum._start_length(nums + all_dens[:-1], 1 << 20)
+    got = list(hypnum._partial_sums(nums, all_dens, n0, 1 << 17))
+    ref = list(_partial_sums_per_factor(nums, all_dens, n0, 1 << 17))
+    assert [n for n, _ in got] == [n for n, _ in ref]
+    assert len(got) >= 3
+    for (_, x), (_, y) in zip(got, ref):
+        assert rel(x, y) <= 1e-13
+
+
 # ---------------------------------------------------------------------------
 # the prefactored 4F3
 # ---------------------------------------------------------------------------
@@ -561,6 +634,41 @@ def test_evaluators_warn_on_unconverged_series():
         with warnings.catch_warnings():
             warnings.simplefilter("error", PrecisionWarning)
             fn(x)
+
+
+def test_evaluators_match_mpmath_formulas():
+    # J and L at the pinned point and M with b shifted by 32i, each written
+    # from its defining formula (gamma prefactors, sine/gamma denominator,
+    # mpmath.hyper for the series) at 20 digits
+    mp = pytest.importorskip("mpmath")
+
+    def gammas(zs):
+        return mp.fprod(mp.gamma(z) for z in zs)
+
+    def star(nums, dens):
+        return gammas(nums) / gammas(dens) * mp.hyper(nums, dens, 1)
+
+    def vwp_half(head, params):
+        dens = [1 + head - t for t in params]
+        series = mp.hyper([head, 1 + head / 2] + params, [head / 2] + dens, 1)
+        return mp.pi / 2 * mp.gamma(1 + head) * gammas(params) / gammas(dens) * series
+
+    p = W_POINT
+    shifted = PointW(p.a, p.b + 32j, p.c, p.d, p.e, p.f, p.g)
+    with mp.workdps(20):
+        A, B, C, D, E, F, G = (mp.mpc(z) for z in V_POINT.args())
+        first = star([A, B, C, D], [E, F, G])
+        j_ref = (first + star([A, 1 + A - E, 1 + A - F, 1 + A - G], [1 + A - B, 1 + A - C, 1 + A - D])) / (
+            mp.sinpi(A) * gammas([A, B, C, D, A, 1 + A - E, 1 + A - F, 1 + A - G]))
+        l_ref = (first - star([1 + A - E, 1 + B - E, 1 + C - E, 1 + D - E], [2 - E, 1 + F - E, 1 + G - E])) / (
+            mp.sinpi(E) * gammas([A, B, C, D, 1 - E + A, 1 - E + B, 1 - E + C, 1 - E + D]))
+        a, b, *rest = (mp.mpc(z) for z in shifted.args())
+        moved = [b - a + t for t in rest]
+        m_ref = (vwp_half(a, [b] + rest) - vwp_half(2 * b - a, [b] + moved)) / (
+            mp.sinpi(b - a) * gammas([b] + rest + moved))
+    assert rel(eval_J(V_POINT), complex(j_ref)) <= 1e-12
+    assert rel(eval_L(V_POINT), complex(l_ref)) <= 1e-12
+    assert rel(eval_M(shifted), complex(m_ref)) <= 1e-12
 
 
 def test_eval_rejects_degenerate_point():
