@@ -99,7 +99,6 @@ __all__ = [
 
 _W_CONS = w_constraint()
 _V_CONS = v_constraint()
-_B = W_SYMBOLS.index("b")
 
 FACTOR_GAMMA = "Gamma"
 FACTOR_SIN = "SinPi"
@@ -117,11 +116,6 @@ def _cons_for(alphabet) -> LinForm:
     if tuple(alphabet) == V_SYMBOLS:
         return _V_CONS
     raise ValueError("forms must live in the eight- or seven-letter alphabet")
-
-
-def _zero_mod(form: LinForm, cons: LinForm) -> bool:
-    r = form.reduced(cons)
-    return r.const == 0 and all(c == 0 for c in r.coefs)
 
 
 # ---------------------------------------------------------------------------
@@ -239,7 +233,7 @@ class FunTerm:
         else:
             combo = sum(self.args[4:7], LinForm.const_form(self.args[0].alphabet, -1))
             combo = combo - sum(self.args[0:4], LinForm.const_form(self.args[0].alphabet, 0))
-        if not _zero_mod(combo, cons):
+        if not combo.reduced(cons).is_zero():
             raise ValueError(f"{self.kind} arguments leave the defining hyperplane")
 
     @property
@@ -380,7 +374,7 @@ class AppendixRow:
         if classify_m(vec) != self.label:
             raise ValueError("second slot does not classify to the row label")
         color = orbit_color(self.label)
-        bcoefs = [a.reduced(_W_CONS).coefs[_B] for a in self.m_args]
+        bcoefs = [a.reduced(_W_CONS).coef("b") for a in self.m_args]
         if color == "J":
             want = [0, 0, 0, 0, 0, 0, 1, -1]
         else:
@@ -392,8 +386,7 @@ class AppendixRow:
                 f"b pattern {bcoefs} for {self.label}"
             )
         for a in self.target_args:
-            r = a.reduced(_W_CONS)
-            if r.coefs[_B] != 0:
+            if a.reduced(_W_CONS).coef("b") != 0:
                 raise ValueError("target arguments must be free of the shifted letter")
 
     def target_term(self) -> FunTerm:
@@ -444,11 +437,6 @@ def fixture_rows() -> tuple:
     return tuple(rows)
 
 
-def _form_key(form: LinForm):
-    r = form.reduced(_W_CONS)
-    return (r.const, r.coefs)
-
-
 @lru_cache(maxsize=None)
 def bfs_m_args(label) -> tuple:
     """Independent coset representative: the symbolic slot vector of the
@@ -489,7 +477,7 @@ def appendix_table() -> tuple:
         if t_label != fix.target_label:
             raise AssertionError(f"{fix.label}: target label mismatch")
         route = bfs_m_args(fix.label)
-        if _form_key(route[1]) != _form_key(fix.m_args[1]):
+        if route[1] != fix.m_args[1].reduced(_W_CONS):
             raise AssertionError(
                 f"{fix.label}: representative word lands in a different coset"
             )
@@ -1083,10 +1071,9 @@ def _twiddle_j_table() -> dict:
     for sigma, word in representative_words("J").items():
         beta = word_to_matrix(word, "v")
         first = _row_form(beta, 0, base)
-        key = (first.const, first.coefs)
-        if key in table:
+        if first in table:
             raise AssertionError("first coordinates of J cosets must be distinct")
-        table[key] = sigma
+        table[first] = sigma
     return table
 
 
@@ -1098,8 +1085,8 @@ def _twiddle_l_table() -> dict:
     table = {}
     for k, name in enumerate(_TWIDDLE_L_LABELS):
         x = LinForm.symbol(_X_SYMBOLS, _X_SYMBOLS[k])
-        table[(x.const, x.coefs)] = parse_label(name)
-        table[((-x).const, (-x).coefs)] = parse_label(name + "bar")
+        table[x] = parse_label(name)
+        table[-x] = parse_label(name + "bar")
     return table
 
 
@@ -1111,12 +1098,11 @@ def twiddle_classify(forms7, space: str):
     coordinate.
     """
     if space == "J":
-        key = (forms7[0].const, forms7[0].coefs)
+        key = forms7[0]
         table = _twiddle_j_table()
     elif space == "L":
         one = LinForm.const_form(_X_SYMBOLS, 1)
-        psi = (forms7[5] + forms7[6] - forms7[4] - one) * Fraction(1, 4)
-        key = (psi.const, psi.coefs)
+        key = (forms7[5] + forms7[6] - forms7[4] - one) * Fraction(1, 4)
         table = _twiddle_l_table()
     else:
         raise ValueError("space must be 'J' or 'L'")

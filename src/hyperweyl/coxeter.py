@@ -332,8 +332,8 @@ def _m_classify_table():
     for i, j in combinations(range(8), 2):
         plus = (x[i] + x[j] - x[7]).reduced(cons)
         minus = (LinForm.const_form(W_SYMBOLS, 1) + x[7] - x[i] - x[j]).reduced(cons)
-        table[(plus.const, plus.coefs)] = MLabel(1, i, j)
-        table[(minus.const, minus.coefs)] = MLabel(-1, i, j)
+        table[plus] = MLabel(1, i, j)
+        table[minus] = MLabel(-1, i, j)
     assert len(table) == 56, "coset-defining forms must be pairwise distinct"
     return table
 
@@ -345,11 +345,10 @@ def classify_m(vec: SymVec) -> MLabel:
     defining forms modulo the constraint.
     """
     f = vec.entries[1].reduced(vec.constraint)
-    key = (f.const, f.coefs)
     table = _m_classify_table()
-    if key not in table:
+    if f not in table:
         raise ValueError(f"second slot {f} matches no coset form")
-    return table[key]
+    return table[f]
 
 
 @lru_cache(maxsize=1)
@@ -367,8 +366,8 @@ def _j_classify_table():
         for r in range(4):
             p_form = (LinForm.const_form(V_SYMBOLS, 1) + a_forms[r] - e_forms[q]).reduced(cons)
             n_form = (e_forms[q] - a_forms[r]).reduced(cons)
-            table[(p_form.const, p_form.coefs)] = j_label_from_name(f"p{4 * q + r}")
-            table[(n_form.const, n_form.coefs)] = j_label_from_name(f"n{4 * q + r}")
+            table[p_form] = j_label_from_name(f"p{4 * q + r}")
+            table[n_form] = j_label_from_name(f"n{4 * q + r}")
     assert len(table) == 32, "coset-defining forms must be pairwise distinct"
     return table
 
@@ -376,11 +375,10 @@ def _j_classify_table():
 def classify_j(vec: SymVec) -> JLabel:
     """J label determined by the first slot of a seven-slot symbolic vector."""
     f = vec.entries[0].reduced(vec.constraint)
-    key = (f.const, f.coefs)
     table = _j_classify_table()
-    if key not in table:
+    if f not in table:
         raise ValueError(f"first slot {f} matches no J coset form")
-    return table[key]
+    return table[f]
 
 
 # Quarter-sum combinations of the seven coordinates; the second-family
@@ -402,8 +400,8 @@ def _l_classify_table():
         form = LinForm.parse(inner, V_SYMBOLS) * Fraction(1, 4)
         plus = form.reduced(cons)
         minus = (-form).reduced(cons)
-        table[(plus.const, plus.coefs)] = parse_label(name)
-        table[(minus.const, minus.coefs)] = parse_label(name + "bar")
+        table[plus] = parse_label(name)
+        table[minus] = parse_label(name + "bar")
     assert len(table) == 12, "coset-defining forms must be pairwise distinct"
     return table
 
@@ -419,11 +417,10 @@ def classify_l(vec: SymVec) -> LLabel:
     one = LinForm.const_form(vec.constraint.alphabet, 1)
     psi = (vec.entries[5] + vec.entries[6] - vec.entries[4] - one) * Fraction(1, 4)
     r = psi.reduced(vec.constraint)
-    key = (r.const, r.coefs)
     table = _l_classify_table()
-    if key not in table:
+    if r not in table:
         raise ValueError(f"arrangement invariant {r} matches no L coset form")
-    return table[key]
+    return table[r]
 
 
 # ---------------------------------------------------------------------------

@@ -4,8 +4,9 @@ that act on them.
 Two alphabets are in play: the eight-symbol one (a..h), constrained by
 b+c+d+e+f+g+h = 2+3a, and the seven-symbol one (A..G), constrained by
 E+F+G = 1+A+B+C+D.  A LinForm is an affine-linear combination with exact
-Fraction coefficients; equality is always tested either exactly or modulo
-the alphabet's constraint.
+rational coefficients, held as integer numerators over one denominator in
+lowest terms; equality is always tested either exactly or modulo the
+alphabet's constraint (by comparing the reduced forms).
 
 Matrices are stored doubled (2x entries) in int64 numpy arrays so that the
 half-integer entries occurring here stay exact.  Every product checks that
@@ -16,6 +17,8 @@ raises ExactArithmeticError instead of silently producing garbage.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
+from operator import mul
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -31,34 +34,59 @@ class ExactArithmeticError(ArithmeticError):
     """Raised when matrix arithmetic leaves the checked half-integer domain."""
 
 
-def _as_fraction(x) -> Fraction:
-    if isinstance(x, Fraction):
+def _rational(x):
+    # ints pass through: they carry numerator and denominator too
+    if isinstance(x, (int, Fraction)):
         return x
-    if isinstance(x, int):
-        return Fraction(x)
     if isinstance(x, str):
         return Fraction(x)
     raise TypeError(f"not an exact rational: {x!r}")
 
 
-class LinForm:
-    """Affine-linear form  const + sum(coef_i * symbol_i)  with exact coefficients."""
+def _form(alphabet: tuple, num: tuple, den: int) -> "LinForm":
+    """The form num/den (constant first; den != 0) in lowest terms, den > 0."""
+    g = gcd(den, *num) if den > 0 else -gcd(den, *num)
+    if g != 1:
+        num = tuple(x // g for x in num)
+        den //= g
+    f = object.__new__(LinForm)
+    f.alphabet, f._num, f._den, f._float_terms = alphabet, num, den, None
+    return f
 
-    __slots__ = ("alphabet", "const", "coefs", "_float_terms")
+
+class LinForm:
+    """Affine-linear form  const + sum(coef_i * symbol_i)  with exact coefficients.
+
+    Stored as one tuple of ints (the constant first, then one coefficient per
+    symbol) over one positive denominator, in lowest terms, so equal forms
+    have equal storage and hash alike.  ``const`` and ``coefs`` are read-only
+    Fraction views of it.
+    """
+
+    __slots__ = ("alphabet", "_num", "_den", "_float_terms")
 
     def __init__(self, alphabet: Sequence[str], const=0, coefs=None):
-        self.alphabet = tuple(alphabet)
-        self.const = _as_fraction(const)
+        alphabet = tuple(alphabet)
         if coefs is None:
-            coefs = (Fraction(0),) * len(self.alphabet)
-        else:
-            coefs = tuple(_as_fraction(c) for c in coefs)
-            if len(coefs) != len(self.alphabet):
-                raise ValueError("coefficient count does not match alphabet")
-        self.coefs = coefs
-        # (indices, float coefficients) of the nonzero terms, built by the
-        # first evaluate: most forms are only ever manipulated exactly
+            coefs = (0,) * len(alphabet)
+        elif len(coefs) != len(alphabet):
+            raise ValueError("coefficient count does not match alphabet")
+        qs = [_rational(x) for x in (const, *coefs)]
+        # lowest terms already: each q is, and den is the lcm of their denominators
+        self.alphabet = alphabet
+        self._den = lcm(*(q.denominator for q in qs))
+        self._num = tuple(q.numerator * (self._den // q.denominator) for q in qs)
+        # the float constant, indices and coefficients of the nonzero terms,
+        # built by the first evaluate: most forms are only manipulated exactly
         self._float_terms = None
+
+    @property
+    def const(self) -> Fraction:
+        return Fraction(self._num[0], self._den)
+
+    @property
+    def coefs(self) -> tuple:
+        return tuple(Fraction(x, self._den) for x in self._num[1:])
 
     # -- constructors ---------------------------------------------------
 
@@ -66,9 +94,7 @@ class LinForm:
     def symbol(cls, alphabet: Sequence[str], name: str) -> "LinForm":
         alphabet = tuple(alphabet)
         idx = alphabet.index(name)
-        coefs = [Fraction(0)] * len(alphabet)
-        coefs[idx] = Fraction(1)
-        return cls(alphabet, 0, coefs)
+        return _form(alphabet, tuple(int(i == idx) for i in range(-1, len(alphabet))), 1)
 
     @classmethod
     def const_form(cls, alphabet: Sequence[str], value) -> "LinForm":
@@ -85,8 +111,7 @@ class LinForm:
         s = text.replace(" ", "")
         if not s:
             raise ValueError("empty LinForm text")
-        const = Fraction(0)
-        coefs = [Fraction(0)] * len(alphabet)
+        terms = []  # (slot, numerator, denominator); slot 0 is the constant
         i = 0
         n = len(s)
         while i < n:
@@ -99,22 +124,24 @@ class LinForm:
             while j < n and (s[j].isdigit() or s[j] == "/"):
                 j += 1
             num = s[i:j]
-            sym = None
+            slot = 0
             if j < n and s[j] not in "+-":
-                sym = s[j]
-                if sym not in alphabet:
-                    raise ValueError(f"unknown symbol {sym!r} in {text!r}")
+                if s[j] not in alphabet:
+                    raise ValueError(f"unknown symbol {s[j]!r} in {text!r}")
+                slot = alphabet.index(s[j]) + 1
                 j += 1
-            coef = Fraction(num) if num else Fraction(1)
-            coef *= sign
-            if sym is None:
-                if not num:
-                    raise ValueError(f"dangling sign in {text!r}")
-                const += coef
-            else:
-                coefs[alphabet.index(sym)] += coef
+            elif not num:
+                raise ValueError(f"dangling sign in {text!r}")
+            p, slash, q = num.partition("/")
+            if slash and not (p and q.isdigit() and int(q)):
+                raise ValueError(f"bad coefficient {num!r} in {text!r}")
+            terms.append((slot, sign * int(p or 1), int(q or 1)))
             i = j
-        return cls(alphabet, const, coefs)
+        den = lcm(*(q for _, _, q in terms))
+        out = [0] * (len(alphabet) + 1)
+        for slot, p, q in terms:
+            out[slot] += p * (den // q)
+        return _form(alphabet, tuple(out), den)
 
     # -- algebra --------------------------------------------------------
 
@@ -123,72 +150,76 @@ class LinForm:
             raise ValueError("alphabet mismatch")
 
     def __add__(self, other):
-        if isinstance(other, LinForm):
-            self._check(other)
-            return LinForm(
-                self.alphabet,
-                self.const + other.const,
-                [x + y for x, y in zip(self.coefs, other.coefs)],
-            )
-        return LinForm(self.alphabet, self.const + _as_fraction(other), self.coefs)
+        if not isinstance(other, LinForm):
+            other = LinForm.const_form(self.alphabet, other)
+        self._check(other)
+        den = lcm(self._den, other._den)
+        m1, m2 = den // self._den, den // other._den
+        return _form(
+            self.alphabet, tuple(x * m1 + y * m2 for x, y in zip(self._num, other._num)), den
+        )
 
     __radd__ = __add__
 
     def __neg__(self):
-        return LinForm(self.alphabet, -self.const, [-c for c in self.coefs])
+        return _form(self.alphabet, tuple(-x for x in self._num), self._den)
 
     def __sub__(self, other):
-        if isinstance(other, LinForm):
-            return self + (-other)
-        return self + (-_as_fraction(other))
+        return self + (-other if isinstance(other, LinForm) else -_rational(other))
 
     def __rsub__(self, other):
-        return (-self) + _as_fraction(other)
+        return (-self) + other
 
     def __mul__(self, k):
-        k = _as_fraction(k)
-        return LinForm(self.alphabet, self.const * k, [c * k for c in self.coefs])
+        k = _rational(k)
+        p = k.numerator
+        return _form(self.alphabet, tuple(x * p for x in self._num), self._den * k.denominator)
 
     __rmul__ = __mul__
 
     def __eq__(self, other):
         if not isinstance(other, LinForm):
             return NotImplemented
-        return (
-            self.alphabet == other.alphabet
-            and self.const == other.const
-            and self.coefs == other.coefs
-        )
+        return (self._num, self._den, self.alphabet) == (other._num, other._den, other.alphabet)
 
     def __hash__(self):
-        return hash((self.alphabet, self.const, self.coefs))
+        return hash((self.alphabet, self._num, self._den))
 
     def is_zero(self) -> bool:
-        return self.const == 0 and all(c == 0 for c in self.coefs)
+        return not any(self._num)
 
     def coef(self, name: str) -> Fraction:
-        return self.coefs[self.alphabet.index(name)]
+        return Fraction(self._num[self.alphabet.index(name) + 1], self._den)
 
     def substitute(self, forms: Sequence["LinForm"]) -> "LinForm":
         """Replace symbol_i by forms[i] (forms may live in another alphabet)."""
         if len(forms) != len(self.alphabet):
             raise ValueError("substitution arity mismatch")
-        out = LinForm(forms[0].alphabet, self.const, None)
-        for c, f in zip(self.coefs, forms):
-            if c != 0:
-                out = out + f * c
-        return out
+        alphabet = forms[0].alphabet
+        used = [(c, f) for c, f in zip(self._num[1:], forms) if c]
+        den = lcm(*(f._den for _, f in used))
+        out = [0] * (len(alphabet) + 1)
+        out[0] = self._num[0] * den
+        for c, f in used:
+            f._check(forms[0])
+            m = c * (den // f._den)
+            out = [x + m * y for x, y in zip(out, f._num)]
+        return _form(alphabet, tuple(out), self._den * den)
 
     def evaluate(self, values: Sequence[complex]) -> complex:
         """Numeric value at the given symbol values (sequence in alphabet order)."""
         terms = self._float_terms
         if terms is None:
-            nonzero = [i for i, c in enumerate(self.coefs) if c != 0]
+            num, den = self._num, self._den
+            nonzero = [i for i in range(1, len(num)) if num[i]]
             terms = self._float_terms = (
-                tuple(nonzero), tuple(float(self.coefs[i]) for i in nonzero)
+                num[0] / den,
+                tuple(i - 1 for i in nonzero),
+                tuple(num[i] / den for i in nonzero),
             )
-        z = complex(self.const)
-        for i, c in zip(*terms):
+        const, idx, coefs = terms
+        z = complex(const)
+        for i, c in zip(idx, coefs):
             z += c * values[i]
         return z
 
@@ -198,66 +229,41 @@ class LinForm:
         The constraint must have nonzero coefficient on the last symbol.
         """
         self._check(constraint)
-        clast = constraint.coefs[-1]
+        clast = constraint._num[-1]
         if clast == 0:
             raise ValueError("constraint has no last-symbol coefficient")
-        lam = self.coefs[-1] / clast
-        if lam == 0:
+        last = self._num[-1]
+        if last == 0:
             return self
-        return self - constraint * lam
+        # self - (last/clast) * constraint, over the denominator den * clast
+        return _form(
+            self.alphabet,
+            tuple(x * clast - last * y for x, y in zip(self._num, constraint._num)),
+            self._den * clast,
+        )
 
     # -- text -----------------------------------------------------------
 
     def __str__(self):
-        parts = []
-        if self.const != 0:
-            parts.append(("+", _frac_str(self.const)))
-        for c, sym in zip(self.coefs, self.alphabet):
-            if c == 0:
-                continue
-            mag = abs(c)
-            body = sym if mag == 1 else _frac_str(mag) + sym
-            parts.append(("+" if c > 0 else "-", body))
-        if not parts:
-            return "0"
-        first_sign, first_body = parts[0]
-        out = ("-" if first_sign == "-" else "") + first_body
-        for sg, body in parts[1:]:
-            out += sg + body
-        return out
+        out = ""
+        for sym, q in zip(("",) + self.alphabet, (self.const,) + self.coefs):
+            if q:
+                body = sym if sym and abs(q) == 1 else str(abs(q)) + sym
+                out += ("-" if q < 0 else "+") + body
+        return out.lstrip("+") or "0"
 
     def __repr__(self):
         return f"LinForm({self!s})"
 
 
-def _frac_str(q: Fraction) -> str:
-    return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
-
-
 def w_constraint() -> LinForm:
     """b+c+d+e+f+g+h-3a-2, the defining hyperplane of the eight-symbol alphabet."""
-    f = LinForm(W_SYMBOLS, -2, [-3, 1, 1, 1, 1, 1, 1, 1])
-    return f
+    return LinForm(W_SYMBOLS, -2, [-3, 1, 1, 1, 1, 1, 1, 1])
 
 
 def v_constraint() -> LinForm:
     """E+F+G-A-B-C-D-1, the Saalschuetzian hyperplane of the seven-symbol alphabet."""
     return LinForm(V_SYMBOLS, -1, [-1, -1, -1, -1, 1, 1, 1])
-
-
-def eq_mod_constraint(f: LinForm, g: LinForm, constraint: LinForm) -> bool:
-    """True iff f - g is an exact rational multiple of the constraint."""
-    d = f - g
-    if d.is_zero():
-        return True
-    lam = None
-    for dc, cc in zip(list(d.coefs) + [d.const], list(constraint.coefs) + [constraint.const]):
-        if cc != 0:
-            lam = dc / cc
-            break
-    if lam is None:
-        return False
-    return (d - constraint * lam).is_zero()
 
 
 def pretty_str(form: LinForm, constraint: LinForm) -> str:
@@ -268,19 +274,11 @@ def pretty_str(form: LinForm, constraint: LinForm) -> str:
     fewest terms, breaking ties toward the canonical one.
     """
     candidates = [form.reduced(constraint)]
-    for idx, cc in enumerate(constraint.coefs):
-        if cc == 0:
-            continue
-        lam = form.coefs[idx] / cc
-        candidates.append(form - constraint * lam)
-    best = None
-    best_key = None
-    for cand in candidates:
-        nterms = sum(1 for c in cand.coefs if c != 0) + (1 if cand.const != 0 else 0)
-        key = (nterms, len(str(cand)))
-        if best is None or key < best_key:
-            best, best_key = cand, key
-    return str(best)
+    for c, cc in zip(form._num[1:], constraint._num[1:]):
+        if cc:
+            candidates.append(form - constraint * Fraction(c * constraint._den, form._den * cc))
+    # min keeps the first of equal keys, the canonical form
+    return str(min(candidates, key=lambda f: (sum(1 for x in f._num if x), len(str(f)))))
 
 
 class SymVec:
@@ -356,7 +354,7 @@ class RatMatrix:
             if len(row) != n:
                 raise ValueError("ragged matrix rows")
             for j, x in enumerate(row):
-                q = _as_fraction(x) * 2
+                q = _rational(x) * 2
                 if q.denominator != 1:
                     raise ExactArithmeticError(f"entry {x} is not half-integer")
                 t[i, j] = q.numerator
@@ -428,15 +426,17 @@ class RatMatrix:
         """Matrix action on a symbolic vector (rows dot entries)."""
         if self.order != len(vec):
             raise ValueError("dimension mismatch")
-        out = []
-        for i in range(self.order):
-            acc = LinForm(vec.constraint.alphabet, 0, None)
-            for j in range(self.order):
-                tij = int(self.twice[i, j])
-                if tij:
-                    acc = acc + vec.entries[j] * Fraction(tij, 2)
-            out.append(acc)
-        return SymVec(out, vec.constraint)
+        alphabet = vec.constraint.alphabet
+        den = lcm(*(e._den for e in vec.entries))
+        # slot k of every entry over the common denominator
+        slots = tuple(zip(*(tuple(x * (den // e._den) for x in e._num) for e in vec.entries)))
+        return SymVec(
+            [
+                _form(alphabet, tuple(sum(map(mul, row, slot)) for slot in slots), 2 * den)
+                for row in self.twice.tolist()
+            ],
+            vec.constraint,
+        )
 
     def apply_values(self, values: Sequence[complex]):
         v = np.asarray(values, dtype=complex)
@@ -445,7 +445,7 @@ class RatMatrix:
     def __repr__(self):
         rows = []
         for i in range(self.order):
-            rows.append("[" + ", ".join(_frac_str(self.entry(i, j)) for j in range(self.order)) + "]")
+            rows.append("[" + ", ".join(str(self.entry(i, j)) for j in range(self.order)) + "]")
         return "RatMatrix(" + "; ".join(rows) + ")"
 
 

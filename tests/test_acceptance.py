@@ -10,6 +10,8 @@ Run with ``pytest -v tests/test_acceptance.py`` to see the individual
 criterion lines.
 """
 
+import time
+
 import pytest
 
 from hyperweyl.selftest import CATALOG, run_check
@@ -45,3 +47,17 @@ def test_group_orders_check_fails_past_its_memory_ceiling(monkeypatch):
     result = run_check("02-group-orders")
     assert not result.passed
     assert f"peak memory {2 * selftest.GROUP_ORDERS_PEAK_MB:.2f} MB" in result.detail
+
+
+def test_a_check_past_its_budget_fails(monkeypatch):
+    # a right answer that arrives late fails, and the detail names the budget
+    from hyperweyl import selftest
+
+    def late(cfg):
+        time.sleep(0.15)
+        return True, "right but late"
+
+    monkeypatch.setattr(selftest, "CATALOG", (("99-late", late, 0.1),))
+    result = run_check("99-late")
+    assert not result.passed
+    assert result.detail == "right but late [exceeded 0.1s budget]"

@@ -13,6 +13,7 @@ from hyperweyl.exactalg import (
     LinForm,
     RatMatrix,
     SUBGROUP_GENERATORS,
+    SymVec,
     V_GENERATOR_NAMES,
     V_GENERATORS,
     V_SYMBOLS,
@@ -20,7 +21,6 @@ from hyperweyl.exactalg import (
     W_GENERATORS,
     W_SYMBOLS,
     coxeter_order,
-    eq_mod_constraint,
     identity_symvec,
     v_constraint,
     w_constraint,
@@ -42,6 +42,9 @@ def test_parse_rejects_bad_symbols():
         LinForm.parse("1+a-z", W_SYMBOLS)
     with pytest.raises(ValueError):
         LinForm.parse("a+b", V_SYMBOLS)
+    for bad in ("1/0a", "3/a", "/2a", "1/2/3", "+"):
+        with pytest.raises(ValueError):
+            LinForm.parse(bad, W_SYMBOLS)
 
 
 def test_canonical_str_is_alphabet_ordered():
@@ -59,12 +62,12 @@ def test_reduced_zeroes_last_symbol():
     assert g == VF("1-A-B-C-D+E+F")
 
 
-def test_eq_mod_constraint_basic():
+def test_reduced_forms_agree_modulo_the_constraint():
     c = w_constraint()
-    assert eq_mod_constraint(WF("h"), WF("2+3a-b-c-d-e-f-g"), c)
-    assert not eq_mod_constraint(WF("h"), WF("g"), c)
+    assert WF("h").reduced(c) == WF("2+3a-b-c-d-e-f-g").reduced(c)
+    assert WF("h").reduced(c) != WF("g").reduced(c)
     cv = v_constraint()
-    assert eq_mod_constraint(VF("E+F-B-C"), VF("1+A+D-G"), cv)
+    assert VF("E+F-B-C").reduced(cv) == VF("1+A+D-G").reduced(cv)
 
 
 @given(
@@ -73,14 +76,14 @@ def test_eq_mod_constraint_basic():
     st.integers(-5, 5),
 )
 @settings(max_examples=60, deadline=None)
-def test_eq_mod_constraint_is_shift_invariant(coefs, const, lam):
+def test_reduced_is_shift_invariant(coefs, const, lam):
     c = w_constraint()
     f = LinForm(W_SYMBOLS, const, coefs)
     g = f + c * lam
-    assert eq_mod_constraint(f, g, c)
+    assert f.reduced(c) == g.reduced(c)
     if lam != 0:
         # adding a non-multiple breaks it
-        assert not eq_mod_constraint(f, g + LinForm.symbol(W_SYMBOLS, "a"), c)
+        assert f.reduced(c) != (g + LinForm.symbol(W_SYMBOLS, "a")).reduced(c)
 
 
 @given(st.lists(st.integers(-6, 6), min_size=8, max_size=8))
@@ -110,6 +113,94 @@ def test_linform_evaluate_matches_the_coefficient_loop(coefs, const):
     assert f.evaluate(pt) == ref
 
 
+class _RefForm:
+    """Reference linear form: one Fraction per coefficient, the textbook way."""
+
+    def __init__(self, const, coefs):
+        self.const, self.coefs = Fraction(const), tuple(Fraction(c) for c in coefs)
+
+    @classmethod
+    def of(cls, f):
+        return cls(f.const, f.coefs)
+
+    def __add__(self, o):
+        return _RefForm(self.const + o.const, [x + y for x, y in zip(self.coefs, o.coefs)])
+
+    def __neg__(self):
+        return _RefForm(-self.const, [-c for c in self.coefs])
+
+    def __sub__(self, o):
+        return self + (-o)
+
+    def __mul__(self, k):
+        return _RefForm(self.const * k, [c * k for c in self.coefs])
+
+    def substitute(self, forms):
+        out = _RefForm(self.const, [0] * len(forms[0].coefs))
+        for c, f in zip(self.coefs, forms):
+            out = out + f * c
+        return out
+
+    def reduced(self, cons):
+        return self - cons * (self.coefs[-1] / cons.coefs[-1])
+
+    def evaluate(self, values):
+        z = complex(self.const)
+        for c, v in zip(self.coefs, values):
+            if c != 0:
+                z += float(c) * v
+        return z
+
+
+def _same(f, ref):
+    return f.const == ref.const and f.coefs == ref.coefs
+
+
+_fracs = st.builds(Fraction, st.integers(-24, 24), st.sampled_from([1, 1, 2, 3, 4, 6, 12]))
+_w_forms = st.builds(
+    lambda const, coefs: LinForm(W_SYMBOLS, const, coefs),
+    _fracs, st.lists(_fracs, min_size=8, max_size=8),
+)
+_scalars = st.one_of(
+    st.sampled_from([Fraction(1, 4), Fraction(-1, 4), Fraction(1, 2), 0, 3]), _fracs
+)
+
+
+@given(
+    _w_forms, _w_forms, _scalars,
+    st.lists(_w_forms, min_size=8, max_size=8),
+    st.lists(st.lists(st.integers(-4, 4), min_size=8, max_size=8), min_size=8, max_size=8),
+)
+@settings(max_examples=60, deadline=None)
+def test_integer_linform_matches_the_fraction_reference(f, g, k, forms, twice):
+    rf, rg = _RefForm.of(f), _RefForm.of(g)
+    assert _same(f + g, rf + rg)
+    assert _same(f - g, rf - rg)
+    assert _same(-f, -rf)
+    assert _same(f * k, rf * k)
+    assert _same(k * f, rf * k)
+    assert _same(f.substitute(forms), rf.substitute([_RefForm.of(x) for x in forms]))
+    for cons in (w_constraint(), w_constraint() * Fraction(-3, 2)):
+        assert _same(f.reduced(cons), rf.reduced(_RefForm.of(cons)))
+    # half-integer matrix action, row by row
+    vec = SymVec(forms, w_constraint())
+    got = RatMatrix(twice).apply(vec).entries
+    for row, out in zip(twice, got):
+        ref = _RefForm(0, [0] * 8)
+        for t, x in zip(row, forms):
+            ref = ref + _RefForm.of(x) * Fraction(t, 2)
+        assert _same(out, ref)
+    # one storage per value: equal forms compare and hash alike
+    h = (f * Fraction(2, 3)) * Fraction(3, 2)
+    assert h == f and hash(h) == hash(f)
+    assert (f + g) - g == f and hash((f + g) - g) == hash(f)
+    assert (f == g) == _same(f, rg)
+    # the cached floats give the reference loop's bits, on every call
+    pt = [complex(0.3 * i - 1, 0.7 - 0.2 * i) for i in range(8)]
+    assert f.evaluate(pt) == rf.evaluate(pt)
+    assert f.evaluate(pt) == rf.evaluate(pt)
+
+
 # -- matrix layer ------------------------------------------------------------
 
 
@@ -129,19 +220,19 @@ def test_known_generator_actions():
     expected = ["1+2a-c-d-e", "b", "1+a-d-e", "1+a-c-e", "1+a-c-d", "f", "g", "h"]
     cw = w_constraint()
     for e, s in zip(got.entries, expected):
-        assert eq_mod_constraint(e, WF(s), cw)
+        assert e.reduced(cw) == WF(s).reduced(cw)
 
     got_y = word_to_matrix(["s1"], "w").apply(idw)
     expected_s1 = ["2c-a", "c+b-a", "c", "c+d-a", "c+e-a", "c+f-a", "c+g-a", "c+h-a"]
     for e, s in zip(got_y.entries, expected_s1):
-        assert eq_mod_constraint(e, WF(s), cw)
+        assert e.reduced(cw) == WF(s).reduced(cw)
 
     idv = identity_symvec("v")
     got_x1 = V_GENERATORS["a3"].apply(idv)
     expected_x1 = ["A", "E-C", "E-B", "D", "E", "1+A+D-G", "1+A+D-F"]
     cv = v_constraint()
     for e, s in zip(got_x1.entries, expected_x1):
-        assert eq_mod_constraint(e, VF(s), cv)
+        assert e.reduced(cv) == VF(s).reduced(cv)
 
 
 def test_central_involutions():
@@ -149,7 +240,7 @@ def test_central_involutions():
     idw = identity_symvec("w")
     zw = CENTRAL_W.apply(idw)
     for e, s in zip(zw.entries, ["1-a", "1-b", "1-c", "1-d", "1-e", "1-f", "1-g", "1-h"]):
-        assert eq_mod_constraint(e, WF(s), cw)
+        assert e.reduced(cw) == WF(s).reduced(cw)
     assert (CENTRAL_W @ CENTRAL_W).is_identity()
     for name in W_GENERATOR_NAMES:
         g = W_GENERATORS[name]
@@ -159,7 +250,7 @@ def test_central_involutions():
     idv = identity_symvec("v")
     zv = CENTRAL_V.apply(idv)
     for e, s in zip(zv.entries, ["1-A", "1-B", "1-C", "1-D", "2-E", "2-F", "2-G"]):
-        assert eq_mod_constraint(e, VF(s), cv)
+        assert e.reduced(cv) == VF(s).reduced(cv)
     assert (CENTRAL_V @ CENTRAL_V).is_identity()
     for name in V_GENERATOR_NAMES:
         g = V_GENERATORS[name]
@@ -177,7 +268,7 @@ def test_generators_preserve_constraint_functional():
         for e in v.entries[2:]:
             total = total + e
         lhs = total - v.entries[0] * 3
-        assert eq_mod_constraint(lhs, LinForm.const_form(W_SYMBOLS, 2), cw)
+        assert lhs.reduced(cw) == LinForm.const_form(W_SYMBOLS, 2).reduced(cw)
     cv = v_constraint()
     idv = identity_symvec("v")
     for name in V_GENERATOR_NAMES:
@@ -185,7 +276,7 @@ def test_generators_preserve_constraint_functional():
         lhs = v.entries[4] + v.entries[5] + v.entries[6] - (
             v.entries[0] + v.entries[1] + v.entries[2] + v.entries[3]
         )
-        assert eq_mod_constraint(lhs, LinForm.const_form(V_SYMBOLS, 1), cv)
+        assert lhs.reduced(cv) == LinForm.const_form(V_SYMBOLS, 1).reduced(cv)
 
 
 def test_coxeter_presentation_w_side():
