@@ -1,17 +1,19 @@
 """Batch command line: orbit, table and distance queries, function
-evaluation at file-supplied points, and the verification suites.
+evaluation at file-supplied points, and the verification catalog.
 
-Exit status: 0 when everything requested succeeds, 1 when a verification
-check fails, 2 on file, parse, or usage errors.  All randomness derives
-from --seed (default 7), so any two runs with the same flags agree.  The
-rejection budget for admissible-point search can be overridden through the
-environment variable HYPERWEYL_BUDGET (and nothing else can).
+Each `check` verb runs one catalog entry through selftest.run_check, under
+that entry's time budget, and prints its evidence.  Exit status: 0 when
+everything requested succeeds, 1 when a verification check fails, 2 on
+file, parse, or usage errors, and when the admissible-point search
+exhausts its budget.  All randomness derives from --seed (default 7), so
+any two runs with the same flags agree.  That rejection budget can be
+overridden through the environment variable HYPERWEYL_BUDGET (and nothing
+else can).
 """
 
 import argparse
 import json
 import os
-import random
 import sys
 
 from .coxeter import (
@@ -27,34 +29,24 @@ from .coxeter import (
 )
 from .exactalg import LinForm, V_SYMBOLS, W_SYMBOLS
 from .hypnum import EvaluationDomainError, PointV, PointW
-from .correspond import (
-    FunTerm,
-    builtin_relations,
-    check_limit,
-    gen_point as _draw_point,
-    limit222_pipeline,
-    limit_probe_args,
-    pipeline_probe_args,
-    relation_probe_args,
-    relation_report,
-    table_json,
-    table_text,
-)
+from .correspond import FunTerm, PointSearchError, table_json, table_text
 from .selftest import EXPECTED_ORDERS, RunConfig, group_orders, run_all, run_check
 
-__all__ = ["RunConfig", "gen_point", "dispatch", "main"]
+__all__ = ["dispatch", "main"]
 
-LIMIT_LABELS = ("+v(0,7)", "+v(1,7)", "+v(0,1)", "+v(2,7)")
+_DEFAULTS = RunConfig()
+
+# the catalog entry behind each `check` suite
+CHECK_SUITES = {
+    "invariance": "10-function-invariance",
+    "relations": "12-relations",
+    "limits": "13-limit-checks",
+    "pipeline": "15-degeneration-pipeline",
+}
 
 
 class CliError(Exception):
     """Bad input: unreadable file, unparsable label or form, wrong space."""
-
-
-def gen_point(cfg: RunConfig, side: str, probe=None):
-    """Seeded admissible point on the requested side ("W" or "V")."""
-    rng = random.Random(cfg.seed)
-    return _draw_point(rng, side, probe, budget=cfg.budget)
 
 
 # ---------------------------------------------------------------------------
@@ -75,25 +67,28 @@ def build_parser() -> argparse.ArgumentParser:
         help="output rendering (default: text); json output is key-sorted",
     )
     top.add_argument(
-        "--seed", type=int, default=7, help="random point seed (default: 7)"
+        "--seed",
+        type=int,
+        default=_DEFAULTS.seed,
+        help="random point seed (default: %(default)s)",
     )
     top.add_argument(
         "--tol-m",
         type=float,
-        default=1e-5,
-        help="relative residual bound for eight-slot checks (default: 1e-5)",
+        default=_DEFAULTS.tol_m,
+        help="relative residual bound for eight-slot checks (default: %(default)g)",
     )
     top.add_argument(
         "--tol-jl",
         type=float,
-        default=1e-7,
-        help="relative residual bound for seven-slot checks (default: 1e-7)",
+        default=_DEFAULTS.tol_jl,
+        help="relative residual bound for seven-slot checks (default: %(default)g)",
     )
     top.add_argument(
         "--limit-decay",
         type=float,
-        default=0.6,
-        help="required final/initial error ratio in limit checks (default: 0.6)",
+        default=_DEFAULTS.limit_decay,
+        help="required final/initial error ratio in limit checks (default: %(default)g)",
     )
     sub = top.add_subparsers(dest="verb", required=True)
 
@@ -119,10 +114,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="semicolon-separated argument forms (default: the plain letters)",
     )
 
-    p = sub.add_parser("check", help="run one verification suite")
-    p.add_argument(
-        "suite", choices=("invariance", "relations", "limits", "pipeline")
-    )
+    p = sub.add_parser("check", help="run one catalog entry and print its evidence")
+    p.add_argument("suite", choices=tuple(CHECK_SUITES))
 
     sub.add_parser("selftest", help="run the full fixed check catalog")
 
@@ -135,12 +128,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _config_from(ns) -> RunConfig:
     try:
-        budget = int(os.environ.get("HYPERWEYL_BUDGET", "10000"))
+        budget = int(os.environ.get("HYPERWEYL_BUDGET", _DEFAULTS.budget))
     except ValueError as exc:
         raise CliError(f"HYPERWEYL_BUDGET must be an integer: {exc}")
     return RunConfig(
         seed=ns.seed,
-        fmt=ns.format,
         tol_m=ns.tol_m,
         tol_jl=ns.tol_jl,
         limit_decay=ns.limit_decay,
@@ -148,8 +140,8 @@ def _config_from(ns) -> RunConfig:
     )
 
 
-def _emit(payload, cfg: RunConfig, text: str, out) -> None:
-    if cfg.fmt == "json":
+def _emit(payload, fmt: str, text: str, out) -> None:
+    if fmt == "json":
         print(json.dumps(payload, sort_keys=True, indent=2), file=out)
     else:
         print(text, file=out)
@@ -173,12 +165,12 @@ def _cmd_orbits(ns, cfg, out):
     lines = [
         f"{d['color']:>4} ({d['size']:2d}): {' '.join(d['labels'])}" for d in data
     ]
-    _emit(data, cfg, "\n".join(lines), out)
+    _emit(data, ns.format, "\n".join(lines), out)
     return 0
 
 
 def _cmd_table(ns, cfg, out):
-    if cfg.fmt == "json":
+    if ns.format == "json":
         print(table_json(), file=out)
     else:
         print(table_text(), file=out)
@@ -198,7 +190,7 @@ def _cmd_distance(ns, cfg, out):
     else:
         raise CliError("labels live on different sides; no distance is defined")
     payload = {"label1": str(u), "label2": str(v), "metric": metric, "distance": d}
-    _emit(payload, cfg, str(d), out)
+    _emit(payload, ns.format, str(d), out)
     return 0
 
 
@@ -222,7 +214,7 @@ def _cmd_classify(ns, cfg, out):
             f"  {o['type']:>10}  size {o['size']:5d}  "
             f"rep {{{', '.join(o['representative'])}}}"
         )
-    _emit(data, cfg, "\n".join(lines), out)
+    _emit(data, ns.format, "\n".join(lines), out)
     return 0
 
 
@@ -277,94 +269,35 @@ def _cmd_eval(ns, cfg, out):
         text = f"exp({lg.log_mag:.12g} + {lg.phase:.12g}i)  [beyond double range]"
     else:
         text = f"{value:.12g}"
-    _emit(payload, cfg, text, out)
+    _emit(payload, ns.format, text, out)
     return 0
 
 
-def _spread(terms) -> float:
-    mags = [t["log_mag"] for t in terms if "log_mag" in t]
-    return max(mags) - min(mags) if mags else 0.0
+def _mark(ok: bool) -> str:
+    return "PASS" if ok else "FAIL"
 
 
-def _check_invariance(cfg, out):
-    res = run_check("10-function-invariance", cfg)
-    _emit(res.to_dict(), cfg, res.line(), out)
-    return 0 if res.passed else 1
-
-
-def _check_relations(cfg, out):
-    rng = random.Random(cfg.seed)
-    reports = []
-    ok = True
-    for name, side, tol in (
-        ("roy463", "W", cfg.tol_m),
-        ("roy463b", "W", cfg.tol_m),
-        ("orbit1jll", "V", cfg.tol_jl),
-    ):
-        rel = builtin_relations()[name]
-        p = _draw_point(
-            rng, side, lambda q: relation_probe_args(rel, q), budget=cfg.budget
-        )
-        rep = relation_report(rel, p)
-        rep["bound"] = tol
-        rep["log_mag_spread"] = _spread(rep["terms"])
-        rep["passed"] = rep["residual"] <= tol
-        ok = ok and rep["passed"]
-        reports.append(rep)
-    lines = []
-    for rep in reports:
-        mark = "PASS" if rep["passed"] else "FAIL"
-        lines.append(
-            f"{mark} {rep['relation']}: residual {rep['residual']:.3e} "
+def _report_line(rep: dict) -> str:
+    """One text line for a report in a check's evidence: a relation report,
+    a limit report or the degeneration pipeline."""
+    if "relation" in rep:
+        return (
+            f"{_mark(rep['passed'])} {rep['relation']}: residual {rep['residual']:.3e} "
             f"(bound {rep['bound']:.0e}, log-magnitude spread "
             f"{rep['log_mag_spread']:.2f})"
         )
-    _emit(reports, cfg, "\n".join(lines), out)
-    return 0 if ok else 1
-
-
-def _check_limits(cfg, out):
-    rng = random.Random(cfg.seed)
-    reports = []
-    ok = True
-    for lab in LIMIT_LABELS:
-        p = _draw_point(
-            rng, "W", lambda q: limit_probe_args(lab, q), budget=cfg.budget
-        )
-        rep = check_limit(lab, p, decay=cfg.limit_decay)
-        ok = ok and rep.verdict
-        reports.append(rep.to_dict())
-    lines = []
-    for rep in reports:
-        mark = "PASS" if rep["verdict"] else "FAIL"
-        errs = " -> ".join(f"{e:.3e}" for e in rep["errors"]) or rep.get(
-            "failure", ""
-        )
-        lines.append(f"{mark} {rep['label']}: {errs}")
-    _emit(reports, cfg, "\n".join(lines), out)
-    return 0 if ok else 1
-
-
-def _check_pipeline(cfg, out):
-    rng = random.Random(cfg.seed)
-    p = _draw_point(rng, "W", pipeline_probe_args, budget=cfg.budget)
-    result = limit222_pipeline(p)
-    lines = [f"verdict: {result['verdict']}"]
-    for name, step in result["steps"].items():
-        mark = "PASS" if step.get("pass") else "FAIL"
-        lines.append(f"  {mark} {name}")
-    _emit(result, cfg, "\n".join(lines), out)
-    return 0 if result["verdict"] == "PASS" else 1
+    if "label" in rep:
+        errs = " -> ".join(f"{e:.3e}" for e in rep["errors"])
+        return f"{_mark(rep['verdict'])} {rep['label']}: {errs or rep.get('failure', '')}"
+    steps = ", ".join(f"{_mark(step['pass'])} {name}" for name, step in rep["steps"].items())
+    return f"{rep['verdict']} pipeline: {steps or rep.get('failure', '')}"
 
 
 def _cmd_check(ns, cfg, out):
-    runner = {
-        "invariance": _check_invariance,
-        "relations": _check_relations,
-        "limits": _check_limits,
-        "pipeline": _check_pipeline,
-    }[ns.suite]
-    return runner(cfg, out)
+    res = run_check(CHECK_SUITES[ns.suite], cfg)
+    lines = [res.line()] + [_report_line(r) for r in res.evidence.get("reports", ())]
+    _emit(res.evidence, ns.format, "\n".join(lines), out)
+    return 0 if res.passed else 1
 
 
 def _cmd_selftest(ns, cfg, out):
@@ -376,7 +309,7 @@ def _cmd_selftest(ns, cfg, out):
         f"{len(results) - failed}/{len(results)} checks passed"
         + (f", {failed} FAILED" if failed else "")
     )
-    _emit(payload, cfg, "\n".join(lines), out)
+    _emit(payload, ns.format, "\n".join(lines), out)
     return 0 if failed == 0 else 1
 
 
@@ -391,7 +324,7 @@ def _cmd_groups(ns, cfg, out):
         f"{name}: {order}" + ("" if order == EXPECTED_ORDERS[name] else "  MISMATCH")
         for name, order in sorted(got.items())
     ]
-    _emit(payload, cfg, "\n".join(lines), out)
+    _emit(payload, ns.format, "\n".join(lines), out)
     return 0 if payload["match"] else 1
 
 
@@ -430,8 +363,7 @@ def dispatch(argv=None, out=sys.stdout) -> int:
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except RuntimeError as exc:
-        # admissible-point search exhausted its budget
+    except PointSearchError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -88,6 +88,7 @@ __all__ = [
     "relation_probe_args",
     "pipeline_probe_args",
     "limit_probe_args",
+    "PointSearchError",
     "gen_point",
     "twiddle_x_forms",
     "signed_perm_transform",
@@ -996,12 +997,16 @@ def pipeline_probe_args(p: PointW, shifts=(8.0, 16.0, 32.0)):
     return tuple(gammas), tuple(sins)
 
 
+class PointSearchError(RuntimeError):
+    """No admissible point within the draw budget."""
+
+
 def gen_point(rng, side: str = "W", probe=None, budget: int = 10_000):
     """Random admissible point: real parts U(0.1, 0.9), imaginary parts
     U(-0.3, 0.3), redrawn until the probe's margins hold.
 
     `probe` maps a candidate point to (gamma args, sine args); None accepts
-    the first draw.  Raises after `budget` rejected draws.
+    the first draw.  Raises PointSearchError after `budget` rejected draws.
     """
     side = side.upper()
     count = 7 if side == "W" else 6
@@ -1020,7 +1025,7 @@ def gen_point(rng, side: str = "W", probe=None, budget: int = 10_000):
             continue
         if margins_ok(gammas, sins):
             return p
-    raise RuntimeError(f"no admissible point found in {budget} draws")
+    raise PointSearchError(f"no admissible point found in {budget} draws")
 
 
 # ---------------------------------------------------------------------------
@@ -1147,7 +1152,7 @@ def twiddle_check(rng, space: str, tol: float = 1e-7, budget: int = 10_000,
         direct = evaluator(vals_t, ctrl)
         via = evaluator(arr, ctrl)
         return label, abs((direct - via).to_complex() - 1.0)
-    raise RuntimeError(f"no admissible coordinates found in {budget} draws")
+    raise PointSearchError(f"no admissible coordinates found in {budget} draws")
 
 
 # ---------------------------------------------------------------------------

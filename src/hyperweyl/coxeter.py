@@ -50,7 +50,6 @@ __all__ = [
     "act_j",
     "act_l",
     "act_t",
-    "central_involution",
     "all_m_labels",
     "all_j_labels",
     "all_l_labels",
@@ -306,11 +305,6 @@ def act_t(gen: str, label):
     if isinstance(label, LLabel):
         return act_l(gen, label)
     raise TypeError("T labels are J or L labels")
-
-
-def central_involution(label):
-    """The central involution: sign flip / string negation / bar toggle."""
-    return -label
 
 
 # ---------------------------------------------------------------------------

@@ -47,16 +47,10 @@ __all__ = [
     "combine_exponentials",
     "lgamma",
     "log_sin_pi",
-    "pochhammer",
-    "pochhammer_c",
     "series_sigma",
-    "is_saalschutzian",
-    "is_well_poised",
-    "is_very_well_poised",
     "SeriesCtrl",
     "SeriesResult",
     "sum_pfq",
-    "f43_star",
     "PointW",
     "PointV",
     "j_probe_args",
@@ -67,7 +61,6 @@ __all__ = [
     "margins_ok",
     "eval_J",
     "eval_J_log",
-    "eval_K",
     "eval_L",
     "eval_L_log",
     "eval_L_7f6",
@@ -297,50 +290,14 @@ def _lgamma_sum(args) -> LogC:
     return _logc_from_log(total)
 
 
-def pochhammer(a, n: int):
-    """Rising factorial with n factors; exact for exact inputs."""
-    if n < 0:
-        raise ValueError("need n >= 0")
-    out = 1
-    for k in range(n):
-        out = out * (a + k)
-    return out
-
-
-def pochhammer_c(a: complex, y: complex) -> complex:
-    """Gamma(a+y)/Gamma(a) for complex offsets, via log-gamma differences."""
-    return (lgamma(complex(a) + complex(y)) - lgamma(complex(a))).to_complex()
-
-
 # ---------------------------------------------------------------------------
-# series classifiers
+# the convergence exponent
 # ---------------------------------------------------------------------------
 
 
 def series_sigma(nums: Sequence[complex], dens: Sequence[complex]) -> complex:
     """Parameter-sum difference controlling unit-argument convergence."""
     return sum(complex(b) for b in dens) - sum(complex(a) for a in nums)
-
-
-def is_saalschutzian(nums, dens, tol: float = 1e-9) -> bool:
-    if len(nums) != len(dens) + 1:
-        return False
-    return abs(series_sigma(nums, dens) - 1.0) <= tol
-
-
-def is_well_poised(nums, dens, tol: float = 1e-9) -> bool:
-    if len(nums) != len(dens) + 1:
-        return False
-    ref = 1.0 + complex(nums[0])
-    return all(
-        abs(complex(b) + complex(a) - ref) <= tol for a, b in zip(nums[1:], dens)
-    )
-
-
-def is_very_well_poised(nums, dens, tol: float = 1e-9) -> bool:
-    if not is_well_poised(nums, dens, tol):
-        return False
-    return abs(complex(nums[1]) - (1.0 + 0.5 * complex(nums[0]))) <= tol
 
 
 # ---------------------------------------------------------------------------
@@ -491,7 +448,7 @@ def sum_pfq(nums: Sequence[complex], dens: Sequence[complex], ctrl: SeriesCtrl =
 
 
 # ---------------------------------------------------------------------------
-# the starred 4F3 and the hyperplane point types
+# the unit-shift hyperplane and the point types
 # ---------------------------------------------------------------------------
 
 
@@ -499,18 +456,6 @@ def _check_saalschutz_args(args7):
     A, B, C, D, E, F, G = args7
     if abs((E + F + G) - (A + B + C + D) - 1.0) > 1e-9:
         raise EvaluationDomainError("parameters leave the unit-shift hyperplane")
-
-
-def f43_star(args7, ctrl: SeriesCtrl = None) -> SeriesResult:
-    """Gamma-prefactored Saalschutzian 4F3(1): Gamma[A,B,C,D / E,F,G] * 4F3,
-    with the series' error estimate scaled by the same prefactor."""
-    A, B, C, D, E, F, G = [complex(z) for z in args7]
-    _check_saalschutz_args((A, B, C, D, E, F, G))
-    res = sum_pfq((A, B, C, D), (E, F, G), ctrl)
-    pref = _lgamma_sum((A, B, C, D)) - _lgamma_sum((E, F, G))
-    value = (pref + LogC.from_complex(res.value)).to_complex()
-    scale = abs(pref.to_complex()) if res.value != 0 else 1.0
-    return SeriesResult(value, res.terms_used, res.err_estimate * scale, res.converged)
 
 
 @dataclass(frozen=True)
@@ -719,12 +664,6 @@ def eval_J_log(x, ctrl: SeriesCtrl = None) -> LogC:
 
 def eval_J(x, ctrl: SeriesCtrl = None) -> complex:
     return eval_J_log(x, ctrl).to_complex()
-
-
-def eval_K(x, ctrl: SeriesCtrl = None) -> complex:
-    """sin(pi A) Gamma(A) * J, the unrenormalized companion."""
-    A = _seven(x)[0]
-    return (log_sin_pi(A) + lgamma(A) + eval_J_log(x, ctrl)).to_complex()
 
 
 def eval_L_log(args, ctrl: SeriesCtrl = None) -> LogC:

@@ -55,9 +55,32 @@ def test_a_check_past_its_budget_fails(monkeypatch):
 
     def late(cfg):
         time.sleep(0.15)
-        return True, "right but late"
+        return True, "right but late", {}
 
     monkeypatch.setattr(selftest, "CATALOG", (("99-late", late, 0.1),))
     result = run_check("99-late")
     assert not result.passed
     assert result.detail == "right but late [exceeded 0.1s budget]"
+
+
+def test_appendix_check_fails_on_an_altered_slot_vector(monkeypatch):
+    # one row's slot vector moved off its coset, keeping the classifying
+    # second slot, the hyperplane and the shifted letter's slots: check 14
+    # must notice
+    from hyperweyl import correspond
+
+    row = "+v(0,7) | a; b; c; d; e; f; g; h |"
+    assert row in correspond.FIXTURE_TEXT
+    altered = correspond.FIXTURE_TEXT.replace(row, "+v(0,7) | a; b; c+1/3; d-1/3; e; f; g; h |")
+    caches = (correspond.fixture_rows, correspond.appendix_table, correspond._rows_by_label)
+    monkeypatch.setattr(correspond, "FIXTURE_TEXT", altered)
+    for cached in caches:
+        cached.cache_clear()
+    try:
+        result = run_check("14-appendix-fidelity")
+    finally:
+        monkeypatch.undo()
+        for cached in caches:
+            cached.cache_clear()
+    assert not result.passed
+    assert result.detail.startswith("+v(0,7): representatives disagree")

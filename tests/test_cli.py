@@ -8,11 +8,13 @@ spawning subprocesses.  Exit-code contract: 0 success, 1 failed check,
 
 import io
 import json
+import random
 
 import pytest
 
-from hyperweyl import cli
-from hyperweyl.cli import RunConfig, dispatch, gen_point, main
+from hyperweyl import cli, selftest
+from hyperweyl.cli import CHECK_SUITES, dispatch, main
+from hyperweyl.correspond import gen_point
 from hyperweyl.coxeter import dd, parse_label
 from hyperweyl.hypnum import j_probe_args, m_probe_args
 from hyperweyl.selftest import CATALOG, CheckResult
@@ -32,7 +34,7 @@ def run_json(*argv):
 @pytest.fixture(scope="session")
 def w_point_file(tmp_path_factory):
     """An admissible eight-slot point, written the way the eval verb reads it."""
-    p = gen_point(RunConfig(), "W", probe=lambda q: m_probe_args(q.args()))
+    p = gen_point(random.Random(7), "W", probe=lambda q: m_probe_args(q.args()))
     path = tmp_path_factory.mktemp("points") / "w.json"
     data = {k: [getattr(p, k).real, getattr(p, k).imag] for k in "abcdefg"}
     path.write_text(json.dumps(data))
@@ -42,7 +44,7 @@ def w_point_file(tmp_path_factory):
 @pytest.fixture(scope="session")
 def v_point_file(tmp_path_factory):
     """An admissible seven-slot point for the V-side functions."""
-    p = gen_point(RunConfig(), "V", probe=lambda q: j_probe_args(q.args()))
+    p = gen_point(random.Random(7), "V", probe=lambda q: j_probe_args(q.args()))
     path = tmp_path_factory.mktemp("points") / "v.json"
     data = {k: [getattr(p, k).real, getattr(p, k).imag] for k in "ABCDEF"}
     path.write_text(json.dumps(data))
@@ -225,28 +227,35 @@ def test_eval_rejects_supplied_derived_slot(tmp_path, w_point_file):
 def test_check_relations_passes():
     code, data = run_json("check", "relations")
     assert code == 0
-    assert [r["relation"] for r in data] == ["roy463", "roy463b", "orbit1jll"]
-    for rep in data:
+    names = {r["relation"] for r in data["reports"]}
+    assert {"roy463", "roy463b", "orbit1jll"} <= names
+    for rep in data["reports"]:
         assert rep["passed"]
         assert rep["residual"] <= rep["bound"]
         assert rep["log_mag_spread"] >= 0.0
 
 
+# check 13 drives its rows, then the blue/red pair at one shared point
+LIMIT_REPORT_LABELS = list(selftest.LIMIT_LABELS + selftest.LIMIT_LABELS[:2])
+
+
 def test_check_limits_passes():
     code, data = run_json("check", "limits")
     assert code == 0
-    assert [r["label"] for r in data] == list(cli.LIMIT_LABELS)
-    for rep in data:
+    assert [r["label"] for r in data["reports"]] == LIMIT_REPORT_LABELS
+    for rep in data["reports"]:
         assert rep["verdict"]
         errs = rep["errors"]
         assert all(b < a for a, b in zip(errs, errs[1:]))
 
 
 def test_limit_decay_flag_reaches_the_limit_checks(monkeypatch):
-    # no shift-doubling run shrinks its error by nine orders of magnitude
+    # no shift-doubling run shrinks its error by nine orders of magnitude,
+    # and a failing check still lists every report it built
     code, data = run_json("--limit-decay", "1e-9", "check", "limits")
     assert code == 1
-    assert not any(rep["verdict"] for rep in data)
+    assert [r["label"] for r in data["reports"]] == LIMIT_REPORT_LABELS
+    assert not any(rep["verdict"] for rep in data["reports"])
     only13 = [e for e in CATALOG if e[0] == "13-limit-checks"]
     monkeypatch.setattr("hyperweyl.selftest.CATALOG", only13)
     code, text = run_cli("--limit-decay", "1e-9", "selftest")
@@ -258,9 +267,23 @@ def test_limit_decay_flag_reaches_the_limit_checks(monkeypatch):
 def test_check_pipeline_passes():
     code, data = run_json("check", "pipeline")
     assert code == 0
-    assert data["verdict"] == "PASS"
-    assert len(data["steps"]) == 5
-    assert all(step["pass"] for step in data["steps"].values())
+    [pipeline] = data["reports"]
+    assert pipeline["verdict"] == "PASS"
+    assert len(pipeline["steps"]) == 5
+    assert all(step["pass"] for step in pipeline["steps"].values())
+
+
+@pytest.mark.parametrize("seed", ["7", "11"])
+@pytest.mark.parametrize("suite", sorted(CHECK_SUITES))
+def test_check_verb_is_a_view_of_its_catalog_entry(monkeypatch, suite, seed):
+    code, verb_text = run_cli("--format", "json", "--seed", seed, "check", suite)
+    assert code == 0
+    assert "seconds" not in verb_text
+    entry = [e for e in CATALOG if e[0] == CHECK_SUITES[suite]]
+    monkeypatch.setattr("hyperweyl.selftest.CATALOG", entry)
+    code, [record] = run_json("--seed", seed, "selftest")
+    assert code == 0
+    assert json.loads(verb_text) == record["evidence"]
 
 
 def test_check_invariance_plumbing(monkeypatch):
@@ -268,7 +291,7 @@ def test_check_invariance_plumbing(monkeypatch):
 
     def fake(name, cfg=None):
         seen["name"] = name
-        return CheckResult(name, True, "stub", 0.0)
+        return CheckResult(name, True, "stub", 0.0, {})
 
     monkeypatch.setattr(cli, "run_check", fake)
     code, text = run_cli("check", "invariance")
@@ -277,7 +300,7 @@ def test_check_invariance_plumbing(monkeypatch):
     assert "PASS" in text
 
     monkeypatch.setattr(
-        cli, "run_check", lambda name, cfg=None: CheckResult(name, False, "stub", 0.0)
+        cli, "run_check", lambda name, cfg=None: CheckResult(name, False, "stub", 0.0, {})
     )
     code, _ = run_cli("check", "invariance")
     assert code == 1
@@ -298,7 +321,7 @@ def test_selftest_verb_runs_catalog_subset(monkeypatch):
 
 
 def test_selftest_verb_reports_failures(monkeypatch):
-    broken = [("00-stub", lambda cfg: (False, "boom"), None)]
+    broken = [("00-stub", lambda cfg: (False, "boom", {}), None)]
     monkeypatch.setattr("hyperweyl.selftest.CATALOG", broken)
     code, text = run_cli("selftest")
     assert code == 1
