@@ -34,13 +34,10 @@ from .coxeter import (
 )
 from .exactalg import (
     LinForm,
-    SymVec,
     V_SYMBOLS,
     W_SYMBOLS,
     identity_symvec,
     pretty_str,
-    v_constraint,
-    w_constraint,
     word_to_matrix,
 )
 from .hypnum import (
@@ -98,9 +95,6 @@ __all__ = [
     "table_text",
 ]
 
-_W_CONS = w_constraint()
-_V_CONS = v_constraint()
-
 FACTOR_GAMMA = "Gamma"
 FACTOR_SIN = "SinPi"
 
@@ -109,14 +103,8 @@ ORBIT1JLL_TOL = 1e-7
 ROY463B_SHIFTED_TOL = 1e-4
 HALVING_WINDOW = (0.3, 0.7)
 LIMIT_DECAY = 0.6
-
-
-def _cons_for(alphabet) -> LinForm:
-    if tuple(alphabet) == W_SYMBOLS:
-        return _W_CONS
-    if tuple(alphabet) == V_SYMBOLS:
-        return _V_CONS
-    raise ValueError("forms must live in the eight- or seven-letter alphabet")
+# imaginary shifts of b that the limit checks and the pipeline step through
+SHIFTS = (8.0, 16.0, 32.0)
 
 
 # ---------------------------------------------------------------------------
@@ -151,12 +139,6 @@ class GammaSinExpr:
         den = forms(gamma_den, FACTOR_GAMMA) + forms(sin_den, FACTOR_SIN)
         return cls(Fraction(prefactor), tuple(num), tuple(den))
 
-    @property
-    def alphabet(self):
-        for kind, form in self.numerator + self.denominator:
-            return form.alphabet
-        return None
-
     def eval_log(self, values) -> LogC:
         if self.prefactor == 0:
             raise ZeroDivisionError("zero prefactor has no logarithm")
@@ -190,20 +172,6 @@ class GammaSinExpr:
             self.denominator + other.denominator,
         )
 
-    def render(self, cons: LinForm = None) -> str:
-        def side(factors):
-            bits = []
-            for kind, form in factors:
-                text = pretty_str(form, cons) if cons is not None else str(form)
-                bits.append(("G[%s]" if kind == FACTOR_GAMMA else "sin(pi(%s))") % text)
-            return " ".join(bits) or "1"
-
-        head = "" if self.prefactor == 1 else f"{self.prefactor} "
-        out = head + side(self.numerator)
-        if self.denominator:
-            out += " / " + side(self.denominator)
-        return out
-
 
 # ---------------------------------------------------------------------------
 # function terms and relations
@@ -228,13 +196,12 @@ class FunTerm:
             raise ValueError(f"unknown function kind {self.kind!r}")
         if len(self.args) != _ARITY[self.kind]:
             raise ValueError(f"{self.kind} takes {_ARITY[self.kind]} arguments")
-        cons = _cons_for(self.args[0].alphabet)
         if self.kind == "M":
             combo = sum(self.args[1:], -self.args[0] * 3) - 2
         else:
             combo = sum(self.args[4:7], LinForm.const_form(self.args[0].alphabet, -1))
             combo = combo - sum(self.args[0:4], LinForm.const_form(self.args[0].alphabet, 0))
-        if not combo.reduced(cons).is_zero():
+        if not combo.reduced().is_zero():
             raise ValueError(f"{self.kind} arguments leave the defining hyperplane")
 
     @property
@@ -265,23 +232,11 @@ class FunTerm:
 
     def classify(self):
         """Coset label of the argument arrangement (group images only)."""
-        cons = _cons_for(self.alphabet)
-        vec = SymVec(self.args, cons)
         if self.kind == "M":
-            return classify_m(vec)
+            return classify_m(self.args)
         if self.kind == "J":
-            return classify_j(vec)
-        return classify_l(vec)
-
-    def render(self, cons: LinForm = None) -> str:
-        texts = [pretty_str(a, cons) if cons is not None else str(a) for a in self.args]
-        if self.kind == "M":
-            inner = "%s; %s; %s" % (texts[0], texts[1], ", ".join(texts[2:]))
-        elif self.kind == "J":
-            inner = "%s; %s; %s" % (texts[0], ", ".join(texts[1:4]), ", ".join(texts[4:]))
-        else:
-            inner = "%s; %s; %s" % (", ".join(texts[0:4]), texts[4], ", ".join(texts[5:]))
-        return f"{self.kind}[{inner}]"
+            return classify_j(self.args)
+        return classify_l(self.args)
 
 
 @dataclass(frozen=True)
@@ -331,14 +286,13 @@ _L_COSET_TEXTS = {
 
 
 @lru_cache(maxsize=1)
-def xfromw() -> SymVec:
+def xfromw() -> tuple:
     """The seven-slot letters written in the eight-slot letters.
 
     The b and h coordinates do not appear: these are exactly the letters
     that survive the limit.
     """
-    entries = [LinForm.parse(t, W_SYMBOLS) for t in _XFROMW_TEXTS]
-    return SymVec(entries, _W_CONS)
+    return tuple(LinForm.parse(t, W_SYMBOLS) for t in _XFROMW_TEXTS)
 
 
 @lru_cache(maxsize=None)
@@ -349,8 +303,7 @@ def l_coset_args(label) -> tuple:
         raise ValueError("need an L label")
     texts = _L_COSET_TEXTS[str(label)]
     args = tuple(LinForm.parse(t, V_SYMBOLS) for t in texts)
-    vec = SymVec(args, _V_CONS)
-    assert classify_l(vec) == label
+    assert classify_l(args) == label
     return args
 
 
@@ -371,11 +324,10 @@ class AppendixRow:
     target_args: tuple
 
     def __post_init__(self):
-        vec = SymVec(self.m_args, _W_CONS)
-        if classify_m(vec) != self.label:
+        if classify_m(self.m_args) != self.label:
             raise ValueError("second slot does not classify to the row label")
         color = orbit_color(self.label)
-        bcoefs = [a.reduced(_W_CONS).coef("b") for a in self.m_args]
+        bcoefs = [a.reduced().coef("b") for a in self.m_args]
         if color == "J":
             want = [0, 0, 0, 0, 0, 0, 1, -1]
         else:
@@ -387,7 +339,7 @@ class AppendixRow:
                 f"b pattern {bcoefs} for {self.label}"
             )
         for a in self.target_args:
-            if a.reduced(_W_CONS).coef("b") != 0:
+            if a.reduced().coef("b") != 0:
                 raise ValueError("target arguments must be free of the shifted letter")
 
     def target_term(self) -> FunTerm:
@@ -397,10 +349,10 @@ class AppendixRow:
         return {
             "label": str(self.label),
             "color": self.target_color,
-            "m_args": [pretty_str(a, _W_CONS) for a in self.m_args],
+            "m_args": [pretty_str(a) for a in self.m_args],
             "target_kind": self.target_kind,
             "target_label": str(self.target_label),
-            "target_args": [pretty_str(a, _W_CONS) for a in self.target_args],
+            "target_args": [pretty_str(a) for a in self.target_args],
         }
 
 
@@ -426,11 +378,11 @@ def fixture_rows() -> tuple:
         lab_text, m_text, t_text, ta_text = (part.strip() for part in line.split("|"))
         label = parse_label(lab_text)
         m_args = tuple(
-            LinForm.parse(t, W_SYMBOLS).reduced(_W_CONS) for t in m_text.split(";")
+            LinForm.parse(t, W_SYMBOLS).reduced() for t in m_text.split(";")
         )
         kind, t_lab = t_text.split()
         target_args = tuple(
-            LinForm.parse(t, W_SYMBOLS).reduced(_W_CONS) for t in ta_text.split(";")
+            LinForm.parse(t, W_SYMBOLS).reduced() for t in ta_text.split(";")
         )
         rows.append(_FixtureRow(label, m_args, kind, parse_label(t_lab), target_args))
     if len(rows) != 56:
@@ -450,10 +402,10 @@ def bfs_m_args(label) -> tuple:
     """
     label = parse_label(label) if isinstance(label, str) else label
     word = representative_words("M")[label]
-    vec = word_to_matrix(word, "w").apply(identity_symvec("w"))
-    if classify_m(vec) != label:
+    forms = word_to_matrix(word, "w").apply(identity_symvec("w"))
+    if classify_m(forms) != label:
         raise AssertionError(f"word for {label} classifies elsewhere")
-    return tuple(e.reduced(_W_CONS) for e in vec.entries)
+    return tuple(e.reduced() for e in forms)
 
 
 @lru_cache(maxsize=1)
@@ -478,7 +430,7 @@ def appendix_table() -> tuple:
         if t_label != fix.target_label:
             raise AssertionError(f"{fix.label}: target label mismatch")
         route = bfs_m_args(fix.label)
-        if route[1] != fix.m_args[1].reduced(_W_CONS):
+        if route[1] != fix.m_args[1].reduced():
             raise AssertionError(
                 f"{fix.label}: representative word lands in a different coset"
             )
@@ -506,16 +458,16 @@ def _gamma2_target(label: MLabel) -> FunTerm:
     color, t_label = jl_label(label)
     x = xfromw()
     if isinstance(t_label, LLabel):
-        args = tuple(f.substitute(x.entries) for f in l_coset_args(t_label))
+        args = tuple(f.substitute(x) for f in l_coset_args(t_label))
         kind = "L"
     else:
         word = representative_words("J")[t_label]
         beta = word_to_matrix(word, "v")
         if classify_j(beta.apply(identity_symvec("v"))) != t_label:
             raise AssertionError(f"word for {t_label} classifies elsewhere")
-        args = beta.apply(x).entries
+        args = beta.apply(x)
         kind = "J"
-    return FunTerm(kind, tuple(a.reduced(_W_CONS) for a in args))
+    return FunTerm(kind, tuple(a.reduced() for a in args))
 
 
 def gamma2_target(t) -> FunTerm:
@@ -552,7 +504,7 @@ def limit_target_template(t) -> FunTerm:
             one + m[0] - m[4],
             one + m[0] - m[5],
         )
-    return FunTerm(row.target_kind, tuple(a.reduced(_W_CONS) for a in args))
+    return FunTerm(row.target_kind, tuple(a.reduced() for a in args))
 
 
 def limit_normalizer(t) -> GammaSinExpr:
@@ -606,7 +558,7 @@ def _shifted_point(p: PointW, t: float) -> PointW:
     return PointW(p.a, p.b + 1j * t, p.c, p.d, p.e, p.f, p.g)
 
 
-def check_limit(t, p: PointW, shifts=(8.0, 16.0, 32.0), ctrl: SeriesCtrl = None,
+def check_limit(t, p: PointW, shifts=SHIFTS, ctrl: SeriesCtrl = None,
                 decay: float = LIMIT_DECAY) -> LimitReport:
     """Drive the normalized row at p through the shifts and compare against
     pi/2 times the target value; the verdict wants strictly decreasing
@@ -762,8 +714,7 @@ def translate_relation(r: Relation, word, side: str) -> Relation:
     """Exact substitution of a group word into every symbolic form."""
     side = side.lower()
     word = tuple(word)
-    sym = word_to_matrix(word, side).apply(identity_symvec(side))
-    forms = sym.entries
+    forms = word_to_matrix(word, side).apply(identity_symvec(side))
     terms = tuple(
         (coef.substitute(forms), fun.substitute(forms)) for coef, fun in r.terms
     )
@@ -863,7 +814,7 @@ def pipeline_x_args(p: PointW) -> tuple:
     return tuple(f.evaluate(p.args()) for f in _pipeline_x_forms())
 
 
-def limit222_pipeline(p: PointW, shifts=(8.0, 16.0, 32.0), ctrl: SeriesCtrl = None) -> dict:
+def limit222_pipeline(p: PointW, shifts=SHIFTS, ctrl: SeriesCtrl = None) -> dict:
     """Follow the rearranged three-term relation through the limit.
 
     Five stages: the base relation holds at p; the rearranged relation holds
@@ -961,7 +912,7 @@ def _point_dict(p: PointW) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def limit_probe_args(t, p: PointW, shifts=(8.0, 16.0, 32.0)):
+def limit_probe_args(t, p: PointW, shifts=SHIFTS):
     """Gamma/sine arguments check_limit evaluates for this row at p."""
     row = appendix_row(t)
     norm = limit_normalizer(t)
@@ -978,7 +929,7 @@ def limit_probe_args(t, p: PointW, shifts=(8.0, 16.0, 32.0)):
     return tuple(gammas), tuple(sins)
 
 
-def pipeline_probe_args(p: PointW, shifts=(8.0, 16.0, 32.0)):
+def pipeline_probe_args(p: PointW, shifts=SHIFTS):
     """Gamma/sine arguments the pipeline evaluates for a candidate point."""
     rels = builtin_relations()
     gammas, sins = [], []

@@ -33,12 +33,9 @@ import numpy as np
 from .exactalg import (
     LinForm,
     SUBGROUP_WORDS,
-    SymVec,
     V_SYMBOLS,
     W_GENERATOR_NAMES,
     W_SYMBOLS,
-    v_constraint,
-    w_constraint,
 )
 
 __all__ = [
@@ -126,9 +123,6 @@ class JLabel:
 
     def __str__(self):
         return self.pn_name()
-
-    def string(self) -> str:
-        return "".join("+" if s > 0 else "-" for s in self.signs)
 
     def pn_name(self) -> str:
         # halves with an even minus count mean a p label, odd means n
@@ -320,25 +314,25 @@ def _x_forms():
 
 @lru_cache(maxsize=1)
 def _m_classify_table():
-    cons = w_constraint()
     x = _x_forms()
     table = {}
     for i, j in combinations(range(8), 2):
-        plus = (x[i] + x[j] - x[7]).reduced(cons)
-        minus = (LinForm.const_form(W_SYMBOLS, 1) + x[7] - x[i] - x[j]).reduced(cons)
+        plus = (x[i] + x[j] - x[7]).reduced()
+        minus = (LinForm.const_form(W_SYMBOLS, 1) + x[7] - x[i] - x[j]).reduced()
         table[plus] = MLabel(1, i, j)
         table[minus] = MLabel(-1, i, j)
     assert len(table) == 56, "coset-defining forms must be pairwise distinct"
     return table
 
 
-def classify_m(vec: SymVec) -> MLabel:
-    """Label of the coset containing the group element that produced vec.
+def classify_m(forms: Sequence[LinForm]) -> MLabel:
+    """Label of the coset containing the group element that produced the
+    eight forms (its image of the symbol forms).
 
     The second slot determines the coset; it must match one of the 56
-    defining forms modulo the constraint.
+    defining forms modulo the hyperplane.
     """
-    f = vec.entries[1].reduced(vec.constraint)
+    f = forms[1].reduced()
     table = _m_classify_table()
     if f not in table:
         raise ValueError(f"second slot {f} matches no coset form")
@@ -347,7 +341,6 @@ def classify_m(vec: SymVec) -> MLabel:
 
 @lru_cache(maxsize=1)
 def _j_classify_table():
-    cons = v_constraint()
     a_forms = [LinForm.symbol(V_SYMBOLS, s) for s in ("A", "B", "C", "D")]
     e_forms = [
         LinForm.const_form(V_SYMBOLS, 1),
@@ -358,17 +351,17 @@ def _j_classify_table():
     table = {}
     for q in range(4):
         for r in range(4):
-            p_form = (LinForm.const_form(V_SYMBOLS, 1) + a_forms[r] - e_forms[q]).reduced(cons)
-            n_form = (e_forms[q] - a_forms[r]).reduced(cons)
+            p_form = (LinForm.const_form(V_SYMBOLS, 1) + a_forms[r] - e_forms[q]).reduced()
+            n_form = (e_forms[q] - a_forms[r]).reduced()
             table[p_form] = j_label_from_name(f"p{4 * q + r}")
             table[n_form] = j_label_from_name(f"n{4 * q + r}")
     assert len(table) == 32, "coset-defining forms must be pairwise distinct"
     return table
 
 
-def classify_j(vec: SymVec) -> JLabel:
-    """J label determined by the first slot of a seven-slot symbolic vector."""
-    f = vec.entries[0].reduced(vec.constraint)
+def classify_j(forms: Sequence[LinForm]) -> JLabel:
+    """J label determined by the first of seven forms, modulo the hyperplane."""
+    f = forms[0].reduced()
     table = _j_classify_table()
     if f not in table:
         raise ValueError(f"first slot {f} matches no J coset form")
@@ -387,30 +380,28 @@ _L_INVARIANT_FORMS = {
 
 @lru_cache(maxsize=1)
 def _l_classify_table():
-    cons = v_constraint()
     table = {}
     for text, name in _L_INVARIANT_FORMS.items():
         inner = text[1:].split(")")[0]
         form = LinForm.parse(inner, V_SYMBOLS) * Fraction(1, 4)
-        plus = form.reduced(cons)
-        minus = (-form).reduced(cons)
+        plus = form.reduced()
+        minus = (-form).reduced()
         table[plus] = parse_label(name)
         table[minus] = parse_label(name + "bar")
     assert len(table) == 12, "coset-defining forms must be pairwise distinct"
     return table
 
 
-def classify_l(vec: SymVec) -> LLabel:
-    """L label of a group-transformed identity vector.
+def classify_l(forms: Sequence[LinForm]) -> LLabel:
+    """L label of seven forms: a group image of the symbol forms.
 
-    The classifying quantity is (slot6 + slot7 - slot5 - 1)/4, which the
-    arrangement-fixing subgroup leaves unchanged; the identity classifies
-    as label 4.  (The raw fifth slot is *not* a coset invariant: within one
-    coset different representatives show different fifth-slot forms.)
+    The classifying quantity is (slot6 + slot7 - slot5 - 1)/4 modulo the
+    hyperplane, which the arrangement-fixing subgroup leaves unchanged; the
+    identity classifies as label 4.  (The raw fifth slot is *not* a coset
+    invariant: within one coset different representatives show different
+    fifth-slot forms.)
     """
-    one = LinForm.const_form(vec.constraint.alphabet, 1)
-    psi = (vec.entries[5] + vec.entries[6] - vec.entries[4] - one) * Fraction(1, 4)
-    r = psi.reduced(vec.constraint)
+    r = ((forms[5] + forms[6] - forms[4] - 1) * Fraction(1, 4)).reduced()
     table = _l_classify_table()
     if r not in table:
         raise ValueError(f"arrangement invariant {r} matches no L coset form")

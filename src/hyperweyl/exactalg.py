@@ -1,12 +1,14 @@
 """Exact affine-linear forms over parameter alphabets, and the matrix groups
 that act on them.
 
-Two alphabets are in play: the eight-symbol one (a..h), constrained by
-b+c+d+e+f+g+h = 2+3a, and the seven-symbol one (A..G), constrained by
-E+F+G = 1+A+B+C+D.  A LinForm is an affine-linear combination with exact
-rational coefficients, held as integer numerators over one denominator in
-lowest terms; equality is always tested either exactly or modulo the
-alphabet's constraint (by comparing the reduced forms).
+Two alphabets are in play: the eight-symbol one (a..h), living on the
+hyperplane b+c+d+e+f+g+h = 2+3a, and the seven-symbol one (A..G), living on
+the Saalschuetzian hyperplane E+F+G = 1+A+B+C+D.  ``HYPERPLANES`` holds the
+two, keyed by alphabet.  A LinForm is an affine-linear combination with
+exact rational coefficients, held as integer numerators over one
+denominator in lowest terms; equality is always tested either exactly or
+modulo its own alphabet's hyperplane (by comparing ``reduced()`` forms).
+A vector of forms is a plain tuple of LinForms sharing one alphabet.
 
 Matrices are stored doubled (2x entries) in int64 numpy arrays so that the
 half-integer entries occurring here stay exact.  Every product checks that
@@ -19,7 +21,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -223,22 +225,23 @@ class LinForm:
             z += c * values[i]
         return z
 
-    def reduced(self, constraint: "LinForm") -> "LinForm":
-        """Canonical form modulo the constraint: zero the last symbol's coefficient.
+    def reduced(self) -> "LinForm":
+        """Canonical form modulo the alphabet's hyperplane: zero the last
+        symbol's coefficient.
 
-        The constraint must have nonzero coefficient on the last symbol.
+        Raises ValueError for an alphabet without a hyperplane.
         """
-        self._check(constraint)
-        clast = constraint._num[-1]
-        if clast == 0:
-            raise ValueError("constraint has no last-symbol coefficient")
+        plane = HYPERPLANES.get(self.alphabet)
+        if plane is None:
+            raise ValueError(f"alphabet {''.join(self.alphabet)} has no hyperplane")
         last = self._num[-1]
         if last == 0:
             return self
-        # self - (last/clast) * constraint, over the denominator den * clast
+        clast = plane._num[-1]
+        # self - (last/clast) * plane, over the denominator den * clast
         return _form(
             self.alphabet,
-            tuple(x * clast - last * y for x, y in zip(self._num, constraint._num)),
+            tuple(x * clast - last * y for x, y in zip(self._num, plane._num)),
             self._den * clast,
         )
 
@@ -256,76 +259,39 @@ class LinForm:
         return f"LinForm({self!s})"
 
 
-def w_constraint() -> LinForm:
-    """b+c+d+e+f+g+h-3a-2, the defining hyperplane of the eight-symbol alphabet."""
-    return LinForm(W_SYMBOLS, -2, [-3, 1, 1, 1, 1, 1, 1, 1])
+# the defining hyperplane of each alphabet, as a form vanishing on it; each
+# has a nonzero coefficient on its alphabet's last symbol
+HYPERPLANES = {
+    W_SYMBOLS: LinForm(W_SYMBOLS, -2, [-3, 1, 1, 1, 1, 1, 1, 1]),  # b+...+h-3a-2
+    V_SYMBOLS: LinForm(V_SYMBOLS, -1, [-1, -1, -1, -1, 1, 1, 1]),  # E+F+G-A-B-C-D-1
+}
 
 
-def v_constraint() -> LinForm:
-    """E+F+G-A-B-C-D-1, the Saalschuetzian hyperplane of the seven-symbol alphabet."""
-    return LinForm(V_SYMBOLS, -1, [-1, -1, -1, -1, 1, 1, 1])
-
-
-def pretty_str(form: LinForm, constraint: LinForm) -> str:
-    """Shortest rendering of the form among natural constraint reductions.
+def pretty_str(form: LinForm) -> str:
+    """Shortest rendering of the form among natural hyperplane reductions.
 
     The canonical (last-symbol-free) form is not always the most readable;
     this tries zeroing each coefficient in turn and picks the rendering with
     fewest terms, breaking ties toward the canonical one.
     """
-    candidates = [form.reduced(constraint)]
-    for c, cc in zip(form._num[1:], constraint._num[1:]):
+    candidates = [form.reduced()]
+    plane = HYPERPLANES[form.alphabet]
+    for c, cc in zip(form._num[1:], plane._num[1:]):
         if cc:
-            candidates.append(form - constraint * Fraction(c * constraint._den, form._den * cc))
+            candidates.append(form - plane * Fraction(c * plane._den, form._den * cc))
     # min keeps the first of equal keys, the canonical form
     return str(min(candidates, key=lambda f: (sum(1 for x in f._num if x), len(str(f)))))
 
 
-class SymVec:
-    """Vector of LinForms sharing one alphabet, with the ambient constraint."""
-
-    __slots__ = ("entries", "constraint")
-
-    def __init__(self, entries: Iterable[LinForm], constraint: LinForm):
-        self.entries = tuple(entries)
-        self.constraint = constraint
-        for e in self.entries:
-            if e.alphabet != constraint.alphabet:
-                raise ValueError("entry alphabet mismatch")
-
-    def __len__(self):
-        return len(self.entries)
-
-    def __getitem__(self, i):
-        return self.entries[i]
-
-    def reduced(self) -> "SymVec":
-        return SymVec([e.reduced(self.constraint) for e in self.entries], self.constraint)
-
-    def evaluate(self, values: Sequence[complex]):
-        return tuple(e.evaluate(values) for e in self.entries)
-
-    def __eq__(self, other):
-        if not isinstance(other, SymVec):
-            return NotImplemented
-        return self.entries == other.entries and self.constraint == other.constraint
-
-    def __hash__(self):
-        return hash((self.entries, self.constraint))
-
-    def __repr__(self):
-        return "SymVec(" + ", ".join(str(e) for e in self.entries) + ")"
-
-
-def identity_symvec(side: str) -> SymVec:
-    """The coordinate vector of the given side ("w" eight slots, "v" seven)."""
+def identity_symvec(side: str) -> tuple:
+    """The symbol forms of the given side ("w" eight slots, "v" seven)."""
     if side == "w":
-        syms, cons = W_SYMBOLS, w_constraint()
+        syms = W_SYMBOLS
     elif side == "v":
-        syms, cons = V_SYMBOLS, v_constraint()
+        syms = V_SYMBOLS
     else:
         raise ValueError("side must be 'w' or 'v'")
-    return SymVec([LinForm.symbol(syms, s) for s in syms], cons)
+    return tuple(LinForm.symbol(syms, s) for s in syms)
 
 
 class RatMatrix:
@@ -409,33 +375,28 @@ class RatMatrix:
             return NotImplemented
         return np.array_equal(self.twice, other.twice)
 
-    def __hash__(self):
-        return hash(self.key())
-
-    def key(self) -> bytes:
-        """Hashable canonical encoding (int16 is ample for checked entries)."""
-        return self.twice.astype(np.int16).tobytes()
-
     def is_identity(self) -> bool:
         return np.array_equal(self.twice, 2 * np.eye(self.order, dtype=np.int64))
 
     def entry(self, i: int, j: int) -> Fraction:
         return Fraction(int(self.twice[i, j]), 2)
 
-    def apply(self, vec: SymVec) -> SymVec:
-        """Matrix action on a symbolic vector (rows dot entries)."""
-        if self.order != len(vec):
+    def apply(self, forms: Sequence[LinForm]) -> tuple:
+        """Matrix action on a vector of forms (rows dot entries).
+
+        The forms must share one alphabet; the image is a tuple of forms in it.
+        """
+        if self.order != len(forms):
             raise ValueError("dimension mismatch")
-        alphabet = vec.constraint.alphabet
-        den = lcm(*(e._den for e in vec.entries))
-        # slot k of every entry over the common denominator
-        slots = tuple(zip(*(tuple(x * (den // e._den) for x in e._num) for e in vec.entries)))
-        return SymVec(
-            [
-                _form(alphabet, tuple(sum(map(mul, row, slot)) for slot in slots), 2 * den)
-                for row in self.twice.tolist()
-            ],
-            vec.constraint,
+        alphabet = forms[0].alphabet
+        if any(f.alphabet != alphabet for f in forms):
+            raise ValueError("forms must share one alphabet")
+        den = lcm(*(f._den for f in forms))
+        # slot k of every form over the common denominator
+        slots = tuple(zip(*(tuple(x * (den // f._den) for x in f._num) for f in forms)))
+        return tuple(
+            _form(alphabet, tuple(sum(map(mul, row, slot)) for slot in slots), 2 * den)
+            for row in self.twice.tolist()
         )
 
     def apply_values(self, values: Sequence[complex]):
@@ -495,20 +456,6 @@ def _x1_matrix() -> RatMatrix:
     return RatMatrix.from_rows(rows)
 
 
-def _central_w() -> RatMatrix:
-    # unique linear map acting as w -> (1,...,1) - w on the constrained hyperplane
-    phi = np.array([-3, 1, 1, 1, 1, 1, 1, 1], dtype=np.int64)
-    t = np.tile(phi, (8, 1)) - 2 * np.eye(8, dtype=np.int64)
-    return RatMatrix(t)
-
-
-def _central_v() -> RatMatrix:
-    # word formula: (14)(23) [ ((1234)(567))^2 X1 ]^4
-    rot = RatMatrix.permutation([(1, 2, 3, 4), (5, 6, 7)], 7)
-    inner = (rot @ rot) @ _x1_matrix()
-    return RatMatrix.permutation([(1, 4), (2, 3)], 7) @ (inner ** 4)
-
-
 W_GENERATOR_NAMES = ("s1", "s2", "s3", "s4", "s5", "s3'", "s6")
 V_GENERATOR_NAMES = ("a1", "a2", "a3", "a4", "a5", "a1'")
 
@@ -540,8 +487,6 @@ def _build_v_generators():
 
 W_GENERATORS = _build_w_generators()
 V_GENERATORS = _build_v_generators()
-CENTRAL_W = _central_w()
-CENTRAL_V = _central_v()
 
 
 def generator(side: str, name: str) -> RatMatrix:
@@ -552,27 +497,18 @@ def generator(side: str, name: str) -> RatMatrix:
 
 
 def word_to_matrix(word: Sequence[str], side: str) -> RatMatrix:
-    """Product of generator matrices along the word (first letter leftmost).
-
-    The derived central involutions are available as the words ("Z",) on the
-    "w" side and ("Z1",) on the "v" side.
-    """
+    """Product of generator matrices along the word (first letter leftmost)."""
     if side == "w":
         table, n = W_GENERATORS, 8
-        extra = {"Z": CENTRAL_W}
     elif side == "v":
         table, n = V_GENERATORS, 7
-        extra = {"Z1": CENTRAL_V}
     else:
         raise ValueError("side must be 'w' or 'v'")
     out = RatMatrix.identity(n)
     for name in word:
-        if name in table:
-            out = out @ table[name]
-        elif name in extra:
-            out = out @ extra[name]
-        else:
+        if name not in table:
             raise KeyError(f"unknown generator {name!r}")
+        out = out @ table[name]
     return out
 
 

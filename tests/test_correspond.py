@@ -12,7 +12,7 @@ import random
 import pytest
 
 from hyperweyl.coxeter import MLabel, all_m_labels, parse_label
-from hyperweyl.exactalg import LinForm, V_SYMBOLS, W_SYMBOLS, w_constraint
+from hyperweyl.exactalg import LinForm, V_SYMBOLS, W_SYMBOLS
 from hyperweyl.hypnum import (
     LogC,
     PointW,
@@ -53,7 +53,6 @@ from hyperweyl.correspond import (
     xfromw,
 )
 
-W_CONS = w_constraint()
 B = W_SYMBOLS.index("b")
 
 Q_GENERATORS_W = ("s1", "s2", "s3", "s4", "s5", "s3'")
@@ -61,7 +60,7 @@ Q_GENERATORS_V = ("a1", "a2", "a3", "a4", "a5", "a1'")
 
 
 def form_key(f):
-    r = f.reduced(W_CONS)
+    r = f.reduced()
     return (r.const, r.coefs)
 
 
@@ -84,14 +83,14 @@ def test_table_census():
 
 def test_row_structure():
     for row in appendix_table():
-        bcoefs = [a.reduced(W_CONS).coefs[B] for a in row.m_args]
+        bcoefs = [a.reduced().coefs[B] for a in row.m_args]
         if row.target_color == "J":
             assert bcoefs == [0, 0, 0, 0, 0, 0, 1, -1]
         else:
             s = 1 if row.target_color == "blue" else -1
             assert bcoefs == [0, s, 0, 0, 0, 0, 0, -s]
         for a in row.target_args:
-            assert a.reduced(W_CONS).coefs[B] == 0
+            assert a.reduced().coefs[B] == 0
         assert str(appendix_row(str(row.label)).label) == str(row.label)
 
 
@@ -175,10 +174,10 @@ def test_l_coset_args_all_classify():
 
 def test_xfromw_satisfies_target_constraint():
     x = xfromw()
-    total = x.entries[4] + x.entries[5] + x.entries[6]
+    total = x[4] + x[5] + x[6]
     for k in range(4):
-        total = total - x.entries[k]
-    r = (total - LinForm.const_form(W_SYMBOLS, 1)).reduced(W_CONS)
+        total = total - x[k]
+    r = (total - LinForm.const_form(W_SYMBOLS, 1)).reduced()
     assert r.const == 0 and not any(r.coefs)
 
 
@@ -377,7 +376,7 @@ def test_normalizer_is_b_aware():
         norm = limit_normalizer(label)
         touched = False
         for kind, f in norm.numerator + norm.denominator:
-            if f.reduced(W_CONS).coefs[B] != 0:
+            if f.reduced().coefs[B] != 0:
                 touched = True
         assert touched
 

@@ -92,10 +92,10 @@ def test_parse_sign_string_and_names():
 def test_j_names_bijective():
     names = {lab.pn_name() for lab in all_j_labels()}
     assert len(names) == 32
-    strings = {lab.string() for lab in all_j_labels()}
-    assert len(strings) == 32
-    for s in strings:
-        assert s.count("-") % 2 == 0
+    signs = {lab.signs for lab in all_j_labels()}
+    assert len(signs) == 32
+    for s in signs:
+        assert s.count(-1) % 2 == 0
 
 
 def test_j_label_rejects_odd_strings():

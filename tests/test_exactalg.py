@@ -1,4 +1,4 @@
-"""Exact algebra layer: forms, constraints, generator matrices, presentations."""
+"""Exact algebra layer: forms, hyperplanes, generator matrices, presentations."""
 
 from fractions import Fraction
 
@@ -7,13 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hyperweyl.exactalg import (
-    CENTRAL_V,
-    CENTRAL_W,
     ExactArithmeticError,
+    HYPERPLANES,
     LinForm,
     RatMatrix,
     SUBGROUP_GENERATORS,
-    SymVec,
     V_GENERATOR_NAMES,
     V_GENERATORS,
     V_SYMBOLS,
@@ -22,8 +20,7 @@ from hyperweyl.exactalg import (
     W_SYMBOLS,
     coxeter_order,
     identity_symvec,
-    v_constraint,
-    w_constraint,
+    pretty_str,
     word_to_matrix,
 )
 
@@ -54,20 +51,27 @@ def test_canonical_str_is_alphabet_ordered():
 
 
 def test_reduced_zeroes_last_symbol():
-    f = WF("h").reduced(w_constraint())
+    f = WF("h").reduced()
     assert f.coef("h") == 0
     assert f == WF("2+3a-b-c-d-e-f-g")
-    g = VF("2-G").reduced(v_constraint())
+    g = VF("2-G").reduced()
     assert g.coef("G") == 0
     assert g == VF("1-A-B-C-D+E+F")
 
 
 def test_reduced_forms_agree_modulo_the_constraint():
-    c = w_constraint()
-    assert WF("h").reduced(c) == WF("2+3a-b-c-d-e-f-g").reduced(c)
-    assert WF("h").reduced(c) != WF("g").reduced(c)
-    cv = v_constraint()
-    assert VF("E+F-B-C").reduced(cv) == VF("1+A+D-G").reduced(cv)
+    assert WF("h").reduced() == WF("2+3a-b-c-d-e-f-g").reduced()
+    assert WF("h").reduced() != WF("g").reduced()
+    assert VF("E+F-B-C").reduced() == VF("1+A+D-G").reduced()
+
+
+def test_an_alphabet_without_a_hyperplane_has_no_reduction():
+    # the six free coordinates of the twiddle parametrisation are unconstrained
+    f = LinForm.parse("1+u-2z", "uvwxyz")
+    with pytest.raises(ValueError, match="no hyperplane"):
+        f.reduced()
+    with pytest.raises(ValueError, match="no hyperplane"):
+        pretty_str(f)
 
 
 @given(
@@ -77,13 +81,12 @@ def test_reduced_forms_agree_modulo_the_constraint():
 )
 @settings(max_examples=60, deadline=None)
 def test_reduced_is_shift_invariant(coefs, const, lam):
-    c = w_constraint()
     f = LinForm(W_SYMBOLS, const, coefs)
-    g = f + c * lam
-    assert f.reduced(c) == g.reduced(c)
+    g = f + HYPERPLANES[W_SYMBOLS] * lam
+    assert f.reduced() == g.reduced()
     if lam != 0:
         # adding a non-multiple breaks it
-        assert f.reduced(c) != (g + LinForm.symbol(W_SYMBOLS, "a")).reduced(c)
+        assert f.reduced() != (g + LinForm.symbol(W_SYMBOLS, "a")).reduced()
 
 
 @given(st.lists(st.integers(-6, 6), min_size=8, max_size=8))
@@ -180,11 +183,9 @@ def test_integer_linform_matches_the_fraction_reference(f, g, k, forms, twice):
     assert _same(f * k, rf * k)
     assert _same(k * f, rf * k)
     assert _same(f.substitute(forms), rf.substitute([_RefForm.of(x) for x in forms]))
-    for cons in (w_constraint(), w_constraint() * Fraction(-3, 2)):
-        assert _same(f.reduced(cons), rf.reduced(_RefForm.of(cons)))
+    assert _same(f.reduced(), rf.reduced(_RefForm.of(HYPERPLANES[W_SYMBOLS])))
     # half-integer matrix action, row by row
-    vec = SymVec(forms, w_constraint())
-    got = RatMatrix(twice).apply(vec).entries
+    got = RatMatrix(twice).apply(forms)
     for row, out in zip(twice, got):
         ref = _RefForm(0, [0] * 8)
         for t, x in zip(row, forms):
@@ -216,67 +217,51 @@ def test_half_integer_closure_is_checked():
 
 def test_known_generator_actions():
     idw = identity_symvec("w")
-    got = W_GENERATORS["s3'"].apply(idw).reduced()
+    got = W_GENERATORS["s3'"].apply(idw)
     expected = ["1+2a-c-d-e", "b", "1+a-d-e", "1+a-c-e", "1+a-c-d", "f", "g", "h"]
-    cw = w_constraint()
-    for e, s in zip(got.entries, expected):
-        assert e.reduced(cw) == WF(s).reduced(cw)
+    for e, s in zip(got, expected):
+        assert e.reduced() == WF(s).reduced()
 
     got_y = word_to_matrix(["s1"], "w").apply(idw)
     expected_s1 = ["2c-a", "c+b-a", "c", "c+d-a", "c+e-a", "c+f-a", "c+g-a", "c+h-a"]
-    for e, s in zip(got_y.entries, expected_s1):
-        assert e.reduced(cw) == WF(s).reduced(cw)
+    for e, s in zip(got_y, expected_s1):
+        assert e.reduced() == WF(s).reduced()
 
     idv = identity_symvec("v")
     got_x1 = V_GENERATORS["a3"].apply(idv)
     expected_x1 = ["A", "E-C", "E-B", "D", "E", "1+A+D-G", "1+A+D-F"]
-    cv = v_constraint()
-    for e, s in zip(got_x1.entries, expected_x1):
-        assert e.reduced(cv) == VF(s).reduced(cv)
+    for e, s in zip(got_x1, expected_x1):
+        assert e.reduced() == VF(s).reduced()
 
 
-def test_central_involutions():
-    cw = w_constraint()
+def test_apply_takes_forms_of_one_alphabet():
     idw = identity_symvec("w")
-    zw = CENTRAL_W.apply(idw)
-    for e, s in zip(zw.entries, ["1-a", "1-b", "1-c", "1-d", "1-e", "1-f", "1-g", "1-h"]):
-        assert e.reduced(cw) == WF(s).reduced(cw)
-    assert (CENTRAL_W @ CENTRAL_W).is_identity()
-    for name in W_GENERATOR_NAMES:
-        g = W_GENERATORS[name]
-        assert (CENTRAL_W @ g) == (g @ CENTRAL_W)
-
-    cv = v_constraint()
-    idv = identity_symvec("v")
-    zv = CENTRAL_V.apply(idv)
-    for e, s in zip(zv.entries, ["1-A", "1-B", "1-C", "1-D", "2-E", "2-F", "2-G"]):
-        assert e.reduced(cv) == VF(s).reduced(cv)
-    assert (CENTRAL_V @ CENTRAL_V).is_identity()
-    for name in V_GENERATOR_NAMES:
-        g = V_GENERATORS[name]
-        assert (CENTRAL_V @ g) == (g @ CENTRAL_V)
+    assert identity_symvec("v") == tuple(LinForm.symbol(V_SYMBOLS, s) for s in V_SYMBOLS)
+    assert RatMatrix.identity(8).apply(idw) == idw
+    # the v-side matrices act on seven forms of any one alphabet
+    mixed = identity_symvec("v")[:6] + (LinForm.symbol(W_SYMBOLS, "a"),)
+    with pytest.raises(ValueError, match="one alphabet"):
+        V_GENERATORS["a3"].apply(mixed)
+    with pytest.raises(ValueError, match="dimension"):
+        V_GENERATORS["a3"].apply(idw)
 
 
 def test_generators_preserve_constraint_functional():
-    # every group element fixes the constraint functional, so hyperplane
+    # every group element fixes the hyperplane functional, so hyperplane
     # membership is preserved exactly
-    cw = w_constraint()
     idw = identity_symvec("w")
     for name in W_GENERATOR_NAMES:
         v = W_GENERATORS[name].apply(idw)
-        total = v.entries[1]
-        for e in v.entries[2:]:
+        total = v[1]
+        for e in v[2:]:
             total = total + e
-        lhs = total - v.entries[0] * 3
-        assert lhs.reduced(cw) == LinForm.const_form(W_SYMBOLS, 2).reduced(cw)
-    cv = v_constraint()
+        lhs = total - v[0] * 3
+        assert lhs.reduced() == LinForm.const_form(W_SYMBOLS, 2).reduced()
     idv = identity_symvec("v")
     for name in V_GENERATOR_NAMES:
         v = V_GENERATORS[name].apply(idv)
-        lhs = v.entries[4] + v.entries[5] + v.entries[6] - (
-            v.entries[0] + v.entries[1] + v.entries[2] + v.entries[3]
-        )
-        assert lhs.reduced(cv) == LinForm.const_form(V_SYMBOLS, 1).reduced(cv)
+        lhs = v[4] + v[5] + v[6] - (v[0] + v[1] + v[2] + v[3])
+        assert lhs.reduced() == LinForm.const_form(V_SYMBOLS, 1).reduced()
 
 
 def test_coxeter_presentation_w_side():

@@ -1,0 +1,43 @@
+"""Every name a package module imports is used there or re-exported.
+
+A stdlib-only guard over the source: an import that outlives its last use
+(say after a class is deleted) fails here instead of lingering.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+import hyperweyl
+
+MODULES = sorted(Path(hyperweyl.__file__).parent.glob("*.py"))
+
+
+def _imported(tree):
+    """(bound name, line) of every import outside __future__."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield (alias.asname or alias.name.partition(".")[0]), node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                yield (alias.asname or alias.name), node.lineno
+
+
+def _exported(tree):
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            return set(ast.literal_eval(node.value))
+    return set()
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_every_import_is_used_or_exported(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    used |= _exported(tree)
+    unused = [f"{path.name}:{line}: {name}" for name, line in _imported(tree) if name not in used]
+    assert not unused, "imported but unused: " + ", ".join(unused)
