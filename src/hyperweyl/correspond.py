@@ -36,8 +36,8 @@ from .exactalg import (
     LinForm,
     V_SYMBOLS,
     W_SYMBOLS,
-    identity_symvec,
     pretty_str,
+    symbol_forms,
     word_to_matrix,
 )
 from .hypnum import (
@@ -46,7 +46,6 @@ from .hypnum import (
     PointV,
     PointW,
     PrecisionWarning,
-    SeriesCtrl,
     combine_exponentials,
     eval_J_log,
     eval_L_log,
@@ -211,13 +210,13 @@ class FunTerm:
     def numeric_args(self, values):
         return tuple(form.evaluate(values) for form in self.args)
 
-    def eval_log(self, values, ctrl: SeriesCtrl = None) -> LogC:
+    def eval_log(self, values) -> LogC:
         nums = self.numeric_args(values)
         if self.kind == "M":
-            return eval_M_log(nums, ctrl)
+            return eval_M_log(nums)
         if self.kind == "J":
-            return eval_J_log(nums, ctrl)
-        return eval_L_log(nums, ctrl)
+            return eval_J_log(nums)
+        return eval_L_log(nums)
 
     def substitute(self, forms: Sequence[LinForm]) -> "FunTerm":
         return FunTerm(self.kind, tuple(a.substitute(forms) for a in self.args))
@@ -381,6 +380,8 @@ def fixture_rows() -> tuple:
             LinForm.parse(t, W_SYMBOLS).reduced() for t in m_text.split(";")
         )
         kind, t_lab = t_text.split()
+        if kind not in ("J", "L"):
+            raise ValueError(f"{label}: target kind {kind!r} is neither J nor L")
         target_args = tuple(
             LinForm.parse(t, W_SYMBOLS).reduced() for t in ta_text.split(";")
         )
@@ -402,7 +403,7 @@ def bfs_m_args(label) -> tuple:
     """
     label = parse_label(label) if isinstance(label, str) else label
     word = representative_words("M")[label]
-    forms = word_to_matrix(word, "w").apply(identity_symvec("w"))
+    forms = word_to_matrix(word, "w").apply(symbol_forms("w"))
     if classify_m(forms) != label:
         raise AssertionError(f"word for {label} classifies elsewhere")
     return tuple(e.reduced() for e in forms)
@@ -463,7 +464,7 @@ def _gamma2_target(label: MLabel) -> FunTerm:
     else:
         word = representative_words("J")[t_label]
         beta = word_to_matrix(word, "v")
-        if classify_j(beta.apply(identity_symvec("v"))) != t_label:
+        if classify_j(beta.apply(symbol_forms("v"))) != t_label:
             raise AssertionError(f"word for {t_label} classifies elsewhere")
         args = beta.apply(x)
         kind = "J"
@@ -558,31 +559,29 @@ def _shifted_point(p: PointW, t: float) -> PointW:
     return PointW(p.a, p.b + 1j * t, p.c, p.d, p.e, p.f, p.g)
 
 
-def check_limit(t, p: PointW, shifts=SHIFTS, ctrl: SeriesCtrl = None,
-                decay: float = LIMIT_DECAY) -> LimitReport:
-    """Drive the normalized row at p through the shifts and compare against
+def check_limit(t, p: PointW, decay: float = LIMIT_DECAY) -> LimitReport:
+    """Drive the normalized row at p through SHIFTS and compare against
     pi/2 times the target value; the verdict wants strictly decreasing
     relative errors with the last at most `decay` times the first.  The
     report keeps the normalized shifted values, one per shift."""
     label = parse_label(t) if isinstance(t, str) else t
     row = appendix_row(label)
     norm = limit_normalizer(label)
-    shifts = tuple(float(s) for s in shifts)
     try:
-        target_log = row.target_term().eval_log(p.args(), ctrl)
+        target_log = row.target_term().eval_log(p.args())
         ref = LogC.from_real(math.pi / 2) + target_log
         values = []
-        for t_im in shifts:
+        for t_im in SHIFTS:
             vals = _shifted_point(p, t_im).args()
             values.append(norm.eval_log(vals) + eval_M_log(
-                [f.evaluate(vals) for f in row.m_args], ctrl
+                [f.evaluate(vals) for f in row.m_args]
             ))
         errors = [abs((val - ref).to_complex() - 1.0) for val in values]
     except (EvaluationDomainError, OverflowError) as exc:
-        return LimitReport(label, shifts, (), False, failure=f"{type(exc).__name__}: {exc}")
+        return LimitReport(label, SHIFTS, (), False, failure=f"{type(exc).__name__}: {exc}")
     decreasing = all(b < a for a, b in zip(errors, errors[1:]))
     verdict = decreasing and errors[-1] <= decay * errors[0]
-    return LimitReport(label, shifts, tuple(errors), verdict, target_log=target_log,
+    return LimitReport(label, SHIFTS, tuple(errors), verdict, target_log=target_log,
                        values=tuple(values))
 
 
@@ -714,7 +713,7 @@ def translate_relation(r: Relation, word, side: str) -> Relation:
     """Exact substitution of a group word into every symbolic form."""
     side = side.lower()
     word = tuple(word)
-    forms = word_to_matrix(word, side).apply(identity_symvec(side))
+    forms = word_to_matrix(word, side).apply(symbol_forms(side))
     terms = tuple(
         (coef.substitute(forms), fun.substitute(forms)) for coef, fun in r.terms
     )
@@ -735,47 +734,38 @@ def _point_values(r: Relation, p):
     return vals
 
 
-def eval_relation(r: Relation, p, ctrl: SeriesCtrl = None) -> float:
-    """Scaled residual |sum| / max |term| of the relation at a point."""
+def _term_logs(r: Relation, p) -> list:
+    """Log of coefficient times function for each term at p; None for a term
+    whose coefficient vanishes."""
     values = _point_values(r, p)
-    logs = []
-    for coef, fun in r.terms:
-        if coef.prefactor == 0:
-            continue
-        logs.append(coef.eval_log(values) + fun.eval_log(values, ctrl))
+    return [
+        None if coef.prefactor == 0 else coef.eval_log(values) + fun.eval_log(values)
+        for coef, fun in r.terms
+    ]
+
+
+def eval_relation(r: Relation, p) -> float:
+    """Scaled residual |sum| / max |term| of the relation at a point."""
+    logs = [lg for lg in _term_logs(r, p) if lg is not None]
     if not logs:
         warnings.warn(
             "all relation coefficients vanish; residual is trivially zero",
             PrecisionWarning,
         )
         return 0.0
-    _, ratio = combine_exponentials(logs)
-    return ratio
+    return combine_exponentials(logs)[1]
 
 
-def relation_report(r: Relation, p, ctrl: SeriesCtrl = None) -> dict:
+def relation_report(r: Relation, p) -> dict:
     """Per-term log magnitudes and phases plus the scaled residual."""
-    values = _point_values(r, p)
-    labels = r.term_labels()
+    logs = _term_logs(r, p)
     terms = []
-    logs = []
-    for (coef, fun), lab in zip(r.terms, labels):
-        if coef.prefactor == 0:
-            terms.append({"kind": fun.kind, "label": lab and str(lab), "zero": True})
-            continue
-        lg = coef.eval_log(values) + fun.eval_log(values, ctrl)
-        logs.append(lg)
-        terms.append(
-            {
-                "kind": fun.kind,
-                "label": lab and str(lab),
-                "log_mag": lg.log_mag,
-                "phase": lg.phase,
-            }
-        )
-    residual = 0.0
-    if logs:
-        _, residual = combine_exponentials(logs)
+    for (_, fun), lab, lg in zip(r.terms, r.term_labels(), logs):
+        term = {"kind": fun.kind, "label": lab and str(lab)}
+        term.update({"zero": True} if lg is None else {"log_mag": lg.log_mag, "phase": lg.phase})
+        terms.append(term)
+    logs = [lg for lg in logs if lg is not None]
+    residual = combine_exponentials(logs)[1] if logs else 0.0
     return {"relation": r.name, "residual": residual, "terms": terms}
 
 
@@ -814,7 +804,7 @@ def pipeline_x_args(p: PointW) -> tuple:
     return tuple(f.evaluate(p.args()) for f in _pipeline_x_forms())
 
 
-def limit222_pipeline(p: PointW, shifts=SHIFTS, ctrl: SeriesCtrl = None) -> dict:
+def limit222_pipeline(p: PointW) -> dict:
     """Follow the rearranged three-term relation through the limit.
 
     Five stages: the base relation holds at p; the rearranged relation holds
@@ -822,25 +812,21 @@ def limit222_pipeline(p: PointW, shifts=SHIFTS, ctrl: SeriesCtrl = None) -> dict
     halving per doubled shift; each normalized term converges to the matching
     term of the three-term seven-slot relation at the changed letters; and
     that relation holds there.  The verdict is PASS only if all stages pass.
+    The shifts are SHIFTS, which double at every step.
     """
-    shifts = tuple(float(s) for s in shifts)
-    if len(shifts) < 2 or any(
-        abs(b - 2 * a) > 1e-9 for a, b in zip(shifts, shifts[1:])
-    ):
-        raise ValueError("shifts must double at every step")
     rels = builtin_relations()
     roy, royb, jll = rels["roy463"], rels["roy463b"], rels["orbit1jll"]
-    shifted = [_shifted_point(p, t_im) for t_im in shifts]
-    report = {"point": _point_dict(p), "shifts": list(shifts), "steps": {}}
+    shifted = [_shifted_point(p, t_im) for t_im in SHIFTS]
+    report = {"point": _point_dict(p), "shifts": list(SHIFTS), "steps": {}}
     steps = report["steps"]
 
     try:
-        r0 = eval_relation(roy, p, ctrl)
+        r0 = eval_relation(roy, p)
         steps["base_relation"] = {
             "residual": r0, "bound": ROY463_TOL, "pass": r0 <= ROY463_TOL,
         }
 
-        shifted_res = [eval_relation(royb, q, ctrl) for q in shifted]
+        shifted_res = [eval_relation(royb, q) for q in shifted]
         steps["shifted_relation"] = {
             "residuals": shifted_res,
             "bound": ROY463B_SHIFTED_TOL,
@@ -869,11 +855,11 @@ def limit222_pipeline(p: PointW, shifts=SHIFTS, ctrl: SeriesCtrl = None) -> dict
         term_pass = True
         for k, (coef, fun) in enumerate(royb.terms):
             lim_coef, lim_fun = jll.terms[_PIPELINE_TERM_MAP[k]]
-            ref = lim_coef.eval_log(xvals) + lim_fun.eval_log(xvals, ctrl)
+            ref = lim_coef.eval_log(xvals) + lim_fun.eval_log(xvals)
             errs_k = []
             for q in shifted:
                 vals = q.args()
-                val = coef.eval_log(vals) + fun.eval_log(vals, ctrl)
+                val = coef.eval_log(vals) + fun.eval_log(vals)
                 errs_k.append(abs((val - ref).to_complex() - 1.0))
             term_errs.append(errs_k)
             term_pass = term_pass and all(
@@ -885,7 +871,7 @@ def limit222_pipeline(p: PointW, shifts=SHIFTS, ctrl: SeriesCtrl = None) -> dict
             "pass": term_pass,
         }
 
-        rx = eval_relation(jll, xvals, ctrl)
+        rx = eval_relation(jll, xvals)
         steps["limit_relation"] = {
             "residual": rx, "bound": ORBIT1JLL_TOL, "pass": rx <= ORBIT1JLL_TOL,
         }
@@ -929,7 +915,7 @@ def limit_probe_args(t, p: PointW, shifts=SHIFTS):
     return tuple(gammas), tuple(sins)
 
 
-def pipeline_probe_args(p: PointW, shifts=SHIFTS):
+def pipeline_probe_args(p: PointW):
     """Gamma/sine arguments the pipeline evaluates for a candidate point."""
     rels = builtin_relations()
     gammas, sins = [], []
@@ -939,7 +925,7 @@ def pipeline_probe_args(p: PointW, shifts=SHIFTS):
         sins.extend(pair[1])
 
     extend(relation_probe_args(rels["roy463"], p))
-    for t_im in shifts:
+    for t_im in SHIFTS:
         q = _shifted_point(p, float(t_im))
         extend(relation_probe_args(rels["roy463b"], q))
         extend(_poch_bracket().probe_args(q.args()))
@@ -1013,62 +999,29 @@ def signed_perm_transform(forms, perm, signs) -> tuple:
     return tuple(f.substitute(reps) for f in forms)
 
 
-def _row_form(matrix, i: int, forms) -> LinForm:
-    acc = LinForm.const_form(_X_SYMBOLS, 0)
-    for j, f in enumerate(forms):
-        acc = acc + f * matrix.entry(i, j)
-    return acc
+# the six free coordinates written in the seven parameters, times four;
+# substituted into the parameter forms they give forms in A..G
+_X_IN_V_TEXTS = ("F+G-E-1", "E+F-G-1", "E+G-F-1", "A-B+C-D", "A-B-C+D", "A+B-C-D")
 
 
 @lru_cache(maxsize=1)
-def _twiddle_j_table() -> dict:
-    base = twiddle_x_forms()
-    table = {}
-    for sigma, word in representative_words("J").items():
-        beta = word_to_matrix(word, "v")
-        first = _row_form(beta, 0, base)
-        if first in table:
-            raise AssertionError("first coordinates of J cosets must be distinct")
-        table[first] = sigma
-    return table
-
-
-_TWIDDLE_L_LABELS = ("4", "6", "5", "2", "3", "1")
-
-
-@lru_cache(maxsize=1)
-def _twiddle_l_table() -> dict:
-    table = {}
-    for k, name in enumerate(_TWIDDLE_L_LABELS):
-        x = LinForm.symbol(_X_SYMBOLS, _X_SYMBOLS[k])
-        table[x] = parse_label(name)
-        table[-x] = parse_label(name + "bar")
-    return table
+def _x_in_v() -> tuple:
+    return tuple(LinForm.parse(t, V_SYMBOLS) * Fraction(1, 4) for t in _X_IN_V_TEXTS)
 
 
 def twiddle_classify(forms7, space: str):
-    """Label of a signed-permutation image of the parameter forms.
-
-    Space J reads the first slot (it determines the coset); space L reads
-    the invariant (slot6 + slot7 - slot5 - 1)/4, which lands on a signed
-    coordinate.
-    """
-    if space == "J":
-        key = forms7[0]
-        table = _twiddle_j_table()
-    elif space == "L":
-        one = LinForm.const_form(_X_SYMBOLS, 1)
-        key = (forms7[5] + forms7[6] - forms7[4] - one) * Fraction(1, 4)
-        table = _twiddle_l_table()
-    else:
+    """Label of a signed-permutation image of the parameter forms: the forms
+    rewritten in the seven parameters, classified in space J or L."""
+    classify = {"J": classify_j, "L": classify_l}.get(space)
+    if classify is None:
         raise ValueError("space must be 'J' or 'L'")
-    if key not in table:
-        raise ValueError("not a signed-permutation image of the parameter forms")
-    return table[key]
+    return classify(tuple(f.substitute(_x_in_v()) for f in forms7))
 
 
-def twiddle_check(rng, space: str, tol: float = 1e-7, budget: int = 10_000,
-                  ctrl: SeriesCtrl = None):
+_TWIDDLE_DRAWS = 10_000
+
+
+def twiddle_check(rng, space: str):
     """Draw one random even-sign coordinate permutation, classify its image,
     and compare direct evaluation at the transformed coordinates with the
     labelled arrangement at the original ones.
@@ -1088,7 +1041,7 @@ def twiddle_check(rng, space: str, tol: float = 1e-7, budget: int = 10_000,
     beta = word_to_matrix(word, "v")
     evaluator = eval_J_log if space == "J" else eval_L_log
     probe = j_probe_args if space == "J" else l_probe_args
-    for _ in range(budget):
+    for _ in range(_TWIDDLE_DRAWS):
         xs = [
             complex(rng.uniform(0.02, 0.12), rng.uniform(-0.04, 0.04))
             for _ in range(6)
@@ -1100,10 +1053,10 @@ def twiddle_check(rng, space: str, tol: float = 1e-7, budget: int = 10_000,
         g2, s2 = probe(arr)
         if not margins_ok(tuple(g1) + tuple(g2), tuple(s1) + tuple(s2)):
             continue
-        direct = evaluator(vals_t, ctrl)
-        via = evaluator(arr, ctrl)
+        direct = evaluator(vals_t)
+        via = evaluator(arr)
         return label, abs((direct - via).to_complex() - 1.0)
-    raise PointSearchError(f"no admissible coordinates found in {budget} draws")
+    raise PointSearchError(f"no admissible coordinates found in {_TWIDDLE_DRAWS} draws")
 
 
 # ---------------------------------------------------------------------------

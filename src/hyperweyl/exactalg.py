@@ -283,7 +283,7 @@ def pretty_str(form: LinForm) -> str:
     return str(min(candidates, key=lambda f: (sum(1 for x in f._num if x), len(str(f)))))
 
 
-def identity_symvec(side: str) -> tuple:
+def symbol_forms(side: str) -> tuple:
     """The symbol forms of the given side ("w" eight slots, "v" seven)."""
     if side == "w":
         syms = W_SYMBOLS

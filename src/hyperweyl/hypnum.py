@@ -38,6 +38,8 @@ import numpy as np
 __all__ = [
     "GAMMA_MARGIN",
     "SIN_MARGIN",
+    "REL_TOL",
+    "N_MAX",
     "EvaluationDomainError",
     "DegeneratePointError",
     "GammaPoleError",
@@ -48,7 +50,6 @@ __all__ = [
     "lgamma",
     "log_sin_pi",
     "series_sigma",
-    "SeriesCtrl",
     "SeriesResult",
     "sum_pfq",
     "PointW",
@@ -59,13 +60,9 @@ __all__ = [
     "m_probe_args",
     "require_margins",
     "margins_ok",
-    "eval_J",
     "eval_J_log",
-    "eval_L",
     "eval_L_log",
-    "eval_L_7f6",
     "eval_L_7f6_log",
-    "eval_M",
     "eval_M_log",
     "twiddle_params",
 ]
@@ -305,22 +302,13 @@ def series_sigma(nums: Sequence[complex], dens: Sequence[complex]) -> complex:
 # ---------------------------------------------------------------------------
 
 
+# the relative accuracy every series sum aims at, and the most terms one sum
+# may take; sum_pfq reads both when it is called
+REL_TOL = 1e-12
+N_MAX = 1 << 20
+
 _N0_MIN = 32
 _BLOCK = 65536
-
-
-@dataclass(frozen=True)
-class SeriesCtrl:
-    """Target relative accuracy, and the most terms one sum may take."""
-
-    rel_tol: float = 1e-12
-    n_max: int = 1 << 20
-
-    def __post_init__(self):
-        if self.rel_tol <= 0:
-            raise ValueError("rel_tol must be positive")
-        if self.n_max < 2 * _N0_MIN:
-            raise ValueError(f"n_max must be at least {2 * _N0_MIN}")
 
 
 @dataclass(frozen=True)
@@ -375,7 +363,7 @@ def _partial_sums(nums, all_dens, n0: int, n_max: int):
         n *= 2
 
 
-def sum_pfq(nums: Sequence[complex], dens: Sequence[complex], ctrl: SeriesCtrl = None) -> SeriesResult:
+def sum_pfq(nums: Sequence[complex], dens: Sequence[complex]) -> SeriesResult:
     """Unit-argument series with one more numerator than denominator parameter.
 
     With sigma = sum(dens) - sum(nums), the partial sum of the first N terms
@@ -385,19 +373,18 @@ def sum_pfq(nums: Sequence[complex], dens: Sequence[complex], ctrl: SeriesCtrl =
     with the factor 2^(sigma+i).  N0 is a power of two past four times the
     largest parameter modulus (at least 32), where the expansion holds.
 
-    The table grows until two successive diagonal entries agree to rel_tol,
+    The table grows until two successive diagonal entries agree to REL_TOL,
     until their difference has failed to shrink twice in a row (rounding
     noise, amplified by the table, has taken over; a single failure also
     happens while the expansion is still settling), or until the next
-    partial sum would pass n_max.  The result is the diagonal entry that
+    partial sum would pass N_MAX.  The result is the diagonal entry that
     differed least from its predecessor; that difference is err_estimate,
-    and converged means err_estimate <= rel_tol * |value|.
+    and converged means err_estimate <= REL_TOL * |value|.
 
     A numerator at a non-positive integer ends the series, whose finitely
     many terms are summed directly.
     """
-    if ctrl is None:
-        ctrl = SeriesCtrl()
+    rel_tol, n_max = REL_TOL, N_MAX
     nums = [complex(a) for a in nums]
     dens = [complex(b) for b in dens]
     if len(nums) != len(dens) + 1:
@@ -424,12 +411,12 @@ def sum_pfq(nums: Sequence[complex], dens: Sequence[complex], ctrl: SeriesCtrl =
             f"parameter sums give convergence exponent {sigma}; series diverges"
         )
 
-    n0 = _start_length(nums + dens, ctrl.n_max)
+    n0 = _start_length(nums + dens, n_max)
     prev_row = []
     best = None
     prev_err = math.inf
     stalls = 0
-    for big_n, partial in _partial_sums(nums, all_dens, n0, ctrl.n_max):
+    for big_n, partial in _partial_sums(nums, all_dens, n0, n_max):
         row = [partial]
         for i, r in enumerate(prev_row):
             f = 2.0 ** (sigma + i)
@@ -439,12 +426,12 @@ def sum_pfq(nums: Sequence[complex], dens: Sequence[complex], ctrl: SeriesCtrl =
             if best is None or err < best[1]:
                 best = (row[-1], err)
             stalls = stalls + 1 if err >= prev_err else 0
-            if err <= ctrl.rel_tol * abs(row[-1]) or stalls == 2:
+            if err <= rel_tol * abs(row[-1]) or stalls == 2:
                 break
             prev_err = err
         prev_row = row
     value, err = best
-    return SeriesResult(value, big_n, err, err <= ctrl.rel_tol * abs(value))
+    return SeriesResult(value, big_n, err, err <= rel_tol * abs(value))
 
 
 # ---------------------------------------------------------------------------
@@ -586,24 +573,24 @@ def m_probe_args(args8):
     return tuple(gammas), (b - a,)
 
 
-def require_margins(gammas, sins, gamma_margin: float = GAMMA_MARGIN, sin_margin: float = SIN_MARGIN):
-    """Raise unless every gamma argument clears the pole margin and every
-    sine argument clears the integer margin."""
+def require_margins(gammas, sins):
+    """Raise unless every gamma argument clears GAMMA_MARGIN from a pole and
+    every sine argument clears SIN_MARGIN from an integer."""
     for z in gammas:
-        if _near_nonpos_int(complex(z), gamma_margin):
+        if _near_nonpos_int(complex(z), GAMMA_MARGIN):
             raise DegeneratePointError(
-                f"gamma argument {complex(z)} within {gamma_margin} of a pole"
+                f"gamma argument {complex(z)} within {GAMMA_MARGIN} of a pole"
             )
     for z in sins:
-        if _dist_to_int(complex(z)) < sin_margin:
+        if _dist_to_int(complex(z)) < SIN_MARGIN:
             raise DegeneratePointError(
-                f"sine argument {complex(z)} within {sin_margin} of an integer"
+                f"sine argument {complex(z)} within {SIN_MARGIN} of an integer"
             )
 
 
-def margins_ok(gammas, sins, gamma_margin: float = GAMMA_MARGIN, sin_margin: float = SIN_MARGIN) -> bool:
+def margins_ok(gammas, sins) -> bool:
     try:
-        require_margins(gammas, sins, gamma_margin, sin_margin)
+        require_margins(gammas, sins)
     except DegeneratePointError:
         return False
     return True
@@ -614,27 +601,48 @@ def margins_ok(gammas, sins, gamma_margin: float = GAMMA_MARGIN, sin_margin: flo
 # ---------------------------------------------------------------------------
 
 
-def _warn_if_cancelled(ratio: float, what: str):
-    if ratio < 1e-9:
-        warnings.warn(
-            f"{what}: terms cancel to {ratio:.1e} of their size; "
-            "fewer than 9 significant digits remain",
-            PrecisionWarning,
-            stacklevel=3,
-        )
-
-
-def _warn_if_unconverged(res: SeriesResult, what: str):
+def _warn_if_unconverged(res: SeriesResult, what: str, stacklevel: int):
     if not res.converged:
         warnings.warn(
             f"{what}: series stopped after {res.terms_used} terms with error "
             f"estimate {res.err_estimate:.1e}, short of its tolerance",
             PrecisionWarning,
-            stacklevel=3,
+            stacklevel=stacklevel,
         )
 
 
-def eval_J_log(x, ctrl: SeriesCtrl = None) -> LogC:
+# the prefactor of a half that has none
+_NO_PREFACTOR = LogC(0.0, 0.0)
+
+
+def _two_series_log(what: str, sine_arg: complex, halves, coefs) -> LogC:
+    """Log of (coefs[0] half0 + coefs[1] half1) / sin(pi sine_arg).
+
+    Each half is (prefactor, numerators, denominators, gamma denominators):
+    the log prefactor times the unit-argument series over the product of
+    Gamma at the gamma denominators.  Warns when a series falls short of its
+    tolerance or the two halves cancel to fewer than nine digits.
+    """
+    results = [sum_pfq(nums, dens) for _, nums, dens, _ in halves]
+    for which, res, (_, nums, dens, _) in zip(("first", "second"), results, halves):
+        _warn_if_unconverged(res, f"{what} evaluation, {which} {len(nums)}F{len(dens)}", 4)
+    sin = log_sin_pi(sine_arg)
+    terms = [
+        pref + LogC.from_complex(res.value) - sin - _lgamma_sum(gamma_dens)
+        for (pref, _, _, gamma_dens), res in zip(halves, results)
+    ]
+    combo, ratio = combine_exponentials(terms, coefs)
+    if ratio < 1e-9:
+        warnings.warn(
+            f"{what} evaluation: terms cancel to {ratio:.1e} of their size; "
+            "fewer than 9 significant digits remain",
+            PrecisionWarning,
+            stacklevel=3,
+        )
+    return combo
+
+
+def eval_J_log(x) -> LogC:
     """Log of the sum-of-complementary-series function J(A;B,C,D;E,F,G).
 
     J = (Gamma[A,B,C,D / E,F,G] 4F3(A,B,C,D; E,F,G)
@@ -648,49 +656,27 @@ def eval_J_log(x, ctrl: SeriesCtrl = None) -> LogC:
     require_margins(*j_probe_args((A, B, C, D, E, F, G)))
     _check_saalschutz_args((A, B, C, D, E, F, G))
     shifted = (1 + A - E, 1 + A - F, 1 + A - G)
-    r1 = sum_pfq((A, B, C, D), (E, F, G), ctrl)
-    r2 = sum_pfq((A,) + shifted, (1 + A - B, 1 + A - C, 1 + A - D), ctrl)
-    _warn_if_unconverged(r1, "J evaluation, first 4F3")
-    _warn_if_unconverged(r2, "J evaluation, second 4F3")
-    sin_a = log_sin_pi(A)
-    t1 = LogC.from_complex(r1.value) - sin_a - _lgamma_sum((E, F, G, A) + shifted)
-    t2 = LogC.from_complex(r2.value) - sin_a - _lgamma_sum(
-        (1 + A - B, 1 + A - C, 1 + A - D, A, B, C, D)
-    )
-    combo, ratio = combine_exponentials([t1, t2], [1.0, 1.0])
-    _warn_if_cancelled(ratio, "J evaluation")
-    return combo
+    poised = (1 + A - B, 1 + A - C, 1 + A - D)
+    return _two_series_log("J", A, (
+        (_NO_PREFACTOR, (A, B, C, D), (E, F, G), (E, F, G, A) + shifted),
+        (_NO_PREFACTOR, (A,) + shifted, poised, poised + (A, B, C, D)),
+    ), (1.0, 1.0))
 
 
-def eval_J(x, ctrl: SeriesCtrl = None) -> complex:
-    return eval_J_log(x, ctrl).to_complex()
-
-
-def eval_L_log(args, ctrl: SeriesCtrl = None) -> LogC:
+def eval_L_log(args) -> LogC:
     """Log of the difference-of-supplementary-series function L(A,B,C,D;E;F,G)."""
     A, B, C, D, E, F, G = _seven(args)
     require_margins(*l_probe_args((A, B, C, D, E, F, G)))
     _check_saalschutz_args((A, B, C, D, E, F, G))
     shifted = (1 + A - E, 1 + B - E, 1 + C - E, 1 + D - E)
-    r1 = sum_pfq((A, B, C, D), (E, F, G), ctrl)
-    r2 = sum_pfq(shifted, (2 - E, 1 + F - E, 1 + G - E), ctrl)
-    _warn_if_unconverged(r1, "L evaluation, first 4F3")
-    _warn_if_unconverged(r2, "L evaluation, second 4F3")
-    sin_e = log_sin_pi(E)
-    t1 = LogC.from_complex(r1.value) - sin_e - _lgamma_sum((E, F, G) + shifted)
-    t2 = LogC.from_complex(r2.value) - sin_e - _lgamma_sum(
-        (2 - E, 1 + F - E, 1 + G - E, A, B, C, D)
-    )
-    combo, ratio = combine_exponentials([t1, t2], [1.0, -1.0])
-    _warn_if_cancelled(ratio, "L evaluation")
-    return combo
+    dens = (2 - E, 1 + F - E, 1 + G - E)
+    return _two_series_log("L", E, (
+        (_NO_PREFACTOR, (A, B, C, D), (E, F, G), (E, F, G) + shifted),
+        (_NO_PREFACTOR, shifted, dens, dens + (A, B, C, D)),
+    ), (1.0, -1.0))
 
 
-def eval_L(args, ctrl: SeriesCtrl = None) -> complex:
-    return eval_L_log(args, ctrl).to_complex()
-
-
-def eval_L_7f6_log(args, ctrl: SeriesCtrl = None) -> LogC:
+def eval_L_7f6_log(args) -> LogC:
     """Log of the very-well-poised 7F6 route to the same function."""
     A, B, C, D, E, F, G = _seven(args)
     if (F - D).real <= 0:
@@ -701,10 +687,11 @@ def eval_L_7f6_log(args, ctrl: SeriesCtrl = None) -> LogC:
     a = D + G - E
     b, c, d, e, f = G - A, G - B, G - C, D, 1 + D - E
     require_margins(*l7f6_probe_args((A, B, C, D, E, F, G)))
+    _check_saalschutz_args((A, B, C, D, E, F, G))
     nums = (a, 1 + 0.5 * a, b, c, d, e, f)
     dens = (0.5 * a, 1 + a - b, 1 + a - c, 1 + a - d, 1 + a - e, 1 + a - f)
-    res = sum_pfq(nums, dens, ctrl)
-    _warn_if_unconverged(res, "L evaluation by the 7F6 route")
+    res = sum_pfq(nums, dens)
+    _warn_if_unconverged(res, "L evaluation by the 7F6 route", 3)
     pref = (
         lgamma(1 + a)
         - LogC.from_real(math.pi)
@@ -716,26 +703,16 @@ def eval_L_7f6_log(args, ctrl: SeriesCtrl = None) -> LogC:
     return pref + LogC.from_complex(res.value)
 
 
-def eval_L_7f6(args, ctrl: SeriesCtrl = None) -> complex:
-    return eval_L_7f6_log(args, ctrl).to_complex()
-
-
-def _v_half_log(head: complex, params, ctrl: SeriesCtrl):
-    # (pi/2) Gamma[1+head / 1+head-params] * 9F8 at unit argument, returned
-    # with the raw SeriesResult; the Gamma[params] of the full half cancel
-    # against the denominator of M
-    nums = (head, 1 + 0.5 * head) + tuple(params)
+def _vwp_half(head: complex, params, gamma_dens):
+    # (pi/2) Gamma[1+head / 1+head-params] times a very-well-poised 9F8(1);
+    # the Gamma[params] of the full half cancel against the denominator of M
+    nums = (head, 1 + 0.5 * head) + params
     dens = (0.5 * head,) + tuple(1 + head - p for p in params)
-    res = sum_pfq(nums, dens, ctrl)
-    pref = (
-        LogC.from_real(0.5 * math.pi)
-        + lgamma(1 + head)
-        - _lgamma_sum(dens[1:])
-    )
-    return pref + LogC.from_complex(res.value), res
+    pref = LogC.from_real(0.5 * math.pi) + lgamma(1 + head) - _lgamma_sum(dens[1:])
+    return pref, nums, dens, gamma_dens
 
 
-def eval_M_log(w, ctrl: SeriesCtrl = None) -> LogC:
+def eval_M_log(w) -> LogC:
     """Log of the eight-parameter function M(a;b;c,d,e,f,g,h).
 
     M = (V(a; b, c..h) - V(2b-a; b, b-a+c..b-a+h))
@@ -753,20 +730,10 @@ def eval_M_log(w, ctrl: SeriesCtrl = None) -> LogC:
     require_margins(*m_probe_args((a, b, c, d, e, f, g, h)))
     rest = (c, d, e, f, g, h)
     moved = tuple(b - a + t for t in rest)
-    v1, r1 = _v_half_log(a, (b,) + rest, ctrl)
-    v2, r2 = _v_half_log(2 * b - a, (b,) + moved, ctrl)
-    _warn_if_unconverged(r1, "M evaluation, first 9F8")
-    _warn_if_unconverged(r2, "M evaluation, second 9F8")
-    sin_ba = log_sin_pi(b - a)
-    combo, ratio = combine_exponentials(
-        [v1 - sin_ba - _lgamma_sum(moved), v2 - sin_ba - _lgamma_sum(rest)], [1.0, -1.0]
-    )
-    _warn_if_cancelled(ratio, "M evaluation")
-    return combo
-
-
-def eval_M(w, ctrl: SeriesCtrl = None) -> complex:
-    return eval_M_log(w, ctrl).to_complex()
+    return _two_series_log("M", b - a, (
+        _vwp_half(a, (b,) + rest, moved),
+        _vwp_half(2 * b - a, (b,) + moved, rest),
+    ), (1.0, -1.0))
 
 
 def twiddle_params(x0, x1, x2, x3, x4, x5):

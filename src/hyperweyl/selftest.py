@@ -45,8 +45,7 @@ from .exactalg import (
 from .hypnum import (
     EvaluationDomainError,
     eval_J_log,
-    eval_L,
-    eval_L_7f6,
+    eval_L_7f6_log,
     eval_L_log,
     eval_M_log,
     j_probe_args,
@@ -368,8 +367,8 @@ def _l_dual_route(cfg):
     worst = 0.0
     for _ in range(3):
         p = gen_point(rng, "V", probe, budget=cfg.budget)
-        a = eval_L(p.args())
-        b = eval_L_7f6(p.args())
+        a = eval_L_log(p.args()).to_complex()
+        b = eval_L_7f6_log(p.args()).to_complex()
         err = abs(a - b) / abs(a)
         worst = max(worst, err)
         if err > cfg.tol_jl:
@@ -476,15 +475,10 @@ def _limits(cfg):
 
 def _appendix(cfg):
     rng = random.Random(cfg.seed)
+    # appendix_table refuses a fixture row whose target kind or label is not
+    # jl_label's, so here only the fixture's target arguments remain to check
     rows = appendix_table()
-    # appendix_table refuses a fixture row whose target label is not
-    # jl_label's; the target kind it takes from gamma2_target
     fixed = {f.label: f for f in fixture_rows()}
-    for row in rows:
-        if row.target_kind != fixed[row.label].target_kind:
-            return False, f"{row.label}: target kind differs from the table", {
-                "label": str(row.label),
-            }
 
     def probe(p):
         vals = p.args()

@@ -87,22 +87,30 @@ def test_appendix_check_fails_on_an_altered_slot_vector(monkeypatch):
 
 
 def test_appendix_check_fails_on_an_altered_target_label(monkeypatch):
-    # +v(0,7) degenerates onto L 6; a table that names L 5 is refused while
-    # the table is built, and check 14 reports that refusal
+    # +v(0,7) degenerates onto L 6; a table that names another label, the
+    # wrong kind or an unknown kind is refused while the table is built, and
+    # check 14 reports that refusal
     from hyperweyl import correspond
 
     row = "+v(0,7) | a; b; c; d; e; f; g; h | L 6 |"
     assert row in correspond.FIXTURE_TEXT
-    altered = correspond.FIXTURE_TEXT.replace(row, "+v(0,7) | a; b; c; d; e; f; g; h | L 5 |")
     caches = (correspond.fixture_rows, correspond.appendix_table, correspond._rows_by_label)
-    monkeypatch.setattr(correspond, "FIXTURE_TEXT", altered)
-    for cached in caches:
-        cached.cache_clear()
-    try:
-        result = run_check("14-appendix-fidelity")
-    finally:
-        monkeypatch.undo()
+    for target, detail in (
+        ("L 5", "AssertionError: +v(0,7): target label mismatch"),
+        ("J 6", "AssertionError: +v(0,7): target kind mismatch"),
+        ("K 6", "ValueError: +v(0,7): target kind 'K' is neither J nor L"),
+    ):
+        altered = correspond.FIXTURE_TEXT.replace(
+            row, f"+v(0,7) | a; b; c; d; e; f; g; h | {target} |"
+        )
+        monkeypatch.setattr(correspond, "FIXTURE_TEXT", altered)
         for cached in caches:
             cached.cache_clear()
-    assert not result.passed
-    assert result.detail == "AssertionError: +v(0,7): target label mismatch"
+        try:
+            result = run_check("14-appendix-fidelity")
+        finally:
+            monkeypatch.undo()
+            for cached in caches:
+                cached.cache_clear()
+        assert not result.passed, target
+        assert result.detail == detail

@@ -15,7 +15,6 @@ from hyperweyl.coxeter import MLabel, all_m_labels, parse_label
 from hyperweyl.exactalg import LinForm, V_SYMBOLS, W_SYMBOLS
 from hyperweyl.hypnum import (
     LogC,
-    PointW,
     PrecisionWarning,
     eval_M_log,
     m_probe_args,
@@ -400,11 +399,6 @@ def test_limit222_pipeline_passes():
         assert all(lo <= r <= hi for r in factor["ratios"])
     errs = steps["bracket_to_one"]["errors"]
     assert all(b < a for a, b in zip(errs, errs[1:]))
-
-
-def test_pipeline_requires_doubling_shifts():
-    with pytest.raises(ValueError):
-        limit222_pipeline(PointW(*([0.3 + 0j] * 7)), shifts=(8.0, 12.0, 32.0))
 
 
 # ---------------------------------------------------------------------------

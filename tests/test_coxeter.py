@@ -43,7 +43,7 @@ from hyperweyl.coxeter import (
 from hyperweyl.exactalg import (
     coxeter_order,
     generator,
-    identity_symvec,
+    symbol_forms,
     word_to_matrix,
 )
 
@@ -160,17 +160,17 @@ def test_transitivity_from_base_label():
 
 
 def test_identity_labels():
-    assert classify_m(identity_symvec("w")) == MLabel(1, 0, 7)
-    assert classify_j(identity_symvec("v")) == j_label_from_name("p0")
+    assert classify_m(symbol_forms("w")) == MLabel(1, 0, 7)
+    assert classify_j(symbol_forms("v")) == j_label_from_name("p0")
 
 
 def test_classify_matches_action_short_words():
-    idw = identity_symvec("w")
+    idw = symbol_forms("w")
     for length in range(4):
         for word in itertools.product(W_GENS, repeat=length):
             got = classify_m(word_to_matrix(word, "w").apply(idw))
             assert got == fold_m(word), word
-    idv = identity_symvec("v")
+    idv = symbol_forms("v")
     for length in range(4):
         for word in itertools.product(V_GENS, repeat=length):
             got = classify_j(word_to_matrix(word, "v").apply(idv))
@@ -179,12 +179,12 @@ def test_classify_matches_action_short_words():
 
 def test_classify_matches_action_random_words():
     rng = random.Random(11)
-    idw = identity_symvec("w")
+    idw = symbol_forms("w")
     for _ in range(80):
         word = [rng.choice(W_GENS) for _ in range(rng.randint(4, 18))]
         got = classify_m(word_to_matrix(word, "w").apply(idw))
         assert got == fold_m(word), word
-    idv = identity_symvec("v")
+    idv = symbol_forms("v")
     for _ in range(80):
         word = [rng.choice(V_GENS) for _ in range(rng.randint(4, 18))]
         got = classify_j(word_to_matrix(word, "v").apply(idv))
@@ -210,7 +210,7 @@ def test_generator_matrices_induce_the_label_permutations(space):
     # the coset reached by a representative word and then one generator
     # matrix is the one the generator's label permutation gives
     side, gens, act, classify = TIES[space]
-    ident = identity_symvec(side)
+    ident = symbol_forms(side)
     words = representative_words(space)
     assert len(words) == {"M": 56, "J": 32, "L": 12}[space]
     for lab, word in words.items():

@@ -19,7 +19,7 @@ from hyperweyl.exactalg import (
     W_GENERATORS,
     W_SYMBOLS,
     coxeter_order,
-    identity_symvec,
+    symbol_forms,
     pretty_str,
     word_to_matrix,
 )
@@ -216,7 +216,7 @@ def test_half_integer_closure_is_checked():
 
 
 def test_known_generator_actions():
-    idw = identity_symvec("w")
+    idw = symbol_forms("w")
     got = W_GENERATORS["s3'"].apply(idw)
     expected = ["1+2a-c-d-e", "b", "1+a-d-e", "1+a-c-e", "1+a-c-d", "f", "g", "h"]
     for e, s in zip(got, expected):
@@ -227,7 +227,7 @@ def test_known_generator_actions():
     for e, s in zip(got_y, expected_s1):
         assert e.reduced() == WF(s).reduced()
 
-    idv = identity_symvec("v")
+    idv = symbol_forms("v")
     got_x1 = V_GENERATORS["a3"].apply(idv)
     expected_x1 = ["A", "E-C", "E-B", "D", "E", "1+A+D-G", "1+A+D-F"]
     for e, s in zip(got_x1, expected_x1):
@@ -235,11 +235,11 @@ def test_known_generator_actions():
 
 
 def test_apply_takes_forms_of_one_alphabet():
-    idw = identity_symvec("w")
-    assert identity_symvec("v") == tuple(LinForm.symbol(V_SYMBOLS, s) for s in V_SYMBOLS)
+    idw = symbol_forms("w")
+    assert symbol_forms("v") == tuple(LinForm.symbol(V_SYMBOLS, s) for s in V_SYMBOLS)
     assert RatMatrix.identity(8).apply(idw) == idw
     # the v-side matrices act on seven forms of any one alphabet
-    mixed = identity_symvec("v")[:6] + (LinForm.symbol(W_SYMBOLS, "a"),)
+    mixed = symbol_forms("v")[:6] + (LinForm.symbol(W_SYMBOLS, "a"),)
     with pytest.raises(ValueError, match="one alphabet"):
         V_GENERATORS["a3"].apply(mixed)
     with pytest.raises(ValueError, match="dimension"):
@@ -249,7 +249,7 @@ def test_apply_takes_forms_of_one_alphabet():
 def test_generators_preserve_constraint_functional():
     # every group element fixes the hyperplane functional, so hyperplane
     # membership is preserved exactly
-    idw = identity_symvec("w")
+    idw = symbol_forms("w")
     for name in W_GENERATOR_NAMES:
         v = W_GENERATORS[name].apply(idw)
         total = v[1]
@@ -257,7 +257,7 @@ def test_generators_preserve_constraint_functional():
             total = total + e
         lhs = total - v[0] * 3
         assert lhs.reduced() == LinForm.const_form(W_SYMBOLS, 2).reduced()
-    idv = identity_symvec("v")
+    idv = symbol_forms("v")
     for name in V_GENERATOR_NAMES:
         v = V_GENERATORS[name].apply(idv)
         lhs = v[4] + v[5] + v[6] - (v[0] + v[1] + v[2] + v[3])

@@ -33,15 +33,10 @@ from hyperweyl.hypnum import (
     PointV,
     PointW,
     PrecisionWarning,
-    SeriesCtrl,
     combine_exponentials,
-    eval_J,
     eval_J_log,
-    eval_L,
-    eval_L_7f6,
     eval_L_7f6_log,
     eval_L_log,
-    eval_M,
     eval_M_log,
     j_probe_args,
     l7f6_probe_args,
@@ -367,10 +362,11 @@ def test_sum_pfq_error_preconditions():
         sum_pfq((0.5, 0.5, 0.5), (0.4,))
 
 
-def test_sum_pfq_nmax_cutoff():
+def test_sum_pfq_nmax_cutoff(monkeypatch):
     # two partial sums (32 and 64 terms) are all the table gets
-    ctrl = SeriesCtrl(rel_tol=1e-12, n_max=64)
-    r = sum_pfq((0.3, 0.5, 0.7, 0.2), (1.1, 0.9, 0.7), ctrl)
+    with monkeypatch.context() as m:
+        m.setattr(hypnum, "N_MAX", 64)
+        r = sum_pfq((0.3, 0.5, 0.7, 0.2), (1.1, 0.9, 0.7))
     assert not r.converged
     assert r.terms_used == 64
     assert r.err_estimate > 0
@@ -379,11 +375,14 @@ def test_sum_pfq_nmax_cutoff():
     assert full.converged
 
 
-def test_sum_pfq_tolerance_consistency():
+def test_sum_pfq_tolerance_consistency(monkeypatch):
     # a looser tolerance stops the table earlier, inside the reported error
-    # bars, and the flag is exactly err_estimate <= rel_tol * |value|
+    # bars, and the flag is exactly err_estimate <= REL_TOL * |value|
     nums, dens = (0.3 + 0.1j, 0.5, 0.7 - 0.2j, 0.2), (1.1, 0.9 + 0.05j, 0.7 + 0.05j)
-    results = {tol: sum_pfq(nums, dens, SeriesCtrl(rel_tol=tol)) for tol in (1e-6, 1e-8, 1e-12)}
+    results = {}
+    for tol in (1e-6, 1e-8, 1e-12):
+        monkeypatch.setattr(hypnum, "REL_TOL", tol)
+        results[tol] = sum_pfq(nums, dens)
     tight = results[1e-12]
     for tol, r in results.items():
         assert r.converged == (r.err_estimate <= tol * abs(r.value))
@@ -402,15 +401,6 @@ def test_sum_pfq_one_stall_is_not_the_rounding_floor():
     r = sum_pfq(nums, dens)
     assert r.converged and r.terms_used > 256
     assert rel(r.value, PINNED_SETTLING_9F8) < 1e-13
-
-
-def test_seriesctrl_validation():
-    with pytest.raises(ValueError):
-        SeriesCtrl(rel_tol=0)
-    # the table needs two partial sums from the smallest start of 32 terms
-    with pytest.raises(ValueError):
-        SeriesCtrl(n_max=63)
-    SeriesCtrl(n_max=64)
 
 
 def _assert_matches_oracle(r, ref):
@@ -595,16 +585,18 @@ def test_probe_lists_cover_shifted_arguments():
     assert abs(sins[0] - (wargs[1] - wargs[0])) < 1e-15
 
 
-def test_evaluators_warn_on_unconverged_series():
-    short = SeriesCtrl(n_max=64)
+def test_evaluators_warn_on_unconverged_series(monkeypatch):
     for fn, x in (
         (eval_J_log, V_POINT),
         (eval_L_log, V_POINT),
         (eval_L_7f6_log, V_POINT),
         (eval_M_log, W_POINT),
     ):
-        with pytest.warns(PrecisionWarning, match="stopped after 64 terms"):
-            fn(x, short)
+        with monkeypatch.context() as m, pytest.warns(
+            PrecisionWarning, match="stopped after 64 terms"
+        ):
+            m.setattr(hypnum, "N_MAX", 64)
+            fn(x)
         # with the default budget the same evaluations are silent
         with warnings.catch_warnings():
             warnings.simplefilter("error", PrecisionWarning)
@@ -641,9 +633,9 @@ def test_evaluators_match_mpmath_formulas():
         moved = [b - a + t for t in rest]
         m_ref = (vwp_half(a, [b] + rest) - vwp_half(2 * b - a, [b] + moved)) / (
             mp.sinpi(b - a) * gammas([b] + rest + moved))
-    assert rel(eval_J(V_POINT), complex(j_ref)) <= 1e-12
-    assert rel(eval_L(V_POINT), complex(l_ref)) <= 1e-12
-    assert rel(eval_M(shifted), complex(m_ref)) <= 1e-12
+    assert rel(eval_J_log(V_POINT).to_complex(), complex(j_ref)) <= 1e-12
+    assert rel(eval_L_log(V_POINT).to_complex(), complex(l_ref)) <= 1e-12
+    assert rel(eval_M_log(shifted).to_complex(), complex(m_ref)) <= 1e-12
 
 
 def test_eval_rejects_degenerate_point():
@@ -651,7 +643,7 @@ def test_eval_rejects_degenerate_point():
     A = 0.3 + 0.002j
     bad = (A, 0.4, 0.5, 0.6, 1 + A, 0.8, 0.9)
     with pytest.raises(DegeneratePointError):
-        eval_J(tuple(complex(z) for z in bad))
+        eval_J_log(tuple(complex(z) for z in bad))
 
 
 # ---------------------------------------------------------------------------
@@ -660,31 +652,32 @@ def test_eval_rejects_degenerate_point():
 
 
 def test_eval_j_pinned():
-    got = eval_J(V_POINT)
+    got = eval_J_log(V_POINT).to_complex()
     assert rel(got, PINNED_J) < 1e-10
-    assert rel(eval_J(V_POINT.args()), PINNED_J) < 1e-10
+    assert rel(eval_J_log(V_POINT.args()).to_complex(), PINNED_J) < 1e-10
 
 
 def test_eval_j_pair_swap():
     A, B, C, D, E, F, G = V_POINT.args()
-    assert rel(eval_J((A, C, B, D, E, F, G)), eval_J(V_POINT)) < 1e-9
+    swapped = eval_J_log((A, C, B, D, E, F, G)).to_complex()
+    assert rel(swapped, eval_J_log(V_POINT).to_complex()) < 1e-9
 
 
 def test_eval_j_conjugation():
-    got = eval_J(tuple(z.conjugate() for z in V_POINT.args()))
-    assert rel(got, eval_J(V_POINT).conjugate()) < 1e-12
+    got = eval_J_log(tuple(z.conjugate() for z in V_POINT.args())).to_complex()
+    assert rel(got, eval_J_log(V_POINT).to_complex().conjugate()) < 1e-12
 
 
 def test_eval_j_group_invariance():
     gens = SUBGROUP_GENERATORS["G_J"]
     for seed in range(41, 46):
         args = sample_point_v(seed).args()
-        base = eval_J(args)
+        base = eval_J_log(args).to_complex()
         for g in gens:
             moved = g.apply_values(args)
             if not margins_ok(*j_probe_args(moved)):
                 continue
-            assert rel(eval_J(moved), base) < 1e-7
+            assert rel(eval_J_log(moved).to_complex(), base) < 1e-7
 
 
 # ---------------------------------------------------------------------------
@@ -693,24 +686,25 @@ def test_eval_j_group_invariance():
 
 
 def test_eval_l_pinned():
-    assert rel(eval_L(V_POINT.args()), PINNED_L) < 1e-10
+    assert rel(eval_L_log(V_POINT.args()).to_complex(), PINNED_L) < 1e-10
 
 
 def test_eval_l_pair_swap():
     A, B, C, D, E, F, G = V_POINT.args()
-    assert rel(eval_L((B, A, C, D, E, F, G)), eval_L(V_POINT.args())) < 1e-9
+    swapped = eval_L_log((B, A, C, D, E, F, G)).to_complex()
+    assert rel(swapped, eval_L_log(V_POINT.args()).to_complex()) < 1e-9
 
 
 def test_eval_l_group_invariance():
     gens = SUBGROUP_GENERATORS["G_L"]
     for seed in range(61, 66):
         args = sample_point_v(seed).args()
-        base = eval_L(args)
+        base = eval_L_log(args).to_complex()
         for g in gens:
             moved = g.apply_values(args)
             if not margins_ok(*l_probe_args(moved)):
                 continue
-            assert rel(eval_L(moved), base) < 1e-7
+            assert rel(eval_L_log(moved).to_complex(), base) < 1e-7
 
 
 def test_eval_l_7f6_agreement():
@@ -721,7 +715,8 @@ def test_eval_l_7f6_agreement():
             continue
         if not margins_ok(*l7f6_probe_args(args)):
             continue
-        assert rel(eval_L_7f6(args), eval_L(args)) < 1e-7
+        route = eval_L_7f6_log(args).to_complex()
+        assert rel(route, eval_L_log(args).to_complex()) < 1e-7
         checked += 1
         if checked >= 3:
             break
@@ -734,7 +729,17 @@ def test_eval_l_7f6_rejects_wrong_half_plane():
     flipped = (args[0], args[1], args[2], args[5], args[4], args[3], args[6])
     assert (flipped[5] - flipped[3]).real < 0
     with pytest.raises(DegeneratePointError):
-        eval_L_7f6(tuple(flipped))
+        eval_L_7f6_log(tuple(flipped))
+
+
+def test_eval_l_7f6_rejects_points_off_the_hyperplane():
+    # G 0.37 below its derived value, where the 7F6 series still converges:
+    # both routes refuse the point
+    args = list(V_POINT.args())
+    args[6] -= 0.37
+    for evaluator in (eval_L_log, eval_L_7f6_log):
+        with pytest.raises(EvaluationDomainError, match="unit-shift hyperplane"):
+            evaluator(tuple(args))
 
 
 def test_eval_l_7f6_is_very_well_poised():
@@ -754,18 +759,19 @@ def test_eval_l_7f6_is_very_well_poised():
 
 
 def test_eval_m_pinned():
-    assert rel(eval_M(W_POINT), PINNED_M) < 1e-9
+    assert rel(eval_M_log(W_POINT).to_complex(), PINNED_M) < 1e-9
 
 
 def test_eval_m_pair_swap():
     args = W_POINT.args()
     g = generator("w", "s2")
-    assert rel(eval_M(g.apply_values(args)), eval_M(args)) < 1e-8
+    swapped = eval_M_log(g.apply_values(args)).to_complex()
+    assert rel(swapped, eval_M_log(args).to_complex()) < 1e-8
 
 
 def test_eval_m_conjugation():
-    base = eval_M(W_POINT)
-    got = eval_M(tuple(z.conjugate() for z in W_POINT.args()))
+    base = eval_M_log(W_POINT).to_complex()
+    got = eval_M_log(tuple(z.conjugate() for z in W_POINT.args())).to_complex()
     assert rel(got, base.conjugate()) < 1e-12
 
 
@@ -773,19 +779,19 @@ def test_eval_m_group_invariance():
     names = ("s2", "s3", "s4", "s5", "s6", "s3'")
     for seed in (11, 31, 51):
         args = sample_point_w(seed).args()
-        base = eval_M(args)
+        base = eval_M_log(args).to_complex()
         for name in names:
             moved = generator("w", name).apply_values(args)
             if not margins_ok(*m_probe_args(moved)):
                 continue
-            assert rel(eval_M(moved), base) < 1e-5
+            assert rel(eval_M_log(moved).to_complex(), base) < 1e-5
 
 
 def test_eval_m_hyperplane_precondition():
     args = list(W_POINT.args())
     args[7] += 1e-6
     with pytest.raises(EvaluationDomainError):
-        eval_M(tuple(args))
+        eval_M_log(tuple(args))
 
 
 def test_eval_m_9f8_lists_very_well_poised():
@@ -826,7 +832,7 @@ def _twiddle_sample(seed):
 
 def test_twiddle_permutation_symmetry_of_j():
     xs, args = _twiddle_sample(3)
-    base = eval_J(args)
+    base = eval_J_log(args).to_complex()
     rng = random.Random(17)
     done = 0
     while done < 10:
@@ -835,13 +841,13 @@ def test_twiddle_permutation_symmetry_of_j():
         moved = twiddle_params(*[xs[i] for i in perm])
         if not margins_ok(*j_probe_args(moved)):
             continue
-        assert rel(eval_J(moved), base) < 1e-7
+        assert rel(eval_J_log(moved).to_complex(), base) < 1e-7
         done += 1
 
 
 def test_twiddle_signed_permutation_symmetry_of_l():
     xs, args = _twiddle_sample(3)
-    base = eval_L(args)
+    base = eval_L_log(args).to_complex()
     rng = random.Random(23)
     done = 0
     while done < 10:
@@ -852,7 +858,7 @@ def test_twiddle_signed_permutation_symmetry_of_l():
         moved = twiddle_params(*[signs[k] * xs[perm[k]] for k in range(6)])
         if not margins_ok(*l_probe_args(moved)):
             continue
-        assert rel(eval_L(moved), base) < 1e-7
+        assert rel(eval_L_log(moved).to_complex(), base) < 1e-7
         done += 1
 
 

@@ -1,7 +1,9 @@
-"""Every name a package module imports is used there or re-exported.
+"""Every name a package module imports is used there or re-exported, and
+every name it lists in ``__all__`` is bound there.
 
-A stdlib-only guard over the source: an import that outlives its last use
-(say after a class is deleted) fails here instead of lingering.
+A stdlib-only guard over the source: an import that outlives its last use,
+or an export that outlives its definition (say after a class is deleted),
+fails here instead of lingering.
 """
 
 import ast
@@ -41,3 +43,23 @@ def test_every_import_is_used_or_exported(path):
     used |= _exported(tree)
     unused = [f"{path.name}:{line}: {name}" for name, line in _imported(tree) if name not in used]
     assert not unused, "imported but unused: " + ", ".join(unused)
+
+
+def _bound(tree):
+    """Names bound at module level: definitions, assignments and imports."""
+    names = {name for name, _ in _imported(tree)}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                names |= {n.id for n in ast.walk(target) if isinstance(n, ast.Name)}
+    return names
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_every_export_is_defined(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    missing = sorted(_exported(tree) - _bound(tree))
+    assert not missing, f"{path.name} exports undefined names: " + ", ".join(missing)
