@@ -1,61 +1,34 @@
-"""Signed coordinate permutations and where they land in the coset tables.
+"""The seven-slot generators as signed permutations of six coordinates.
 
-The seven-slot argument forms can be written over six free coordinates.
-Any even signed permutation of those coordinates turns the identity
-arrangement into another tabulated coset — one in the 32-element table
-(classified by its first slot) and one in the 12-element table (classified
-by an invariant of the last three slots).  Because the function only
-depends on the coset, evaluating directly at transformed coordinates and
-evaluating through the matching group element must agree; the sampling
-loop at the end measures that agreement.
+The twelve labels of the second seven-slot family stand for six free
+coordinates and their negatives: label k is the coordinate x_k, a quarter
+sum of the seven parameters, and kbar is -x_k.  Each of the six generators
+moves the labels as an even signed permutation of the coordinates, so the
+group they generate sits inside W(D6), of order 2^5 * 6! = 23,040.  The
+script prints the coordinates, each generator's signed permutation and two
+group orders: that of the six permutations, and that of the six generators
+paired with their eight-slot matches in Q.  Both are 23,040, so Q is
+isomorphic to W(D6).
 
 Run:  python3 demos/coordinate_transforms.py
 """
 
-import random
-
-from hyperweyl.correspond import (
-    signed_perm_transform,
-    twiddle_check,
-    twiddle_classify,
-    twiddle_x_forms,
-)
-
-SEED = 7
+from hyperweyl.coxeter import d6_certificate
 
 
 def main():
-    forms = twiddle_x_forms()
-    print("identity coordinate forms:")
-    for name, f in zip("ABCDEFG", forms):
-        print(f"  {name} = {f}")
-    print(f"  classified: table-32 coset {twiddle_classify(forms, 'J')}, "
-          f"table-12 coset {twiddle_classify(forms, 'L')}")
+    cert = d6_certificate()
+    print("the six coordinates (kbar is -x_k):")
+    for k, form in cert["coordinates"].items():
+        print(f"  x_{k} = {form}")
 
-    rng = random.Random(SEED)
-    print("\nthree random even signed permutations:")
-    for _ in range(3):
-        perm = list(range(6))
-        rng.shuffle(perm)
-        signs = [rng.choice((1, -1)) for _ in range(6)]
-        if (signs.count(-1) % 2) == 1:
-            signs[0] = -signs[0]
-        moved = signed_perm_transform(forms, perm, signs)
-        j_lab = twiddle_classify(moved, "J")
-        l_lab = twiddle_classify(moved, "L")
-        desc = " ".join(f"{'+' if s > 0 else '-'}x{k}" for k, s in zip(perm, signs))
-        print(f"  [{desc}]  ->  table-32 {j_lab}, table-12 {l_lab}")
+    print("\neach generator's images of the labels 1..6:")
+    for gen, images in cert["signed_permutations"].items():
+        print(f"  {gen:<3} -> {' '.join(f'{img:>4}' for img in images)}")
 
-    print("\ninvariance of the function values under such transforms:")
-    for space in ("J", "L"):
-        worst = 0.0
-        seen = set()
-        for _ in range(8):
-            label, err = twiddle_check(rng, space)
-            worst = max(worst, err)
-            seen.add(str(label))
-        print(f"  {space}-side: 8 draws hit cosets {sorted(seen)}; "
-              f"worst relative error {worst:.3e}")
+    print(f"\nevery generator an even signed permutation: {cert['even']}")
+    print(f"order of the group on the 12 labels: {cert['order']}")
+    print(f"order of the bridged group on 56 + 12 labels: {cert['bridged_order']}")
 
 
 if __name__ == "__main__":

@@ -1,12 +1,12 @@
 """Batch command line: orbit, table and distance queries, function
 evaluation at file-supplied points, and the verification catalog.
 
-Each `check` verb runs one catalog entry through selftest.run_check, under
-that entry's time budget, and prints its evidence.  Exit status: 0 when
-everything requested succeeds, 1 when a verification check fails, 2 on
-file, parse, or usage errors, and when the admissible-point search
-exhausts its budget.  All randomness derives from --seed (default 7), so
-any two runs with the same flags agree.  That rejection budget can be
+Each `check` verb, and `groups`, runs one catalog entry through
+selftest.run_check, under that entry's time budget, and prints its
+evidence.  Exit status: 0 when everything requested succeeds, 1 when a
+verification check fails, 2 on file, parse, or usage errors, and when the
+admissible-point search exhausts its budget.  All randomness derives from
+--seed (default 7), so any two runs with the same flags agree.  That rejection budget can be
 overridden through the environment variable HYPERWEYL_BUDGET (and nothing
 else can).
 """
@@ -30,7 +30,7 @@ from .coxeter import (
 from .exactalg import LinForm, V_SYMBOLS, W_SYMBOLS
 from .hypnum import EvaluationDomainError, PointV, PointW
 from .correspond import FunTerm, PointSearchError, table_json, table_text
-from .selftest import EXPECTED_ORDERS, RunConfig, group_orders, run_all, run_check
+from .selftest import RunConfig, run_all, run_check
 
 __all__ = ["dispatch", "main"]
 
@@ -120,7 +120,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_parser("selftest", help="run the full fixed check catalog")
 
     sub.add_parser(
-        "groups", help="orders of the named subgroups and of the full group"
+        "groups", help="check 02: the group orders and the Q = W(D6) certificate"
     )
 
     return top
@@ -293,11 +293,20 @@ def _report_line(rep: dict) -> str:
     return f"{rep['verdict']} pipeline: {steps or rep.get('failure', '')}"
 
 
-def _cmd_check(ns, cfg, out):
-    res = run_check(CHECK_SUITES[ns.suite], cfg)
-    lines = [res.line()] + [_report_line(r) for r in res.evidence.get("reports", ())]
-    _emit(res.evidence, ns.format, "\n".join(lines), out)
+def _emit_check(name, cfg, fmt, out, evidence_lines) -> int:
+    """Run one catalog entry and print its evidence: in text, the check's
+    line and then evidence_lines(evidence)."""
+    res = run_check(name, cfg)
+    lines = [res.line()] + evidence_lines(res.evidence)
+    _emit(res.evidence, fmt, "\n".join(lines), out)
     return 0 if res.passed else 1
+
+
+def _cmd_check(ns, cfg, out):
+    return _emit_check(
+        CHECK_SUITES[ns.suite], cfg, ns.format, out,
+        lambda ev: [_report_line(r) for r in ev.get("reports", ())],
+    )
 
 
 def _cmd_selftest(ns, cfg, out):
@@ -314,18 +323,10 @@ def _cmd_selftest(ns, cfg, out):
 
 
 def _cmd_groups(ns, cfg, out):
-    got = group_orders()
-    payload = {
-        "orders": got,
-        "expected": dict(EXPECTED_ORDERS),
-        "match": got == EXPECTED_ORDERS,
-    }
-    lines = [
-        f"{name}: {order}" + ("" if order == EXPECTED_ORDERS[name] else "  MISMATCH")
-        for name, order in sorted(got.items())
-    ]
-    _emit(payload, ns.format, "\n".join(lines), out)
-    return 0 if payload["match"] else 1
+    return _emit_check(
+        "02-group-orders", cfg, ns.format, out,
+        lambda ev: [f"{name}: {order}" for name, order in sorted(ev.get("orders", {}).items())],
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -56,7 +56,6 @@ from .hypnum import (
     log_sin_pi,
     m_probe_args,
     margins_ok,
-    twiddle_params,
 )
 
 __all__ = [
@@ -86,10 +85,6 @@ __all__ = [
     "limit_probe_args",
     "PointSearchError",
     "gen_point",
-    "twiddle_x_forms",
-    "signed_perm_transform",
-    "twiddle_classify",
-    "twiddle_check",
     "table_json",
     "table_text",
 ]
@@ -963,100 +958,6 @@ def gen_point(rng, side: str = "W", probe=None, budget: int = 10_000):
         if margins_ok(gammas, sins):
             return p
     raise PointSearchError(f"no admissible point found in {budget} draws")
-
-
-# ---------------------------------------------------------------------------
-# quadratic-coordinate (twiddle) invariance
-# ---------------------------------------------------------------------------
-
-_X_SYMBOLS = tuple("uvwxyz")
-
-
-@lru_cache(maxsize=1)
-def twiddle_x_forms() -> tuple:
-    """The seven parameter forms as symbolic functions of the six free
-    coordinates, matching twiddle_params slot for slot."""
-    X = [LinForm.symbol(_X_SYMBOLS, s) for s in _X_SYMBOLS]
-    s = LinForm.const_form(_X_SYMBOLS, Fraction(1, 2)) + X[0] + X[1] + X[2]
-    one = LinForm.const_form(_X_SYMBOLS, 1)
-    return (
-        s + X[3] + X[4] + X[5],
-        s - X[3] - X[4] + X[5],
-        s + X[3] - X[4] - X[5],
-        s - X[3] + X[4] - X[5],
-        one + X[1] * 2 + X[2] * 2,
-        one + X[0] * 2 + X[1] * 2,
-        one + X[0] * 2 + X[2] * 2,
-    )
-
-
-def signed_perm_transform(forms, perm, signs) -> tuple:
-    """Substitute coordinate i by signs[i] times coordinate perm[i]."""
-    reps = [
-        LinForm.symbol(_X_SYMBOLS, _X_SYMBOLS[perm[i]]) * signs[i]
-        for i in range(6)
-    ]
-    return tuple(f.substitute(reps) for f in forms)
-
-
-# the six free coordinates written in the seven parameters, times four;
-# substituted into the parameter forms they give forms in A..G
-_X_IN_V_TEXTS = ("F+G-E-1", "E+F-G-1", "E+G-F-1", "A-B+C-D", "A-B-C+D", "A+B-C-D")
-
-
-@lru_cache(maxsize=1)
-def _x_in_v() -> tuple:
-    return tuple(LinForm.parse(t, V_SYMBOLS) * Fraction(1, 4) for t in _X_IN_V_TEXTS)
-
-
-def twiddle_classify(forms7, space: str):
-    """Label of a signed-permutation image of the parameter forms: the forms
-    rewritten in the seven parameters, classified in space J or L."""
-    classify = {"J": classify_j, "L": classify_l}.get(space)
-    if classify is None:
-        raise ValueError("space must be 'J' or 'L'")
-    return classify(tuple(f.substitute(_x_in_v()) for f in forms7))
-
-
-_TWIDDLE_DRAWS = 10_000
-
-
-def twiddle_check(rng, space: str):
-    """Draw one random even-sign coordinate permutation, classify its image,
-    and compare direct evaluation at the transformed coordinates with the
-    labelled arrangement at the original ones.
-
-    Returns (label, relative error).  The claim under test: transforming the
-    coordinates equals acting on the argument arrangement by a group element,
-    so both evaluations see the same function value.
-    """
-    perm = list(range(6))
-    rng.shuffle(perm)
-    signs = [rng.choice((1, -1)) for _ in range(6)]
-    if signs.count(-1) % 2:
-        signs[0] = -signs[0]
-    transformed = signed_perm_transform(twiddle_x_forms(), tuple(perm), tuple(signs))
-    label = twiddle_classify(transformed, space)
-    word = representative_words(space)[label]
-    beta = word_to_matrix(word, "v")
-    evaluator = eval_J_log if space == "J" else eval_L_log
-    probe = j_probe_args if space == "J" else l_probe_args
-    for _ in range(_TWIDDLE_DRAWS):
-        xs = [
-            complex(rng.uniform(0.02, 0.12), rng.uniform(-0.04, 0.04))
-            for _ in range(6)
-        ]
-        tx = [signs[i] * xs[perm[i]] for i in range(6)]
-        vals_t = twiddle_params(*tx)
-        arr = beta.apply_values(twiddle_params(*xs))
-        g1, s1 = probe(vals_t)
-        g2, s2 = probe(arr)
-        if not margins_ok(tuple(g1) + tuple(g2), tuple(s1) + tuple(s2)):
-            continue
-        direct = evaluator(vals_t)
-        via = evaluator(arr)
-        return label, abs((direct - via).to_complex() - 1.0)
-    raise PointSearchError(f"no admissible coordinates found in {_TWIDDLE_DRAWS} draws")
 
 
 # ---------------------------------------------------------------------------

@@ -69,6 +69,7 @@ __all__ = [
     "triple_orbits",
     "group_order",
     "full_group_census",
+    "d6_certificate",
     "perm_group_order",
     "representative_words",
     "M_BFS_GENERATOR_ORDER",
@@ -368,26 +369,24 @@ def classify_j(forms: Sequence[LinForm]) -> JLabel:
     return table[f]
 
 
-# Quarter-sum combinations of the seven coordinates; the second-family
-# invariance group fixes the first of them pointwise, so the functional
-# (slot6 + slot7 - slot5 - 1)/4 of an arrangement is constant on cosets
-# and always lands on one of these twelve forms.
+# The six free coordinates of the seven-slot side: label k is the coordinate
+# x_k = (form)/4 in the seven parameters, and kbar is -x_k.  The
+# second-family invariance group fixes x_4 pointwise, so the functional
+# (slot6 + slot7 - slot5 - 1)/4 of an arrangement is constant on cosets and
+# always lands on one of these twelve forms.
 _L_INVARIANT_FORMS = {
-    "(F+G-E-1)/4": "4", "(E+F-G-1)/4": "6", "(E+G-F-1)/4": "5",
-    "(A+C-B-D)/4": "2", "(A+D-B-C)/4": "3", "(A+B-C-D)/4": "1",
+    1: "A+B-C-D", 2: "A+C-B-D", 3: "A+D-B-C",
+    4: "F+G-E-1", 5: "E+G-F-1", 6: "E+F-G-1",
 }
 
 
 @lru_cache(maxsize=1)
 def _l_classify_table():
     table = {}
-    for text, name in _L_INVARIANT_FORMS.items():
-        inner = text[1:].split(")")[0]
-        form = LinForm.parse(inner, V_SYMBOLS) * Fraction(1, 4)
-        plus = form.reduced()
-        minus = (-form).reduced()
-        table[plus] = parse_label(name)
-        table[minus] = parse_label(name + "bar")
+    for k, text in _L_INVARIANT_FORMS.items():
+        form = LinForm.parse(text, V_SYMBOLS) * Fraction(1, 4)
+        table[form.reduced()] = LLabel(k)
+        table[(-form).reduced()] = LLabel(k, True)
     assert len(table) == 12, "coset-defining forms must be pairwise distinct"
     return table
 
@@ -707,10 +706,48 @@ def full_group_census() -> int:
     3. An image of the full order 2,903,040 therefore makes both maps
        isomorphisms.
 
-    The seven-slot side is certified the same way, with W(D6) (order
-    23,040), act_j/act_l and classify_j/classify_l.
+    The seven-slot side is certified the same way, with act_j/act_l and
+    classify_j/classify_l; d6_certificate shows that its group is W(D6),
+    of order 23,040, and that the index-action subgroup Q is isomorphic to it.
     """
     return perm_group_order([_word_perm("M", (g,)) for g in W_GENERATOR_NAMES])
+
+
+def d6_certificate() -> dict:
+    """Q is isomorphic to W(D6), certified on the 12 L labels.
+
+    Label k stands for the coordinate x_k and kbar for -x_k, so a generator
+    that commutes with the bar and bars an even number of the labels 1..6
+    is an even signed permutation of six coordinates, an element of W(D6),
+    of order 2^5 * 6! = 23,040.  Generators that are all even and generate
+    that order generate W(D6).  If the six bridged pairs (each Q generator
+    on the 56 M labels beside its match on the 12 L labels) generate that
+    order too, both projections are bijective: the bridge extends to an
+    isomorphism from Q onto W(D6).
+
+    Returns the coordinate forms, each generator's images of the labels
+    1..6, whether all are even, and the two orders.  Raises ValueError for
+    a generator that does not commute with the bar.
+    """
+    labels, index, perms = _space("L")
+    bar = tuple(index[-lab] for lab in labels)
+    unbarred = [index[LLabel(k)] for k in _L_INVARIANT_FORMS]
+    signed, even = {}, True
+    for g, p in perms.items():
+        if _mul(p, bar) != _mul(bar, p):
+            raise ValueError(f"{g} is not a signed permutation of the six coordinates")
+        images = [labels[p[k]] for k in unbarred]
+        even = even and sum(lab.barred for lab in images) % 2 == 0
+        signed[g] = [str(lab) for lab in images]
+    m_perms = _space("M")[2]
+    bridged = [m_perms[s] + tuple(56 + k for k in perms[g]) for s, g in _GENERATOR_BRIDGE.items()]
+    return {
+        "coordinates": {str(k): f"({text})/4" for k, text in _L_INVARIANT_FORMS.items()},
+        "signed_permutations": signed,
+        "even": even,
+        "order": perm_group_order(list(perms.values())),
+        "bridged_order": perm_group_order(bridged),
+    }
 
 
 # ---------------------------------------------------------------------------

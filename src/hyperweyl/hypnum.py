@@ -64,7 +64,6 @@ __all__ = [
     "eval_L_log",
     "eval_L_7f6_log",
     "eval_M_log",
-    "twiddle_params",
 ]
 
 GAMMA_MARGIN = 0.1
@@ -735,16 +734,3 @@ def eval_M_log(w) -> LogC:
         _vwp_half(2 * b - a, (b,) + moved, rest),
     ), (1.0, -1.0))
 
-
-def twiddle_params(x0, x1, x2, x3, x4, x5):
-    """Seven parameters from six free coordinates; the unit-shift identity
-    then holds identically."""
-    s = 0.5 + x0 + x1 + x2
-    A = s + x3 + x4 + x5
-    B = s - x3 - x4 + x5
-    C = s + x3 - x4 - x5
-    D = s - x3 + x4 - x5
-    E = 1 + 2 * x1 + 2 * x2
-    F = 1 + 2 * x0 + 2 * x1
-    G = 1 + 2 * x0 + 2 * x2
-    return (A, B, C, D, E, F, G)

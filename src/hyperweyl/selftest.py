@@ -24,6 +24,7 @@ from .coxeter import (
     act_t,
     all_m_labels,
     color_orbits,
+    d6_certificate,
     dd,
     dd_by_cases,
     full_group_census,
@@ -133,8 +134,10 @@ def _coset_census(cfg):
     return ok, f"{len(labels)} labels reached from the base label", {"labels": len(labels)}
 
 
-# ceiling on the memory the group orders allocate, measured by tracemalloc;
-# they need about 0.17 MB
+# ceiling on the memory the group orders and the W(D6) certificate allocate,
+# measured by tracemalloc; they need about 0.36 MB in a fresh process, most
+# of it permutation tuples that Python keeps on its free lists, and less
+# once earlier work has filled those lists
 GROUP_ORDERS_PEAK_MB = 16.0
 
 
@@ -146,16 +149,23 @@ def _group_orders(cfg):
     tracemalloc.reset_peak()
     try:
         got = group_orders()
+        cert = d6_certificate()
         peak_mb = (tracemalloc.get_traced_memory()[1] - base) / 1e6
     finally:
         if not tracing:
             tracemalloc.stop()
-    ok = got == EXPECTED_ORDERS and peak_mb < GROUP_ORDERS_PEAK_MB
+    iso = cert["even"] and cert["order"] == EXPECTED_ORDERS["H1"] and (
+        cert["bridged_order"] == EXPECTED_ORDERS["Q"]
+    )
+    ok = got == EXPECTED_ORDERS and iso and peak_mb < GROUP_ORDERS_PEAK_MB
     parts = " ".join(f"{k}={v}" for k, v in sorted(got.items()))
     return ok, (
-        f"{parts}, peak memory {peak_mb:.2f} MB (ceiling {GROUP_ORDERS_PEAK_MB:g} MB)"
+        f"{parts}; {'Q isomorphic to W(D6)' if iso else 'no isomorphism Q -> W(D6)'} "
+        f"(generators {'' if cert['even'] else 'not all '}even signed permutations, "
+        f"order {cert['order']}, bridged order {cert['bridged_order']}); "
+        f"peak memory {peak_mb:.2f} MB (ceiling {GROUP_ORDERS_PEAK_MB:g} MB)"
     ), {
-        "orders": got, "expected": EXPECTED_ORDERS,
+        "orders": got, "expected": EXPECTED_ORDERS, "d6_certificate": cert,
         "peak_mb": peak_mb, "ceiling_mb": GROUP_ORDERS_PEAK_MB,
     }
 

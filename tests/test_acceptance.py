@@ -49,6 +49,59 @@ def test_group_orders_check_fails_past_its_memory_ceiling(monkeypatch):
     assert f"peak memory {2 * selftest.GROUP_ORDERS_PEAK_MB:.2f} MB" in result.detail
 
 
+@pytest.fixture
+def l_action(monkeypatch):
+    """Replace the generator action behind the L label space; the cached
+    label permutations are rebuilt on both sides of the test."""
+    from hyperweyl import coxeter
+
+    def patch(act):
+        labels_fn, gens, _ = coxeter._SPACES["L"]
+        monkeypatch.setitem(coxeter._SPACES, "L", (labels_fn, gens, act))
+        coxeter._space.cache_clear()
+
+    yield patch
+    monkeypatch.undo()
+    coxeter._space.cache_clear()
+
+
+def test_group_orders_check_fails_on_an_odd_generator(l_action):
+    # a1' that bars only one of its two images is an odd signed permutation;
+    # with it the six generators reach all 2^6 * 6! signed permutations
+    from hyperweyl.coxeter import LLabel, act_l, d6_certificate
+
+    def one_sign(gen, label):
+        if gen == "a1'" and label.index in (1, 2):
+            return LLabel(3 - label.index, label.barred != (label.index == 1))
+        return act_l(gen, label)
+
+    l_action(one_sign)
+    cert = d6_certificate()
+    assert cert["signed_permutations"]["a1'"] == ["2bar", "1", "3", "4", "5", "6"]
+    assert not cert["even"]
+    assert cert["order"] == 46080
+    result = run_check("02-group-orders")
+    assert not result.passed
+    assert "no isomorphism Q -> W(D6) (generators not all even" in result.detail
+
+
+def test_group_orders_check_fails_on_a_generator_that_ignores_the_bar(l_action):
+    # swapping 1 with 2bar alone does not commute with the bar
+    from hyperweyl.coxeter import LLabel, act_l, d6_certificate
+
+    def half_swap(gen, label):
+        if gen == "a1'":
+            return {LLabel(1): LLabel(2, True), LLabel(2, True): LLabel(1)}.get(label, label)
+        return act_l(gen, label)
+
+    l_action(half_swap)
+    with pytest.raises(ValueError, match="a1' is not a signed permutation"):
+        d6_certificate()
+    result = run_check("02-group-orders")
+    assert not result.passed
+    assert result.detail == "ValueError: a1' is not a signed permutation of the six coordinates"
+
+
 def test_a_check_past_its_budget_fails(monkeypatch):
     # a right answer that arrives late fails, and the detail names the budget
     from hyperweyl import selftest

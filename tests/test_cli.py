@@ -332,15 +332,23 @@ def test_selftest_verb_reports_failures(monkeypatch):
 def test_groups_verb_matches_expected_orders():
     code, data = run_json("groups")
     assert code == 0
-    assert data["match"] is True
     assert data["orders"] == data["expected"]
+
+
+def test_groups_text_is_the_check_line_and_the_orders():
+    code, text = run_cli("groups")
+    assert code == 0
+    first, *orders = text.splitlines()
+    assert first.startswith("PASS 02-group-orders")
+    assert "Q isomorphic to W(D6)" in first
+    assert orders == ["G: 51840", "G_J: 720", "G_L: 1920", "H1: 23040", "Q: 23040", "full: 2903040"]
 
 
 def test_groups_full_census():
     code, data = run_json("groups")
     assert code == 0
     assert data["orders"]["full"] == 2903040
-    assert data["match"] is True
+    assert data["orders"] == data["expected"]
 
 
 # ---------------------------------------------------------------------------

@@ -42,13 +42,9 @@ from hyperweyl.correspond import (
     pipeline_probe_args,
     relation_probe_args,
     relation_report,
-    signed_perm_transform,
     table_json,
     table_text,
     translate_relation,
-    twiddle_check,
-    twiddle_classify,
-    twiddle_x_forms,
     xfromw,
 )
 
@@ -399,37 +395,6 @@ def test_limit222_pipeline_passes():
         assert all(lo <= r <= hi for r in factor["ratios"])
     errs = steps["bracket_to_one"]["errors"]
     assert all(b < a for a, b in zip(errs, errs[1:]))
-
-
-# ---------------------------------------------------------------------------
-# quadratic-coordinate invariance
-# ---------------------------------------------------------------------------
-
-
-def test_twiddle_identity_labels():
-    forms = twiddle_x_forms()
-    assert str(twiddle_classify(forms, "J")) == "p0"
-    assert str(twiddle_classify(forms, "L")) == "4"
-    with pytest.raises(ValueError):
-        twiddle_classify(forms, "M")
-    broken = (forms[0] + forms[1],) + forms[1:]
-    with pytest.raises(ValueError):
-        twiddle_classify(broken, "J")
-
-
-def test_twiddle_transform_stays_classifiable():
-    forms = twiddle_x_forms()
-    img = signed_perm_transform(forms, (1, 0, 2, 3, 5, 4), (1, -1, -1, 1, 1, 1))
-    twiddle_classify(img, "J")
-    twiddle_classify(img, "L")
-
-
-def test_twiddle_invariance_sampled():
-    rng = random.Random(2026)
-    for space in ("J", "L"):
-        for _ in range(20):
-            label, err = twiddle_check(rng, space)
-            assert err <= 1e-7, (space, str(label), err)
 
 
 # ---------------------------------------------------------------------------

@@ -22,6 +22,7 @@ from hyperweyl.coxeter import (
     classify_l,
     classify_m,
     color_orbits,
+    d6_certificate,
     dd,
     dd_by_cases,
     full_group_census,
@@ -41,6 +42,7 @@ from hyperweyl.coxeter import (
     triple_type,
 )
 from hyperweyl.exactalg import (
+    SUBGROUP_WORDS,
     coxeter_order,
     generator,
     symbol_forms,
@@ -443,6 +445,44 @@ def test_subgroup_orders():
     assert group_order("Q") == 23040
     assert group_order("G") == 51840
     assert full_group_census() == 2 * 6 * 8 * 10 * 12 * 14 * 18
+
+
+def test_d6_certificate():
+    cert = d6_certificate()
+    maps = cert["signed_permutations"]
+    # a1..a5 swap neighbouring coordinates; a1' swaps x_1 and x_2 and negates both
+    for k in range(1, 6):
+        images = [str(i) for i in range(1, 7)]
+        images[k - 1], images[k] = images[k], images[k - 1]
+        assert maps[f"a{k}"] == images
+    assert maps["a1'"] == ["2bar", "1bar", "3", "4", "5", "6"]
+    assert cert["even"]
+    assert cert["order"] == cert["bridged_order"] == 2**5 * 720
+    assert cert["coordinates"]["4"] == "(F+G-E-1)/4"
+
+
+def _l_perm(word):
+    """Permutation of the indices of all_l_labels() that a word induces."""
+    labels = all_l_labels()
+    images = []
+    for lab in labels:
+        for g in word:
+            lab = act_l(g, lab)
+        images.append(labels.index(lab))
+    return tuple(images)
+
+
+def test_subgroup_images_on_the_l_labels():
+    labels = all_l_labels()
+    # G_J permutes the six coordinates without signs: all of S6
+    g_j = [_l_perm(w) for w in SUBGROUP_WORDS["G_J"][1]]
+    assert all(labels[p[k]].barred == lab.barred for p in g_j for k, lab in enumerate(labels))
+    assert perm_group_order(g_j) == 720
+    # G_L fixes the coordinate x_4: W(D5) on the other five
+    g_l = [_l_perm(w) for w in SUBGROUP_WORDS["G_L"][1]]
+    four = labels.index(LLabel(4))
+    assert all(p[four] == four for p in g_l)
+    assert perm_group_order(g_l) == 1920
 
 
 @pytest.mark.parametrize(

@@ -66,7 +66,7 @@ def test_reduced_forms_agree_modulo_the_constraint():
 
 
 def test_an_alphabet_without_a_hyperplane_has_no_reduction():
-    # the six free coordinates of the twiddle parametrisation are unconstrained
+    # an alphabet of six free symbols has no constraint to reduce by
     f = LinForm.parse("1+u-2z", "uvwxyz")
     with pytest.raises(ValueError, match="no hyperplane"):
         f.reduced()

@@ -48,7 +48,6 @@ from hyperweyl.hypnum import (
     require_margins,
     series_sigma,
     sum_pfq,
-    twiddle_params,
 )
 
 # frozen reference values (see module docstring)
@@ -802,64 +801,6 @@ def test_eval_m_9f8_lists_very_well_poised():
     assert abs(nums[1] - (1 + a / 2)) < 1e-12
     assert all(abs(n + d - (1 + a)) < 1e-12 for n, d in zip(nums[1:], dens))
     assert abs(series_sigma(nums, dens) - 2.0) < 1e-12
-
-
-# ---------------------------------------------------------------------------
-# the six-coordinate parameterization
-# ---------------------------------------------------------------------------
-
-
-def test_twiddle_at_origin():
-    assert twiddle_params(0, 0, 0, 0, 0, 0) == (0.5, 0.5, 0.5, 0.5, 1, 1, 1)
-
-
-def test_twiddle_keeps_unit_shift():
-    rng = random.Random(9)
-    for _ in range(50):
-        xs = [complex(rng.uniform(-0.2, 0.2), rng.uniform(-0.1, 0.1)) for _ in range(6)]
-        A, B, C, D, E, F, G = twiddle_params(*xs)
-        assert abs((E + F + G) - (A + B + C + D) - 1) < 1e-14
-
-
-def _twiddle_sample(seed):
-    rng = random.Random(seed)
-    while True:
-        xs = [complex(rng.uniform(-0.12, 0.12), rng.uniform(-0.05, 0.05)) for _ in range(6)]
-        args = twiddle_params(*xs)
-        if margins_ok(*j_probe_args(args)) and margins_ok(*l_probe_args(args)):
-            return xs, args
-
-
-def test_twiddle_permutation_symmetry_of_j():
-    xs, args = _twiddle_sample(3)
-    base = eval_J_log(args).to_complex()
-    rng = random.Random(17)
-    done = 0
-    while done < 10:
-        perm = list(range(6))
-        rng.shuffle(perm)
-        moved = twiddle_params(*[xs[i] for i in perm])
-        if not margins_ok(*j_probe_args(moved)):
-            continue
-        assert rel(eval_J_log(moved).to_complex(), base) < 1e-7
-        done += 1
-
-
-def test_twiddle_signed_permutation_symmetry_of_l():
-    xs, args = _twiddle_sample(3)
-    base = eval_L_log(args).to_complex()
-    rng = random.Random(23)
-    done = 0
-    while done < 10:
-        perm = [0] + rng.sample(range(1, 6), 5)
-        signs = [1] + [rng.choice((1, -1)) for _ in range(5)]
-        if signs.count(-1) % 2:
-            signs[signs.index(-1)] = 1
-        moved = twiddle_params(*[signs[k] * xs[perm[k]] for k in range(6)])
-        if not margins_ok(*l_probe_args(moved)):
-            continue
-        assert rel(eval_L_log(moved).to_complex(), base) < 1e-7
-        done += 1
 
 
 # ---------------------------------------------------------------------------
