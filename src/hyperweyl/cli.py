@@ -6,14 +6,12 @@ selftest.run_check, under that entry's time budget, and prints its
 evidence.  Exit status: 0 when everything requested succeeds, 1 when a
 verification check fails, 2 on file, parse, or usage errors, and when the
 admissible-point search exhausts its budget.  All randomness derives from
---seed (default 7), so any two runs with the same flags agree.  That rejection budget can be
-overridden through the environment variable HYPERWEYL_BUDGET (and nothing
-else can).
+--seed (default 7), the only setting, so any two runs with the same flags
+agree.
 """
 
 import argparse
 import json
-import os
 import sys
 
 from .coxeter import (
@@ -30,11 +28,9 @@ from .coxeter import (
 from .exactalg import LinForm, V_SYMBOLS, W_SYMBOLS
 from .hypnum import EvaluationDomainError, PointV, PointW
 from .correspond import FunTerm, PointSearchError, table_json, table_text
-from .selftest import RunConfig, run_all, run_check
+from .selftest import run_all, run_check
 
 __all__ = ["dispatch", "main"]
-
-_DEFAULTS = RunConfig()
 
 # the catalog entry behind each `check` suite
 CHECK_SUITES = {
@@ -69,26 +65,8 @@ def build_parser() -> argparse.ArgumentParser:
     top.add_argument(
         "--seed",
         type=int,
-        default=_DEFAULTS.seed,
+        default=7,
         help="random point seed (default: %(default)s)",
-    )
-    top.add_argument(
-        "--tol-m",
-        type=float,
-        default=_DEFAULTS.tol_m,
-        help="relative residual bound for eight-slot checks (default: %(default)g)",
-    )
-    top.add_argument(
-        "--tol-jl",
-        type=float,
-        default=_DEFAULTS.tol_jl,
-        help="relative residual bound for seven-slot checks (default: %(default)g)",
-    )
-    top.add_argument(
-        "--limit-decay",
-        type=float,
-        default=_DEFAULTS.limit_decay,
-        help="required final/initial error ratio in limit checks (default: %(default)g)",
     )
     sub = top.add_subparsers(dest="verb", required=True)
 
@@ -126,20 +104,6 @@ def build_parser() -> argparse.ArgumentParser:
     return top
 
 
-def _config_from(ns) -> RunConfig:
-    try:
-        budget = int(os.environ.get("HYPERWEYL_BUDGET", _DEFAULTS.budget))
-    except ValueError as exc:
-        raise CliError(f"HYPERWEYL_BUDGET must be an integer: {exc}")
-    return RunConfig(
-        seed=ns.seed,
-        tol_m=ns.tol_m,
-        tol_jl=ns.tol_jl,
-        limit_decay=ns.limit_decay,
-        budget=budget,
-    )
-
-
 def _emit(payload, fmt: str, text: str, out) -> None:
     if fmt == "json":
         print(json.dumps(payload, sort_keys=True, indent=2), file=out)
@@ -152,7 +116,7 @@ def _emit(payload, fmt: str, text: str, out) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _cmd_orbits(ns, cfg, out):
+def _cmd_orbits(ns, out):
     data = []
     for members in color_orbits():
         data.append(
@@ -169,7 +133,7 @@ def _cmd_orbits(ns, cfg, out):
     return 0
 
 
-def _cmd_table(ns, cfg, out):
+def _cmd_table(ns, out):
     if ns.format == "json":
         print(table_json(), file=out)
     else:
@@ -177,7 +141,7 @@ def _cmd_table(ns, cfg, out):
     return 0
 
 
-def _cmd_distance(ns, cfg, out):
+def _cmd_distance(ns, out):
     try:
         u = parse_label(ns.label1)
         v = parse_label(ns.label2)
@@ -194,7 +158,7 @@ def _cmd_distance(ns, cfg, out):
     return 0
 
 
-def _cmd_classify(ns, cfg, out):
+def _cmd_classify(ns, out):
     orbs = triple_orbits(ns.space)
     data = {
         "space": ns.space,
@@ -234,7 +198,7 @@ def _load_point(path: str):
     raise CliError(f"point file {path} has neither eight- nor seven-slot keys")
 
 
-def _cmd_eval(ns, cfg, out):
+def _cmd_eval(ns, out):
     point, alphabet = _load_point(ns.point)
     if ns.args is None:
         forms = tuple(LinForm.symbol(alphabet, s) for s in alphabet)
@@ -293,24 +257,24 @@ def _report_line(rep: dict) -> str:
     return f"{rep['verdict']} pipeline: {steps or rep.get('failure', '')}"
 
 
-def _emit_check(name, cfg, fmt, out, evidence_lines) -> int:
+def _emit_check(name, seed, fmt, out, evidence_lines) -> int:
     """Run one catalog entry and print its evidence: in text, the check's
     line and then evidence_lines(evidence)."""
-    res = run_check(name, cfg)
+    res = run_check(name, seed)
     lines = [res.line()] + evidence_lines(res.evidence)
     _emit(res.evidence, fmt, "\n".join(lines), out)
     return 0 if res.passed else 1
 
 
-def _cmd_check(ns, cfg, out):
+def _cmd_check(ns, out):
     return _emit_check(
-        CHECK_SUITES[ns.suite], cfg, ns.format, out,
+        CHECK_SUITES[ns.suite], ns.seed, ns.format, out,
         lambda ev: [_report_line(r) for r in ev.get("reports", ())],
     )
 
 
-def _cmd_selftest(ns, cfg, out):
-    results = run_all(cfg)
+def _cmd_selftest(ns, out):
+    results = run_all(ns.seed)
     payload = [r.to_dict() for r in results]
     lines = [r.line() for r in results]
     failed = sum(1 for r in results if not r.passed)
@@ -322,9 +286,9 @@ def _cmd_selftest(ns, cfg, out):
     return 0 if failed == 0 else 1
 
 
-def _cmd_groups(ns, cfg, out):
+def _cmd_groups(ns, out):
     return _emit_check(
-        "02-group-orders", cfg, ns.format, out,
+        "02-group-orders", ns.seed, ns.format, out,
         lambda ev: [f"{name}: {order}" for name, order in sorted(ev.get("orders", {}).items())],
     )
 
@@ -359,12 +323,8 @@ def _preprocess(argv):
 def dispatch(argv=None, out=sys.stdout) -> int:
     ns = build_parser().parse_args(_preprocess(argv))
     try:
-        cfg = _config_from(ns)
-        return _VERBS[ns.verb](ns, cfg, out)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except PointSearchError as exc:
+        return _VERBS[ns.verb](ns, out)
+    except (CliError, PointSearchError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

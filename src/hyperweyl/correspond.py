@@ -97,6 +97,8 @@ ORBIT1JLL_TOL = 1e-7
 ROY463B_SHIFTED_TOL = 1e-4
 HALVING_WINDOW = (0.3, 0.7)
 LIMIT_DECAY = 0.6
+# rejected draws after which gen_point gives up
+POINT_BUDGET = 10_000
 # imaginary shifts of b that the limit checks and the pipeline step through
 SHIFTS = (8.0, 16.0, 32.0)
 
@@ -554,10 +556,10 @@ def _shifted_point(p: PointW, t: float) -> PointW:
     return PointW(p.a, p.b + 1j * t, p.c, p.d, p.e, p.f, p.g)
 
 
-def check_limit(t, p: PointW, decay: float = LIMIT_DECAY) -> LimitReport:
+def check_limit(t, p: PointW) -> LimitReport:
     """Drive the normalized row at p through SHIFTS and compare against
     pi/2 times the target value; the verdict wants strictly decreasing
-    relative errors with the last at most `decay` times the first.  The
+    relative errors with the last at most LIMIT_DECAY times the first.  The
     report keeps the normalized shifted values, one per shift."""
     label = parse_label(t) if isinstance(t, str) else t
     row = appendix_row(label)
@@ -575,7 +577,7 @@ def check_limit(t, p: PointW, decay: float = LIMIT_DECAY) -> LimitReport:
     except (EvaluationDomainError, OverflowError) as exc:
         return LimitReport(label, SHIFTS, (), False, failure=f"{type(exc).__name__}: {exc}")
     decreasing = all(b < a for a, b in zip(errors, errors[1:]))
-    verdict = decreasing and errors[-1] <= decay * errors[0]
+    verdict = decreasing and errors[-1] <= LIMIT_DECAY * errors[0]
     return LimitReport(label, SHIFTS, tuple(errors), verdict, target_log=target_log,
                        values=tuple(values))
 
@@ -933,17 +935,17 @@ class PointSearchError(RuntimeError):
     """No admissible point within the draw budget."""
 
 
-def gen_point(rng, side: str = "W", probe=None, budget: int = 10_000):
+def gen_point(rng, side: str = "W", probe=None):
     """Random admissible point: real parts U(0.1, 0.9), imaginary parts
     U(-0.3, 0.3), redrawn until the probe's margins hold.
 
     `probe` maps a candidate point to (gamma args, sine args); None accepts
-    the first draw.  Raises PointSearchError after `budget` rejected draws.
+    the first draw.  Raises PointSearchError after POINT_BUDGET rejected draws.
     """
     side = side.upper()
     count = 7 if side == "W" else 6
     cls = PointW if side == "W" else PointV
-    for _ in range(budget):
+    for _ in range(POINT_BUDGET):
         coords = [
             complex(rng.uniform(0.1, 0.9), rng.uniform(-0.3, 0.3))
             for _ in range(count)
@@ -957,7 +959,7 @@ def gen_point(rng, side: str = "W", probe=None, budget: int = 10_000):
             continue
         if margins_ok(gammas, sins):
             return p
-    raise PointSearchError(f"no admissible point found in {budget} draws")
+    raise PointSearchError(f"no admissible point found in {POINT_BUDGET} draws")
 
 
 # ---------------------------------------------------------------------------

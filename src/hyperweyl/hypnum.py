@@ -444,6 +444,20 @@ def _check_saalschutz_args(args7):
         raise EvaluationDomainError("parameters leave the unit-shift hyperplane")
 
 
+def _coords_from_mapping(data, keys, derived):
+    """{key: complex} from {key: [re, im]}; ValueError for a non-finite part
+    or a supplied derived coordinate."""
+    if derived in data:
+        raise ValueError("the last coordinate is derived; do not supply it")
+    vals = {}
+    for k in keys:
+        re, im = data[k]
+        vals[k] = complex(re, im)
+        if not cmath.isfinite(vals[k]):
+            raise ValueError(f"coordinate {k} is not finite: {vals[k]}")
+    return vals
+
+
 @dataclass(frozen=True)
 class PointW:
     """Eight-slot parameter point; the last coordinate is always derived."""
@@ -465,13 +479,7 @@ class PointW:
 
     @classmethod
     def from_mapping(cls, data) -> "PointW":
-        vals = {}
-        for k in "abcdefg":
-            re, im = data[k]
-            vals[k] = complex(re, im)
-        if "h" in data:
-            raise ValueError("the last coordinate is derived; do not supply it")
-        return cls(**vals)
+        return cls(**_coords_from_mapping(data, "abcdefg", "h"))
 
 
 @dataclass(frozen=True)
@@ -494,13 +502,7 @@ class PointV:
 
     @classmethod
     def from_mapping(cls, data) -> "PointV":
-        vals = {}
-        for k in "ABCDEF":
-            re, im = data[k]
-            vals[k] = complex(re, im)
-        if "G" in data:
-            raise ValueError("the last coordinate is derived; do not supply it")
-        return cls(**vals)
+        return cls(**_coords_from_mapping(data, "ABCDEF", "G"))
 
 
 def _seven(x):
@@ -573,8 +575,12 @@ def m_probe_args(args8):
 
 
 def require_margins(gammas, sins):
-    """Raise unless every gamma argument clears GAMMA_MARGIN from a pole and
-    every sine argument clears SIN_MARGIN from an integer."""
+    """Raise unless every argument is finite, every gamma argument clears
+    GAMMA_MARGIN from a pole and every sine argument clears SIN_MARGIN from
+    an integer."""
+    for z in (*gammas, *sins):
+        if not cmath.isfinite(z):
+            raise EvaluationDomainError(f"non-finite argument {complex(z)}")
     for z in gammas:
         if _near_nonpos_int(complex(z), GAMMA_MARGIN):
             raise DegeneratePointError(
@@ -590,7 +596,7 @@ def require_margins(gammas, sins):
 def margins_ok(gammas, sins) -> bool:
     try:
         require_margins(gammas, sins)
-    except DegeneratePointError:
+    except EvaluationDomainError:
         return False
     return True
 

@@ -5,8 +5,10 @@ never changes, so reports are comparable across runs.  Each check returns
 its verdict, a one-line detail and its evidence: a JSON-ready dict of the
 values it measured, the bounds it held them to and the reports it built.
 Stated time budgets are part of the verdict: a correct answer arriving too
-late fails.  The two named residual tolerances (the eight-slot 1e-5 and the
-seven-slot 1e-7) are engineering margins, adjustable through RunConfig.
+late fails.  The only setting is the seed.  Every bound is fixed: the
+residual tolerances correspond.ROY463_TOL (1e-5, eight-slot) and
+ORBIT1JLL_TOL (1e-7, seven-slot), ten times those for translated relations,
+and LIMIT_DECAY (0.6), the final/initial error ratio a limit must reach.
 """
 
 import cmath
@@ -74,21 +76,9 @@ from .correspond import (
 )
 
 __all__ = [
-    "RunConfig", "CheckResult", "CATALOG", "EXPECTED_ORDERS", "LIMIT_LABELS",
+    "CheckResult", "CATALOG", "EXPECTED_ORDERS", "LIMIT_LABELS",
     "group_orders", "run_check", "run_all",
 ]
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Knobs shared by the command line and the check catalog; seed drives
-    every random point draw."""
-
-    seed: int = 7
-    tol_m: float = correspond.ROY463_TOL
-    tol_jl: float = correspond.ORBIT1JLL_TOL
-    limit_decay: float = correspond.LIMIT_DECAY
-    budget: int = 10_000
 
 
 @dataclass(frozen=True)
@@ -128,7 +118,7 @@ def group_orders() -> dict:
     return {k: full_group_census() if k == "full" else group_order(k) for k in EXPECTED_ORDERS}
 
 
-def _coset_census(cfg):
+def _coset_census(seed):
     labels = set(representative_words("M"))
     ok = len(labels) == 56 and labels == set(all_m_labels())
     return ok, f"{len(labels)} labels reached from the base label", {"labels": len(labels)}
@@ -141,7 +131,7 @@ def _coset_census(cfg):
 GROUP_ORDERS_PEAK_MB = 16.0
 
 
-def _group_orders(cfg):
+def _group_orders(seed):
     tracing = tracemalloc.is_tracing()
     if not tracing:
         tracemalloc.start()
@@ -170,7 +160,7 @@ def _group_orders(cfg):
     }
 
 
-def _coxeter_presentation(cfg):
+def _coxeter_presentation(seed):
     pairs = 0
     for side, names in (("w", W_GENERATOR_NAMES), ("v", V_GENERATOR_NAMES)):
         for g1, g2 in combinations_with_replacement(names, 2):
@@ -182,7 +172,7 @@ def _coxeter_presentation(cfg):
     return True, f"{pairs} generator pairs verified exactly on both sides", {"pairs": pairs}
 
 
-def _index_orbits(cfg):
+def _index_orbits(seed):
     bycolor = {}
     for members in color_orbits():
         colors = {orbit_color(lab) for lab in members}
@@ -199,7 +189,7 @@ def _index_orbits(cfg):
     return ok, " ".join(f"{k}:{v}" for k, v in sorted(sizes.items())), {"sizes": sizes}
 
 
-def _equivariance(cfg):
+def _equivariance(seed):
     gens = ("s1", "s2", "s3", "s4", "s5", "s3'")
     count = 0
     for lab in all_m_labels():
@@ -212,7 +202,7 @@ def _equivariance(cfg):
     return True, f"{count} generator/label pairs intertwine exactly", {"pairs": count}
 
 
-def _metric_suite(cfg):
+def _metric_suite(seed):
     labels = all_m_labels()
     for u in labels:
         for v in labels:
@@ -233,7 +223,7 @@ def _metric_suite(cfg):
     }
 
 
-def _compression(cfg):
+def _compression(seed):
     for u in all_m_labels():
         cu, tu = jl_label(u)
         for v in all_m_labels():
@@ -244,7 +234,7 @@ def _compression(cfg):
     return True, "distance compression exact on all 3136 pairs", {"pairs": 3136}
 
 
-def _triple_censuses(cfg):
+def _triple_censuses(seed):
     orbs = {space: triple_orbits(space) for space in ("M", "J", "L", "T")}
     census = {
         space: {"triples": sum(o["size"] for o in found), "orbits": len(found)}
@@ -285,8 +275,8 @@ def _stirling_log(z: complex) -> complex:
     )
 
 
-def _gamma_layer(cfg):
-    rng = random.Random(cfg.seed)
+def _gamma_layer(seed):
+    rng = random.Random(seed)
     worst_ref = worst_rec = 0.0
     count = 0
     while count < 1000:
@@ -325,10 +315,11 @@ def _gamma_layer(cfg):
     }
 
 
-def _function_invariance(cfg):
-    rng = random.Random(cfg.seed)
+def _function_invariance(seed):
+    rng = random.Random(seed)
     worst = {}
-    bounds = {"J": cfg.tol_jl, "L": cfg.tol_jl, "M": cfg.tol_m}
+    bounds = {"J": correspond.ORBIT1JLL_TOL, "L": correspond.ORBIT1JLL_TOL,
+              "M": correspond.ROY463_TOL}
     evidence = {"worst": worst, "bounds": bounds}
     jobs = (
         ("J", "G_J", eval_J_log, j_probe_args, "V", 5),
@@ -349,7 +340,7 @@ def _function_invariance(cfg):
             return g, s
 
         for _ in range(npts):
-            p = gen_point(rng, side, probe_all, budget=cfg.budget)
+            p = gen_point(rng, side, probe_all)
             base = evaluator(p.args())
             for mat in mats:
                 moved = evaluator(mat.apply_values(p.args()))
@@ -363,8 +354,9 @@ def _function_invariance(cfg):
     ), evidence
 
 
-def _l_dual_route(cfg):
-    rng = random.Random(cfg.seed)
+def _l_dual_route(seed):
+    rng = random.Random(seed)
+    tol = correspond.ORBIT1JLL_TOL
 
     def probe(p):
         args = p.args()
@@ -376,25 +368,25 @@ def _l_dual_route(cfg):
 
     worst = 0.0
     for _ in range(3):
-        p = gen_point(rng, "V", probe, budget=cfg.budget)
+        p = gen_point(rng, "V", probe)
         a = eval_L_log(p.args()).to_complex()
         b = eval_L_7f6_log(p.args()).to_complex()
         err = abs(a - b) / abs(a)
         worst = max(worst, err)
-        if err > cfg.tol_jl:
-            return False, f"routes differ by {err:.2e}", {"worst": worst, "bound": cfg.tol_jl}
+        if err > tol:
+            return False, f"routes differ by {err:.2e}", {"worst": worst, "bound": tol}
     return True, f"two evaluation routes agree to {worst:.1e} at 3 points", {
-        "worst": worst, "bound": cfg.tol_jl,
+        "worst": worst, "bound": tol,
     }
 
 
-def _relations(cfg):
-    rng = random.Random(cfg.seed)
+def _relations(seed):
+    rng = random.Random(seed)
     rels = builtin_relations()
     reports = []
 
     def measure(rel, side, bound):
-        p = gen_point(rng, side, lambda q: relation_probe_args(rel, q), budget=cfg.budget)
+        p = gen_point(rng, side, lambda q: relation_probe_args(rel, q))
         rep = relation_report(rel, p)
         mags = [t["log_mag"] for t in rep["terms"] if "log_mag" in t]
         rep["bound"] = bound
@@ -405,8 +397,8 @@ def _relations(cfg):
 
     summary = []
     for name, side, gens, tol in (
-        ("roy463", "W", ("s1", "s2", "s3", "s4", "s5", "s3'"), cfg.tol_m),
-        ("orbit1jll", "V", ("a1", "a2", "a3", "a4", "a5", "a1'"), cfg.tol_jl),
+        ("roy463", "W", ("s1", "s2", "s3", "s4", "s5", "s3'"), correspond.ROY463_TOL),
+        ("orbit1jll", "V", ("a1", "a2", "a3", "a4", "a5", "a1'"), correspond.ORBIT1JLL_TOL),
     ):
         base = rels[name]
         worst = max(measure(base, side, tol) for _ in range(3))
@@ -416,7 +408,7 @@ def _relations(cfg):
         )
         summary.append(f"{name} {worst:.1e} (translated {worst_t:.1e})")
     # unshifted roy463b is drawn last, so the points above do not move
-    summary.append(f"roy463b {measure(rels['roy463b'], 'W', cfg.tol_m):.1e}")
+    summary.append(f"roy463b {measure(rels['roy463b'], 'W', correspond.ROY463_TOL):.1e}")
     evidence = {"reports": reports}
     for rep in reports:
         if not rep["passed"]:
@@ -432,14 +424,13 @@ def _relations(cfg):
 LIMIT_LABELS = ("+v(0,7)", "+v(1,7)", "+v(0,1)", "+v(2,7)")
 
 
-def _limits(cfg):
-    rng = random.Random(cfg.seed)
+def _limits(seed):
+    rng = random.Random(seed)
+    decay = correspond.LIMIT_DECAY
     rows = []
     for lab in LIMIT_LABELS:
-        p = gen_point(
-            rng, "W", lambda q: limit_probe_args(lab, q), budget=cfg.budget
-        )
-        rows.append(check_limit(lab, p, decay=cfg.limit_decay))
+        p = gen_point(rng, "W", lambda q: limit_probe_args(lab, q))
+        rows.append(check_limit(lab, p))
 
     # at a common point, the pair's normalized shifted values must agree at
     # every shift to within the sum of the two final shift errors
@@ -448,8 +439,8 @@ def _limits(cfg):
         g2, s2 = limit_probe_args(LIMIT_LABELS[1], q)
         return tuple(g1) + tuple(g2), tuple(s1) + tuple(s2)
 
-    p = gen_point(rng, "W", pair_probe, budget=cfg.budget)
-    pair = [check_limit(lab, p, decay=cfg.limit_decay) for lab in LIMIT_LABELS[:2]]
+    p = gen_point(rng, "W", pair_probe)
+    pair = [check_limit(lab, p) for lab in LIMIT_LABELS[:2]]
     gaps = [
         abs((v1 - v2).to_complex() - 1.0)
         for v1, v2 in zip(pair[0].values, pair[1].values)
@@ -457,7 +448,7 @@ def _limits(cfg):
     gap = max(gaps, default=None)
     combined = sum(rep.errors[-1] for rep in pair if rep.errors)
     evidence = {
-        "decay": cfg.limit_decay,
+        "decay": decay,
         "reports": [rep.to_dict() for rep in rows + pair],
         "pair_gap": gap,
         "pair_bound": combined,
@@ -469,7 +460,7 @@ def _limits(cfg):
             errs = " -> ".join(f"{e:.1e}" for e in rep.errors)
             return False, (
                 f"{rep.label}: errors {errs} must decrease strictly to at most "
-                f"{cfg.limit_decay:g} of the first"
+                f"{decay:g} of the first"
             ), evidence
     if not all(rep.verdict for rep in pair):
         return False, "blue/red pair fails to contract at the shared point", evidence
@@ -483,8 +474,8 @@ def _limits(cfg):
     ), evidence
 
 
-def _appendix(cfg):
-    rng = random.Random(cfg.seed)
+def _appendix(seed):
+    rng = random.Random(seed)
     # appendix_table refuses a fixture row whose target kind or label is not
     # jl_label's, so here only the fixture's target arguments remain to check
     rows = appendix_table()
@@ -510,7 +501,7 @@ def _appendix(cfg):
 
     worst_m = worst_t = 0.0
     for _ in range(2):
-        p = gen_point(rng, "W", probe, budget=cfg.budget)
+        p = gen_point(rng, "W", probe)
         vals = p.args()
         for row in rows:
             a = eval_M_log([x.evaluate(vals) for x in row.m_args])
@@ -537,9 +528,9 @@ def _appendix(cfg):
     ), {"rows": 56, "coset_agreement": worst_m, "target_agreement": worst_t, "bound": 1e-8}
 
 
-def _pipeline(cfg):
-    rng = random.Random(cfg.seed)
-    p = gen_point(rng, "W", pipeline_probe_args, budget=cfg.budget)
+def _pipeline(seed):
+    rng = random.Random(seed)
+    p = gen_point(rng, "W", pipeline_probe_args)
     out = limit222_pipeline(p)
     evidence = {"reports": [out]}
     if out["verdict"] != "PASS":
@@ -577,18 +568,17 @@ CATALOG = (
 )
 
 
-def run_check(name: str, cfg: RunConfig = None) -> CheckResult:
-    """Run one catalog entry by name.
+def run_check(name: str, seed: int = 7) -> CheckResult:
+    """Run one catalog entry by name; seed drives every random point draw.
 
-    A point search that exhausts cfg.budget is not a verdict on the check:
-    its PointSearchError propagates to the caller.
+    A point search that exhausts correspond.POINT_BUDGET is not a verdict on
+    the check: its PointSearchError propagates to the caller.
     """
-    cfg = cfg or RunConfig()
     for entry_name, fn, budget in CATALOG:
         if entry_name == name:
             t0 = time.perf_counter()
             try:
-                passed, detail, evidence = fn(cfg)
+                passed, detail, evidence = fn(seed)
             except PointSearchError:
                 raise
             except Exception as exc:
@@ -602,6 +592,6 @@ def run_check(name: str, cfg: RunConfig = None) -> CheckResult:
     raise KeyError(f"no check named {name!r}")
 
 
-def run_all(cfg: RunConfig = None) -> list:
+def run_all(seed: int = 7) -> list:
     """Run the whole catalog in fixed order."""
-    return [run_check(name, cfg) for name, _, _ in CATALOG]
+    return [run_check(name, seed) for name, _, _ in CATALOG]

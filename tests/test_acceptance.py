@@ -106,7 +106,7 @@ def test_a_check_past_its_budget_fails(monkeypatch):
     # a right answer that arrives late fails, and the detail names the budget
     from hyperweyl import selftest
 
-    def late(cfg):
+    def late(seed):
         time.sleep(0.15)
         return True, "right but late", {}
 

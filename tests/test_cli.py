@@ -12,7 +12,7 @@ import random
 
 import pytest
 
-from hyperweyl import cli, selftest
+from hyperweyl import cli, correspond, selftest
 from hyperweyl.cli import CHECK_SUITES, dispatch, main
 from hyperweyl.correspond import gen_point
 from hyperweyl.coxeter import dd, parse_label
@@ -210,6 +210,18 @@ def test_eval_pole_point_is_usage_error(tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("bad", ["NaN", "Infinity"])
+@pytest.mark.parametrize("side", ["W", "V"])
+def test_eval_non_finite_point_is_usage_error(tmp_path, capsys, side, bad):
+    keys = "abcdefg" if side == "W" else "ABCDEF"
+    text = json.dumps({k: [0.5, 0.0] for k in keys}).replace("0.0]", f"{bad}]", 1)
+    path = tmp_path / "non_finite.json"
+    path.write_text(text)
+    code, _ = run_cli("eval", "--func", "M" if side == "W" else "J", "--point", str(path))
+    assert code == 2
+    assert "is not finite" in capsys.readouterr().err
+
+
 def test_eval_rejects_supplied_derived_slot(tmp_path, w_point_file):
     data = json.loads(open(w_point_file).read())
     data["h"] = [0.5, 0.0]
@@ -249,16 +261,17 @@ def test_check_limits_passes():
         assert all(b < a for a, b in zip(errs, errs[1:]))
 
 
-def test_limit_decay_flag_reaches_the_limit_checks(monkeypatch):
+def test_a_tighter_decay_bound_fails_the_limit_checks(monkeypatch):
     # no shift-doubling run shrinks its error by nine orders of magnitude,
     # and a failing check still lists every report it built
-    code, data = run_json("--limit-decay", "1e-9", "check", "limits")
+    monkeypatch.setattr(correspond, "LIMIT_DECAY", 1e-9)
+    code, data = run_json("check", "limits")
     assert code == 1
     assert [r["label"] for r in data["reports"]] == LIMIT_REPORT_LABELS
     assert not any(rep["verdict"] for rep in data["reports"])
     only13 = [e for e in CATALOG if e[0] == "13-limit-checks"]
     monkeypatch.setattr("hyperweyl.selftest.CATALOG", only13)
-    code, text = run_cli("--limit-decay", "1e-9", "selftest")
+    code, text = run_cli("selftest")
     assert code == 1
     assert "FAIL 13-limit-checks" in text
     assert "at most 1e-09 of the first" in text
@@ -289,7 +302,7 @@ def test_check_verb_is_a_view_of_its_catalog_entry(monkeypatch, suite, seed):
 def test_check_invariance_plumbing(monkeypatch):
     seen = {}
 
-    def fake(name, cfg=None):
+    def fake(name, seed=7):
         seen["name"] = name
         return CheckResult(name, True, "stub", 0.0, {})
 
@@ -300,7 +313,7 @@ def test_check_invariance_plumbing(monkeypatch):
     assert "PASS" in text
 
     monkeypatch.setattr(
-        cli, "run_check", lambda name, cfg=None: CheckResult(name, False, "stub", 0.0, {})
+        cli, "run_check", lambda name, seed=7: CheckResult(name, False, "stub", 0.0, {})
     )
     code, _ = run_cli("check", "invariance")
     assert code == 1
@@ -321,7 +334,7 @@ def test_selftest_verb_runs_catalog_subset(monkeypatch):
 
 
 def test_selftest_verb_reports_failures(monkeypatch):
-    broken = [("00-stub", lambda cfg: (False, "boom", {}), None)]
+    broken = [("00-stub", lambda seed: (False, "boom", {}), None)]
     monkeypatch.setattr("hyperweyl.selftest.CATALOG", broken)
     code, text = run_cli("selftest")
     assert code == 1
@@ -352,7 +365,7 @@ def test_groups_full_census():
 
 
 # ---------------------------------------------------------------------------
-# determinism, budget override, entry point
+# determinism, point budget, entry point
 # ---------------------------------------------------------------------------
 
 
@@ -368,16 +381,11 @@ def test_different_seed_moves_the_probe_point():
     assert base != moved
 
 
-def test_budget_env_zero_exhausts_point_search(monkeypatch):
-    monkeypatch.setenv("HYPERWEYL_BUDGET", "0")
+def test_exhausted_point_budget_is_exit_2(monkeypatch, capsys):
+    monkeypatch.setattr(correspond, "POINT_BUDGET", 0)
     code, _ = run_cli("check", "relations")
     assert code == 2
-
-
-def test_budget_env_malformed_is_usage_error(monkeypatch):
-    monkeypatch.setenv("HYPERWEYL_BUDGET", "not-a-number")
-    code, _ = run_cli("check", "relations")
-    assert code == 2
+    assert "no admissible point found in 0 draws" in capsys.readouterr().err
 
 
 def test_main_exits_with_dispatch_code():

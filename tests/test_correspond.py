@@ -11,20 +11,15 @@ import random
 
 import pytest
 
-from hyperweyl.coxeter import MLabel, all_m_labels, parse_label
+from hyperweyl import correspond
+from hyperweyl.coxeter import all_m_labels
 from hyperweyl.exactalg import LinForm, V_SYMBOLS, W_SYMBOLS
-from hyperweyl.hypnum import (
-    LogC,
-    PrecisionWarning,
-    eval_M_log,
-    m_probe_args,
-    margins_ok,
-)
+from hyperweyl.hypnum import PrecisionWarning, eval_M_log, m_probe_args
 from hyperweyl.correspond import (
-    AppendixRow,
     FunTerm,
     GammaSinExpr,
     HALVING_WINDOW,
+    PointSearchError,
     Relation,
     appendix_row,
     appendix_table,
@@ -402,10 +397,17 @@ def test_limit222_pipeline_passes():
 # ---------------------------------------------------------------------------
 
 
-def test_gen_point_budget_exhaustion():
-    rng = random.Random(1)
-    with pytest.raises(RuntimeError):
-        gen_point(rng, "W", lambda p: ((complex(0.0),), ()), budget=5)
+def test_gen_point_budget_exhaustion(monkeypatch):
+    monkeypatch.setattr(correspond, "POINT_BUDGET", 5)
+    draws = []
+
+    def probe(p):
+        draws.append(p)
+        return (complex(0.0),), ()
+
+    with pytest.raises(PointSearchError, match="in 5 draws"):
+        gen_point(random.Random(1), "W", probe)
+    assert len(draws) == 5
 
 
 def test_gen_point_sides():

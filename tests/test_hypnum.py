@@ -546,6 +546,8 @@ def test_point_w_derived_slot():
     assert q.b == complex(0.4, 0.01)
     with pytest.raises(ValueError):
         PointW.from_mapping({**data, "h": [1.0, 0.0]})
+    with pytest.raises(ValueError, match="coordinate c is not finite"):
+        PointW.from_mapping({**data, "c": [float("nan"), 0.0]})
 
 
 def test_point_v_derived_slot():
@@ -557,6 +559,8 @@ def test_point_v_derived_slot():
     assert q.E == complex(0.75, -0.02)
     with pytest.raises(ValueError):
         PointV.from_mapping({**data, "G": [1.0, 0.0]})
+    with pytest.raises(ValueError, match="coordinate E is not finite"):
+        PointV.from_mapping({**data, "E": [0.5, float("-inf")]})
 
 
 def test_margin_checks():
@@ -567,6 +571,11 @@ def test_margin_checks():
         require_margins((), (2.01,))
     assert not margins_ok((0.02,), ())
     assert margins_ok((0.5,), (0.5,))
+    # a non-finite argument has no margin to measure
+    for bad in (complex("nan"), complex("inf"), complex(0.5, float("-inf"))):
+        with pytest.raises(EvaluationDomainError, match="non-finite argument"):
+            require_margins((0.5, bad), ())
+        assert not margins_ok((0.5,), (bad,))
 
 
 def test_probe_lists_cover_shifted_arguments():

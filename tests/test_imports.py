@@ -1,5 +1,6 @@
-"""Every name a package module imports is used there or re-exported, and
-every name it lists in ``__all__`` is bound there.
+"""Every name a package module, test file or demo imports is used there or
+re-exported, and every name a package module lists in ``__all__`` is bound
+there.
 
 A stdlib-only guard over the source: an import that outlives its last use,
 or an export that outlives its definition (say after a class is deleted),
@@ -14,6 +15,13 @@ import pytest
 import hyperweyl
 
 MODULES = sorted(Path(hyperweyl.__file__).parent.glob("*.py"))
+ROOT = Path(__file__).resolve().parent.parent
+SCRIPTS = sorted(ROOT.glob("tests/*.py")) + sorted(ROOT.glob("demos/*.py"))
+
+
+def _id(path):
+    """A package module by its file name, a test or demo by its folder too."""
+    return path.name if path in MODULES else f"{path.parent.name}/{path.name}"
 
 
 def _imported(tree):
@@ -36,7 +44,7 @@ def _exported(tree):
     return set()
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", MODULES + SCRIPTS, ids=_id)
 def test_every_import_is_used_or_exported(path):
     tree = ast.parse(path.read_text(), filename=str(path))
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
