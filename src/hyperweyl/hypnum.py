@@ -8,27 +8,27 @@ exponentiation happens at the end.  Log-gamma recurses upward only to
 |z| > 10, where twelve Stirling terms already reach double precision.
 
 On top of that sits the summation engine for one-more-numerator
-hypergeometric series at unit argument.  Such a series converges like
-N^-sigma, with sigma the excess of the denominator over the numerator
-parameters, and the tail of its partial sums expands in powers
-N^-(sigma+i) with sigma known exactly; so a Richardson table over partial
-sums at doubling lengths removes the tail term by term, and a few thousand
-terms give near double-precision values.  Terms come from their ratios,
-one complex division per term.  The evaluators for the three special
-functions of interest sit on the engine: the 44-label pair (a sum and a
-difference of two Saalschutzian 4F3(1) series, with a very-well-poised
-7F6(1) as a second route to the difference) and the eight-parameter
-function built from two very-well-poised 9F8(1) series.  Gamma factors
-that a series' prefactor shares with the function's denominator are
-cancelled before any is computed.  Each evaluator issues a
-PrecisionWarning when one of its series falls short of its tolerance, or
-when its two halves cancel to fewer than nine digits.
+hypergeometric series at unit argument.  It sums the first N terms
+directly, from their ratios with one complex division per term, and adds
+the tail beyond them from its asymptotic expansion in 1/N, whose
+coefficients follow exactly from the parameters; N is a few times the
+largest parameter modulus, so a sum takes 32 to a few hundred terms.  The
+evaluators for the three special functions of interest sit on the engine:
+the 44-label pair (a sum and a difference of two Saalschutzian 4F3(1)
+series, with a very-well-poised 7F6(1) as a second route to the
+difference) and the eight-parameter function built from two
+very-well-poised 9F8(1) series.  Gamma factors that a series' prefactor
+shares with the function's denominator are cancelled before any is
+computed.  Each evaluator issues a PrecisionWarning when one of its series
+falls short of its tolerance, or when its two halves cancel to fewer than
+nine digits.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+import operator
 import warnings
 from dataclasses import dataclass
 from typing import Sequence
@@ -305,9 +305,16 @@ def series_sigma(nums: Sequence[complex], dens: Sequence[complex]) -> complex:
 # may take; sum_pfq reads both when it is called
 REL_TOL = 1e-12
 N_MAX = 1 << 20
+# terms kept of the tail's asymptotic expansion in 1/N
+_TAIL_TERMS = 20
 
-_N0_MIN = 32
-_BLOCK = 65536
+
+# column k of the composition S(x) -> S(x / (1 + x)), k = 1 .. K-1: the
+# coefficients (-1)^j C(k - 1 + j, j) of x^(k+j) in (x / (1 + x))^k, to x^K
+_COMPOSE = [
+    [(-1) ** j * math.comb(k - 1 + j, j) for j in range(_TAIL_TERMS + 1 - k)]
+    for k in range(1, _TAIL_TERMS)
+]
 
 
 @dataclass(frozen=True)
@@ -318,72 +325,75 @@ class SeriesResult:
     converged: bool
 
 
-def _start_length(params, n_max: int) -> int:
-    # the tail expansion in 1/N only settles once N is well past every
-    # parameter; keep at least two partial sums under n_max
-    want = max(_N0_MIN, 4 * max(abs(p) for p in params))
-    n0 = 1 << math.ceil(math.log2(want))
-    while 2 * n0 > n_max:
-        n0 //= 2
-    return n0
+def _direct_sum(nums, all_dens, n: int):
+    """(t_0 + ... + t_(n-1), |t_0| + ... + |t_(n-1)|, t_n) with t_0 = 1, from
+    the term ratios in one vectorized pass, one complex division per term."""
+    ks = np.arange(n, dtype=complex)
+    num = ks + nums[0]
+    den = ks + all_dens[0]
+    tmp = np.empty_like(ks)
+    for a in nums[1:]:
+        num *= np.add(ks, a, out=tmp)
+    for b in all_dens[1:]:
+        den *= np.add(ks, b, out=tmp)
+    num /= den
+    terms = np.cumprod(num, out=num)
+    head = terms[:-1]
+    return 1.0 + complex(head.sum()), 1.0 + float(np.abs(head).sum()), complex(terms[-1])
 
 
-def _partial_sums(nums, all_dens, n0: int, n_max: int):
-    """Yield (N, sum of the first N terms) for N = n0, 2 n0, 4 n0, ... <= n_max.
+def _tail(nums, dens, sigma: complex, n: int, t_n: complex):
+    """(R_n, size of its last two expansion terms) for R_n = sum of t_k, k >= n.
 
-    Terms come from the multiplicative recurrence, in vectorized blocks of at
-    most _BLOCK terms so that memory stays flat however long the sum runs.
-    Each term ratio is the product of the numerator factors over the product
-    of the denominator factors, one division per term.  For the 4F3, 7F6 and
-    9F8 series of the evaluators each product has at most nine factors, each
-    below 2^22 + 50 in modulus, so neither passes 1e60.
+    R_n = t_n n S(x) with S(x) = c_0 + c_1 x + c_2 x^2 + ... and x = 1/n.
+    Put into R_n - R_(n+1) = t_n, this reads S(x) - u(x) S(x / (1 + x)) = x
+    with u(x) = prod(1 + a x) / prod(1 + b x) over the numerators and the
+    denominators.  As u = 1 - sigma x + ..., order m of that identity fixes
+    c_(m-1) through the factor sigma + m - 1.
     """
-    total = last = 1.0 + 0j
-    count = 1
-    n = n0
-    while n <= n_max:
-        while count < n:
-            size = min(_BLOCK, n - count)
-            ks = np.arange(count - 1, count - 1 + size, dtype=complex)
-            num = ks + nums[0]
-            den = ks + all_dens[0]
-            tmp = np.empty_like(ks)
-            for a in nums[1:]:
-                num *= np.add(ks, a, out=tmp)
-            for b in all_dens[1:]:
-                den *= np.add(ks, b, out=tmp)
-            num /= den
-            terms = np.cumprod(num, out=num)
-            terms *= last
-            total += complex(np.sum(terms))
-            last = complex(terms[-1])
-            count += size
-        yield n, total
-        n *= 2
+    u = [1.0 + 0j] + [0j] * _TAIL_TERMS
+    for j, a in enumerate(nums, start=1):
+        for i in range(min(j, _TAIL_TERMS), 0, -1):
+            u[i] += a * u[i - 1]
+    for b in dens:
+        for i in range(1, _TAIL_TERMS + 1):
+            u[i] -= b * u[i - 1]
+    # v: the coefficients of S(x / (1 + x)) from the c_k found so far
+    c = 1 / sigma
+    cs = [c]
+    v = [c] + [0j] * _TAIL_TERMS
+    for k, column in enumerate(_COMPOSE, start=1):
+        # order k + 1 of the identity, with c_k still out of v
+        c = sum(map(operator.mul, u[: k + 2], reversed(v[: k + 2]))) / (sigma + k)
+        cs.append(c)
+        for i, w in enumerate(column, start=k):
+            v[i] += w * c
+    x = 1.0 / n
+    terms = [t_n * n * c * x**k for k, c in enumerate(cs)]
+    return sum(terms), abs(terms[-2]) + abs(terms[-1])
 
 
 def sum_pfq(nums: Sequence[complex], dens: Sequence[complex]) -> SeriesResult:
     """Unit-argument series with one more numerator than denominator parameter.
 
-    With sigma = sum(dens) - sum(nums), the partial sum of the first N terms
-    misses the value by N^-sigma (d0 + d1/N + d2/N^2 + ...), and sigma is
-    known exactly.  Partial sums are taken at N = N0, 2 N0, 4 N0, ... and
-    fed to a Richardson table whose column i removes the N^-(sigma+i) term
-    with the factor 2^(sigma+i).  N0 is a power of two past four times the
-    largest parameter modulus (at least 32), where the expansion holds.
+    Sums the first N terms t_0 = 1, t_1, ... directly and adds the tail's
+    asymptotic expansion R_N = t_N N sum_(k<K) c_k N^-k with K = 20 (J.
+    Willis, Numer. Algorithms 59 (2012), arXiv:1102.3003); c_0 = 1/sigma,
+    with sigma = sum(dens) - sum(nums).  N is the least power of two at or
+    past 32 and four times the largest parameter modulus, where the
+    expansion has settled, and depends on nothing else.  A parameter too
+    large for N <= N_MAX raises EvaluationDomainError, so no term ratio
+    overflows: in the evaluators' series its numerator and denominator
+    each multiply at most nine factors of modulus at most 1.25 N_MAX < 2^21.
 
-    The table grows until two successive diagonal entries agree to REL_TOL,
-    until their difference has failed to shrink twice in a row (rounding
-    noise, amplified by the table, has taken over; a single failure also
-    happens while the expansion is still settling), or until the next
-    partial sum would pass N_MAX.  The result is the diagonal entry that
-    differed least from its predecessor; that difference is err_estimate,
-    and converged means err_estimate <= REL_TOL * |value|.
+    err_estimate is the size of the expansion's last two terms (a
+    very-well-poised tail alternates in size, so the last alone can
+    undershoot) plus a rounding floor sqrt(N) eps (sum_(n<N) |t_n| + |R_N|);
+    converged means err_estimate <= REL_TOL * |value|.
 
-    A numerator at a non-positive integer ends the series, whose finitely
-    many terms are summed directly.
+    A numerator at a non-positive integer ends the series, whose at most
+    N_MAX terms are summed directly.
     """
-    rel_tol, n_max = REL_TOL, N_MAX
     nums = [complex(a) for a in nums]
     dens = [complex(b) for b in dens]
     if len(nums) != len(dens) + 1:
@@ -392,17 +402,13 @@ def sum_pfq(nums: Sequence[complex], dens: Sequence[complex]) -> SeriesResult:
         if _near_nonpos_int(b, _POLE_MARGIN):
             raise DegeneratePointError(f"denominator parameter {b} at a pole")
 
-    trunc = None
-    for a in nums:
-        n = round(a.real)
-        if n <= 0 and abs(a - n) < _POLE_MARGIN:
-            trunc = -n if trunc is None else min(trunc, -n)
     all_dens = dens + [1.0 + 0j]
-    if trunc is not None:
-        if trunc + 1 > (1 << 22):
-            raise ValueError("terminating index too large to sum")
-        _, total = next(_partial_sums(nums, all_dens, trunc + 1, trunc + 1))
-        return SeriesResult(total, trunc + 1, 0.0, True)
+    ends = [1 - round(a.real) for a in nums if _near_nonpos_int(a, _POLE_MARGIN)]
+    if ends:
+        n = min(ends)
+        if n > N_MAX:
+            raise EvaluationDomainError(f"a series of {n} terms is too long to sum")
+        return SeriesResult(_direct_sum(nums, all_dens, n)[0], n, 0.0, True)
 
     sigma = series_sigma(nums, dens)
     if sigma.real <= 0:
@@ -410,27 +416,15 @@ def sum_pfq(nums: Sequence[complex], dens: Sequence[complex]) -> SeriesResult:
             f"parameter sums give convergence exponent {sigma}; series diverges"
         )
 
-    n0 = _start_length(nums + dens, n_max)
-    prev_row = []
-    best = None
-    prev_err = math.inf
-    stalls = 0
-    for big_n, partial in _partial_sums(nums, all_dens, n0, n_max):
-        row = [partial]
-        for i, r in enumerate(prev_row):
-            f = 2.0 ** (sigma + i)
-            row.append((f * row[i] - r) / (f - 1.0))
-        if prev_row:
-            err = abs(row[-1] - prev_row[-1])
-            if best is None or err < best[1]:
-                best = (row[-1], err)
-            stalls = stalls + 1 if err >= prev_err else 0
-            if err <= rel_tol * abs(row[-1]) or stalls == 2:
-                break
-            prev_err = err
-        prev_row = row
-    value, err = best
-    return SeriesResult(value, big_n, err, err <= rel_tol * abs(value))
+    want = max(32, 4 * max(abs(p) for p in nums + dens))
+    if want > N_MAX:
+        raise EvaluationDomainError(f"a parameter is too large to sum within {N_MAX} terms")
+    n = 1 << math.ceil(math.log2(want))
+    head, abs_head, t_n = _direct_sum(nums, all_dens, n)
+    tail, truncation = _tail(nums, dens, sigma, n, t_n)
+    value = head + tail
+    err = truncation + math.sqrt(n) * math.ulp(1.0) * (abs_head + abs(tail))
+    return SeriesResult(value, n, err, err <= REL_TOL * abs(value))
 
 
 # ---------------------------------------------------------------------------
@@ -609,8 +603,8 @@ def margins_ok(gammas, sins) -> bool:
 def _warn_if_unconverged(res: SeriesResult, what: str, stacklevel: int):
     if not res.converged:
         warnings.warn(
-            f"{what}: series stopped after {res.terms_used} terms with error "
-            f"estimate {res.err_estimate:.1e}, short of its tolerance",
+            f"{what}: series summed {res.terms_used} terms and its tail with "
+            f"error estimate {res.err_estimate:.1e}, short of its tolerance",
             PrecisionWarning,
             stacklevel=stacklevel,
         )

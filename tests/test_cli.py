@@ -222,6 +222,21 @@ def test_eval_non_finite_point_is_usage_error(tmp_path, capsys, side, bad):
     assert "is not finite" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("func, key, part", [("M", "a", 1e300), ("J", "E", 1e200)])
+def test_eval_point_too_large_to_sum_is_usage_error(tmp_path, capsys, func, key, part):
+    # finite but huge: the series would overflow its terms to NaN, so the
+    # evaluation refuses the point instead of printing a NaN value
+    keys = "abcdefg" if func == "M" else "ABCDEF"
+    data = {k: [0.5, 0.0] for k in keys}
+    data[key] = [0.5, part]
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(data))
+    code, text = run_cli("--format", "json", "eval", "--func", func, "--point", str(path))
+    assert code == 2
+    assert "NaN" not in text
+    assert "too large to sum" in capsys.readouterr().err
+
+
 def test_eval_rejects_supplied_derived_slot(tmp_path, w_point_file):
     data = json.loads(open(w_point_file).read())
     data["h"] = [0.5, 0.0]

@@ -3,8 +3,8 @@ function families with their symmetry groups.
 
 Reference values marked as frozen were computed once with mpmath at 35
 digits (log-gamma/gamma ratios directly; unit-argument series through
-Richardson-extrapolated partial sums, cross-checked against mpmath.hyper
-and against a 50-digit re-run) and pasted here as literals.
+extrapolated partial sums, cross-checked against mpmath.hyper and against
+a 50-digit re-run) and pasted here as literals.
 """
 
 import cmath
@@ -362,21 +362,43 @@ def test_sum_pfq_error_preconditions():
 
 
 def test_sum_pfq_nmax_cutoff(monkeypatch):
-    # two partial sums (32 and 64 terms) are all the table gets
+    # an unreachable tolerance leaves the sum flagged short of it, with the
+    # same terms and value: the length depends on the parameters alone
+    nums, dens = (0.3, 0.5, 0.7, 0.2), (1.1, 0.9, 0.7)
+    full = sum_pfq(nums, dens)
     with monkeypatch.context() as m:
-        m.setattr(hypnum, "N_MAX", 64)
-        r = sum_pfq((0.3, 0.5, 0.7, 0.2), (1.1, 0.9, 0.7))
-    assert not r.converged
-    assert r.terms_used == 64
+        m.setattr(hypnum, "REL_TOL", 1e-30)
+        r = sum_pfq(nums, dens)
+    assert full.converged and not r.converged
     assert r.err_estimate > 0
-    full = sum_pfq((0.3, 0.5, 0.7, 0.2), (1.1, 0.9, 0.7))
-    assert rel(r.value, full.value) < 1e-3
-    assert full.converged
+    assert (r.value, r.terms_used) == (full.value, full.terms_used)
+
+
+def test_sum_pfq_refuses_parameters_past_n_max(monkeypatch):
+    # the sum would need more than N_MAX terms to reach four times the
+    # largest parameter, so it refuses instead of overflowing its terms
+    big = 0.26 * hypnum.N_MAX
+    for nums, dens in (
+        ((0.5, 0.5 + big * 1j), (1.5 + big * 1j,)),
+        ((0.3, 0.4, 0.5, 0.6), (0.9, 1.0 + big, 1.0 - big)),
+        ((0.3, 0.4 + 1e300j), (1.2 + 1e300j,)),
+    ):
+        with pytest.raises(EvaluationDomainError, match="too large to sum"):
+            sum_pfq(nums, dens)
+    # at the edge, with a smaller N_MAX: a parameter of modulus N_MAX/4 is
+    # summed in N_MAX terms, and so is a series that ends after N_MAX terms
+    monkeypatch.setattr(hypnum, "N_MAX", 1024)
+    assert sum_pfq((0.5, -256j), (1 - 255.5j,)).terms_used == 1024
+    with pytest.raises(EvaluationDomainError, match="too large to sum"):
+        sum_pfq((0.5, -256.5j), (1 - 256j,))
+    assert sum_pfq((-1023, 1), (1,)).terms_used == 1024
+    with pytest.raises(EvaluationDomainError, match="too long to sum"):
+        sum_pfq((-1024, 1), (1,))
 
 
 def test_sum_pfq_tolerance_consistency(monkeypatch):
-    # a looser tolerance stops the table earlier, inside the reported error
-    # bars, and the flag is exactly err_estimate <= REL_TOL * |value|
+    # the flag is exactly err_estimate <= REL_TOL * |value|, and values
+    # agree inside their reported error bars
     nums, dens = (0.3 + 0.1j, 0.5, 0.7 - 0.2j, 0.2), (1.1, 0.9 + 0.05j, 0.7 + 0.05j)
     results = {}
     for tol in (1e-6, 1e-8, 1e-12):
@@ -386,20 +408,27 @@ def test_sum_pfq_tolerance_consistency(monkeypatch):
     for tol, r in results.items():
         assert r.converged == (r.err_estimate <= tol * abs(r.value))
         assert r.converged
-        assert r.terms_used <= tight.terms_used
         assert abs(tight.value - r.value) <= 10 * (tight.err_estimate + r.err_estimate)
-    assert results[1e-6].terms_used < tight.terms_used
 
 
-def test_sum_pfq_one_stall_is_not_the_rounding_floor():
-    # the table's differences at 128 and 256 terms read 1.9e-8 and 2.5e-8
-    # while the expansion settles, then fall to 2e-16 by 2048 terms
+def test_sum_pfq_settling_9f8_oracle():
+    # a 9F8 half whose parameters near +-7.7i make its partial sums settle
+    # slowly before they decay
     a = SETTLING_9F8_HEAD
     nums = (a, 1 + a / 2) + SETTLING_9F8_PARAMS
     dens = (a / 2,) + tuple(1 + a - t for t in SETTLING_9F8_PARAMS)
     r = sum_pfq(nums, dens)
-    assert r.converged and r.terms_used > 256
+    assert r.converged
     assert rel(r.value, PINNED_SETTLING_9F8) < 1e-13
+
+
+def test_sum_pfq_term_counts_at_the_pinned_points():
+    # N is the least power of two past 32 and four times the largest
+    # parameter; an engine that went back to thousands of terms fails here
+    shapes = _series_shapes()
+    assert sum_pfq(*shapes["4F3"]).terms_used == 32
+    assert sum_pfq(*shapes["9F8"]).terms_used == 32
+    assert sum_pfq(*shapes["shifted 9F8"]).terms_used == 256
 
 
 def _assert_matches_oracle(r, ref):
@@ -441,6 +470,30 @@ def test_sum_pfq_dougall_oracle(sigma):
     _assert_matches_oracle(sum_pfq(nums, dens), ref)
 
 
+@pytest.mark.parametrize("sigma", [0.625, 0.3125 + 0.1875j, 0.15625])
+def test_sum_pfq_dougall_oracle_at_the_start_rule_edge(sigma):
+    # the same closed form with the largest |parameter| (|1+a-c| = 31.91)
+    # just under N/4 for N = 128, the largest ratio the start rule allows;
+    # dyadic parameters keep every derived one exact in double precision,
+    # so the closed form is the value of the series actually summed
+    mp = pytest.importorskip("mpmath")
+    a, b, c = 0.75 + 0.125j, 0.375 + 31.875j, 0.25 - 31.75j
+    d = 1 + a - b - c - sigma / 2
+    nums = (a, 1 + a / 2, b, c, d)
+    dens = (a / 2, 1 + a - b, 1 + a - c, 1 + a - d)
+    assert series_sigma(nums, dens) == sigma
+    assert 127 < 4 * max(abs(z) for z in nums + dens) < 128
+    with mp.workdps(30):
+        A, B, C, D = (mp.mpc(z) for z in (a, b, c, d))
+        ref = complex(mp.gammaprod(
+            [1 + A - B, 1 + A - C, 1 + A - D, 1 + A - B - C - D],
+            [1 + A, 1 + A - B - C, 1 + A - B - D, 1 + A - C - D],
+        ))
+    r = sum_pfq(nums, dens)
+    assert r.terms_used == 128
+    _assert_matches_oracle(r, ref)
+
+
 def test_sum_pfq_shifted_9f8_oracle():
     # the head = a half of M at the pinned point with b shifted by 32i, as a
     # limit check evaluates it; mpmath.hyper takes about 0.4 s here at 20
@@ -455,40 +508,33 @@ def test_sum_pfq_shifted_9f8_oracle():
     _assert_matches_oracle(sum_pfq(nums, dens), ref)
 
 
-def _partial_sums_per_factor(nums, all_dens, n0, n_max):
+def _direct_sum_per_factor(nums, all_dens, n):
     # reference: the term ratios with one multiplication per numerator and
     # one division per denominator parameter
-    total = last = 1.0 + 0j
-    count = 1
-    n = n0
-    while n <= n_max:
-        while count < n:
-            size = min(hypnum._BLOCK, n - count)
-            ks = np.arange(count - 1, count - 1 + size, dtype=float)
-            ratios = np.ones(size, dtype=complex)
-            for a in nums:
-                ratios *= a + ks
-            for b in all_dens:
-                ratios /= b + ks
-            terms = last * np.cumprod(ratios)
-            total += complex(np.sum(terms))
-            last = complex(terms[-1])
-            count += size
-        yield n, total
-        n *= 2
+    ks = np.arange(n, dtype=float)
+    ratios = np.ones(n, dtype=complex)
+    for a in nums:
+        ratios *= a + ks
+    for b in all_dens:
+        ratios /= b + ks
+    terms = np.cumprod(ratios)
+    return 1 + complex(np.sum(terms[:-1])), 1 + float(np.sum(np.abs(terms[:-1]))), complex(terms[-1])
 
 
 def _series_shapes():
     A, B, C, D, E, F, G = V_POINT.args()
     a7 = D + G - E
     b, c, d, e, f = G - A, G - B, G - C, D, 1 + D - E
+
+    def vwp(a, *params):
+        return [a, 1 + a / 2, *params], [a / 2] + [1 + a - t for t in params]
+
     p = W_POINT
-    a9, *params = PointW(p.a, p.b + 32j, p.c, p.d, p.e, p.f, p.g).args()
     return {
         "4F3": ((A, B, C, D), (E, F, G)),
-        "7F6": ((a7, 1 + a7 / 2, b, c, d, e, f),
-                (a7 / 2, 1 + a7 - b, 1 + a7 - c, 1 + a7 - d, 1 + a7 - e, 1 + a7 - f)),
-        "shifted 9F8": ([a9, 1 + a9 / 2] + params, [a9 / 2] + [1 + a9 - t for t in params]),
+        "7F6": vwp(a7, b, c, d, e, f),
+        "9F8": vwp(*p.args()),
+        "shifted 9F8": vwp(*PointW(p.a, p.b + 32j, p.c, p.d, p.e, p.f, p.g).args()),
     }
 
 
@@ -497,13 +543,36 @@ def test_partial_sums_match_per_factor_ratios(shape):
     nums, dens = _series_shapes()[shape]
     nums = [complex(z) for z in nums]
     all_dens = [complex(z) for z in dens] + [1.0 + 0j]
-    n0 = hypnum._start_length(nums + all_dens[:-1], 1 << 20)
-    got = list(hypnum._partial_sums(nums, all_dens, n0, 1 << 17))
-    ref = list(_partial_sums_per_factor(nums, all_dens, n0, 1 << 17))
-    assert [n for n, _ in got] == [n for n, _ in ref]
-    assert len(got) >= 3
-    for (_, x), (_, y) in zip(got, ref):
-        assert rel(x, y) <= 1e-13
+    n = sum_pfq(nums, dens).terms_used
+    checked = 0
+    while n <= 1 << 17:
+        got = hypnum._direct_sum(nums, all_dens, n)
+        ref = _direct_sum_per_factor(nums, all_dens, n)
+        assert rel(got[0], ref[0]) <= 1e-13
+        assert rel(got[1], ref[1]) <= 1e-13
+        # the n-th term alone carries the rounding of n ratios (5e-13 here)
+        assert rel(got[2], ref[2]) <= 1e-11
+        n *= 2
+        checked += 1
+    assert checked >= 3
+
+
+@pytest.mark.parametrize("shape", ["4F3", "7F6", "shifted 9F8"])
+def test_tail_expansion_matches_the_direct_sum(shape):
+    # independent of mpmath: the expansion of the tail at N equals the
+    # terms from N to 2N - 1 summed directly plus the expansion at 2N
+    nums, dens = _series_shapes()[shape]
+    nums = [complex(z) for z in nums]
+    dens = [complex(z) for z in dens]
+    all_dens = dens + [1.0 + 0j]
+    sigma = series_sigma(nums, dens)
+    n = sum_pfq(nums, dens).terms_used
+    head, _, t_n = hypnum._direct_sum(nums, all_dens, n)
+    head2, _, t_2n = hypnum._direct_sum(nums, all_dens, 2 * n)
+    tail, _ = hypnum._tail(nums, dens, sigma, n, t_n)
+    tail2, _ = hypnum._tail(nums, dens, sigma, 2 * n, t_2n)
+    value = head2 + tail2
+    assert abs(tail - (head2 - head + tail2)) <= 1e-14 * abs(value)
 
 
 # ---------------------------------------------------------------------------
@@ -601,9 +670,9 @@ def test_evaluators_warn_on_unconverged_series(monkeypatch):
         (eval_M_log, W_POINT),
     ):
         with monkeypatch.context() as m, pytest.warns(
-            PrecisionWarning, match="stopped after 64 terms"
+            PrecisionWarning, match="short of its tolerance"
         ):
-            m.setattr(hypnum, "N_MAX", 64)
+            m.setattr(hypnum, "REL_TOL", 1e-30)
             fn(x)
         # with the default budget the same evaluations are silent
         with warnings.catch_warnings():
@@ -713,6 +782,11 @@ def test_eval_l_group_invariance():
             if not margins_ok(*l_probe_args(moved)):
                 continue
             assert rel(eval_L_log(moved).to_complex(), base) < 1e-7
+
+
+def test_eval_l_7f6_pinned():
+    # the second route to L against the frozen reference value
+    assert rel(eval_L_7f6_log(V_POINT).to_complex(), PINNED_L) < 1e-12
 
 
 def test_eval_l_7f6_agreement():
