@@ -15,7 +15,7 @@ generator actions through matching_generator, and it compresses the
 discrete distance in a controlled way (t_distance).
 
 Words, orbits, group orders and triple censuses share one permutation-group
-core: every generator as a permutation of label indices (built on first
+core: every generator as an index array of label images (built on first
 use), one breadth-first orbit walk that records words, and Schreier-Sims.
 """
 
@@ -25,7 +25,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, reduce
-from itertools import combinations
+from itertools import combinations, permutations
 from typing import Sequence
 
 import numpy as np
@@ -431,10 +431,7 @@ def jl_label(label: MLabel):
     """
     color = orbit_color(label)
     if color in (Color.BLUE, Color.RED):
-        if label.i == 0:
-            # v(0,j) blue unbarred, -v(0,j) red barred
-            return color, LLabel(label.j - 1, label.sign < 0)
-        # i == 1: -v(1,j) blue barred, v(1,j) red unbarred
+        # blue v(0,j) and red v(1,j) unbarred, blue -v(1,j) and red -v(0,j) barred
         return color, LLabel(label.j - 1, label.sign < 0)
     if (label.i, label.j) == (0, 1):
         s = JLabel((1,) * 6)
@@ -555,12 +552,14 @@ _SPACES = {
 
 @lru_cache(maxsize=None)
 def _space(space: str):
-    """Labels of a space, their indices, and each generator as the tuple of
-    image indices (label k goes to label perms[g][k])."""
+    """Labels of a space, their indices, and each generator as a read-only
+    index array of images (label k goes to label perms[g][k])."""
     labels_fn, gens, act = _SPACES[space]
     labels = tuple(labels_fn())
     index = {lab: k for k, lab in enumerate(labels)}
-    perms = {g: tuple(index[act(g, lab)] for lab in labels) for g in gens}
+    perms = {g: np.array([index[act(g, lab)] for lab in labels]) for g in gens}
+    for perm in perms.values():
+        perm.setflags(write=False)
     return labels, index, perms
 
 
@@ -568,12 +567,13 @@ def _orbit_words(perms: dict, start: int) -> dict:
     """Breadth-first orbit of a point: each point reached, in the order
     reached, with the first minimal-length word (letters in the order of
     perms) that carries start to it."""
+    lists = [(g, perm.tolist()) for g, perm in perms.items()]
     words = {start: ()}
     frontier = [start]
     while frontier:
         nxt = []
         for p in frontier:
-            for g, perm in perms.items():
+            for g, perm in lists:
                 q = perm[p]
                 if q not in words:
                     words[q] = words[p] + (g,)
@@ -582,24 +582,16 @@ def _orbit_words(perms: dict, start: int) -> dict:
     return words
 
 
-def _mul(p: tuple, q: tuple) -> tuple:
-    # p, then q
-    return tuple(q[k] for k in p)
-
-
-def _inv(p: tuple) -> tuple:
-    return tuple(sorted(range(len(p)), key=p.__getitem__))
-
-
-def _word_perm(space: str, word: Sequence[str]) -> tuple:
+def _word_perm(space: str, word: Sequence[str]) -> np.ndarray:
     """Permutation of a word, its letters applied in order."""
     labels, _, perms = _space(space)
-    return reduce(_mul, (perms[g] for g in word), tuple(range(len(labels))))
+    return reduce(lambda u, g: perms[g][u], word, np.arange(len(labels)))
 
 
-def perm_group_order(gens: Sequence[tuple]) -> int:
-    """Order of the group generated by permutations of 0..n-1 (tuples of
-    images, at least one), by the Schreier-Sims algorithm.
+def perm_group_order(gens: Sequence) -> int:
+    """Order of the group generated by permutations of 0..n-1 (sequences or
+    index arrays of images, at least one, all of length n; anything else
+    raises ValueError), by the Schreier-Sims algorithm.
 
     The chain keeps base points b_0, b_1, ... and one list of strong
     generators.  Level i acts through every strong generator that fixes
@@ -608,14 +600,18 @@ def perm_group_order(gens: Sequence[tuple]) -> int:
     from the deepest up: each Schreier generator of level i must sift to the
     identity through the levels below it.  One that does not becomes a
     strong generator, and the check restarts at the level where its sifting
-    stopped.  The order is the product of the orbit lengths.
+    stopped.  The order is the product of the orbit lengths.  Permutations
+    are index arrays: g then h is h[g], and the inverse of u is argsort(u).
     """
-    ident = tuple(range(len(gens[0])))
+    gens = [np.asarray(g) for g in gens]
+    if not gens:
+        raise ValueError("need at least one generator")
+    ident = np.arange(gens[0].size)
     base, strong, chain = [], [], []
 
     def add(g):
-        if all(g[b] == b for b in base):
-            base.append(next(k for k, gk in enumerate(g) if gk != k))
+        if np.array_equal(g[base], base):
+            base.append(int(np.flatnonzero(g != ident)[0]))
             chain.append(None)
         strong.append(g)
 
@@ -624,24 +620,22 @@ def perm_group_order(gens: Sequence[tuple]) -> int:
             u_inv = chain[j].get(g[base[j]])
             if u_inv is None:
                 return g, j
-            g = _mul(g, u_inv)
+            g = u_inv[g]
         return g, len(base)
 
     for g in gens:
-        if tuple(g) != ident:
-            add(tuple(g))
+        if g.shape != ident.shape or not np.array_equal(np.sort(g), ident):
+            raise ValueError(f"{g.tolist()} is not a permutation of 0..{len(ident) - 1}")
+        if not np.array_equal(g, ident):
+            add(g.astype(np.intp))
     i = len(base) - 1
     while i >= 0:
-        level = [g for g in strong if all(g[b] == b for b in base[:i])]
+        level = [g for g in strong if np.array_equal(g[base[:i]], base[:i])]
         words = _orbit_words(dict(enumerate(level)), base[i])
-        trans = {p: reduce(_mul, (level[k] for k in w), ident) for p, w in words.items()}
-        chain[i] = {p: _inv(u) for p, u in trans.items()}
-        sifted = (
-            sift(_mul(_mul(u, s), chain[i][s[p]]), i + 1)
-            for p, u in trans.items()
-            for s in level
-        )
-        h, j = next(((h, j) for h, j in sifted if h != ident), (None, i - 1))
+        trans = {p: reduce(lambda u, k: level[k][u], w, ident) for p, w in words.items()}
+        chain[i] = {p: np.argsort(u) for p, u in trans.items()}
+        sifted = (sift(chain[i][s[p]][s[u]], i + 1) for p, u in trans.items() for s in level)
+        h, j = next(((h, j) for h, j in sifted if not np.array_equal(h, ident)), (None, i - 1))
         if h is not None:
             add(h)
         i = j
@@ -730,17 +724,17 @@ def d6_certificate() -> dict:
     a generator that does not commute with the bar.
     """
     labels, index, perms = _space("L")
-    bar = tuple(index[-lab] for lab in labels)
+    bar = np.array([index[-lab] for lab in labels])
     unbarred = [index[LLabel(k)] for k in _L_INVARIANT_FORMS]
     signed, even = {}, True
     for g, p in perms.items():
-        if _mul(p, bar) != _mul(bar, p):
+        if not np.array_equal(bar[p], p[bar]):
             raise ValueError(f"{g} is not a signed permutation of the six coordinates")
         images = [labels[p[k]] for k in unbarred]
         even = even and sum(lab.barred for lab in images) % 2 == 0
         signed[g] = [str(lab) for lab in images]
     m_perms = _space("M")[2]
-    bridged = [m_perms[s] + tuple(56 + k for k in perms[g]) for s, g in _GENERATOR_BRIDGE.items()]
+    bridged = [np.concatenate([m_perms[s], 56 + perms[g]]) for s, g in _GENERATOR_BRIDGE.items()]
     return {
         "coordinates": {str(k): f"({text})/4" for k, text in _L_INVARIANT_FORMS.items()},
         "signed_permutations": signed,
@@ -778,6 +772,15 @@ def _type_keys(space: str, tri: np.ndarray) -> np.ndarray:
     return keys
 
 
+def _type_tag(space: str, key) -> str:
+    # the tag that triple_type describes, from a key of _type_keys
+    if space == "L":
+        return "incoherent" if key else "coherent"
+    n_l, digits = divmod(int(key), 1000)
+    mixture = "J" * (3 - n_l) + "L" * n_l + ":" if space == "T" else ""
+    return f"{mixture}{digits:03d}"
+
+
 def triple_type(space: str, triple) -> str:
     """Type tag of a three-element set: its sorted pairwise distances (after
     its J/L mixture in T), or the coherence tag in the L space (coherent when
@@ -785,12 +788,7 @@ def triple_type(space: str, triple) -> str:
     if space not in _SPACES:
         raise ValueError(f"unknown space {space!r}")
     index = _space(space)[1]
-    key = int(_type_keys(space, np.array([[index[x] for x in triple]]))[0])
-    if space == "L":
-        return "incoherent" if key else "coherent"
-    n_l, digits = divmod(key, 1000)
-    mixture = "J" * (3 - n_l) + "L" * n_l + ":" if space == "T" else ""
-    return f"{mixture}{digits:03d}"
+    return _type_tag(space, _type_keys(space, np.array([[index[x] for x in triple]]))[0])
 
 
 def triple_orbits(space: str):
@@ -803,11 +801,13 @@ def triple_orbits(space: str):
     """
     labels, _, perms = _space(space)
     n = len(labels)
-    tri = np.array(list(combinations(range(n), 3)))
-    code = np.array([n * n, n, 1])
-    position = np.zeros(n**3, dtype=np.int64)
-    position[tri @ code] = np.arange(len(tri))
-    images = [position[np.sort(np.array(p)[tri], axis=1) @ code] for p in perms.values()]
+    a, b, c = np.ogrid[:n, :n, :n]
+    tri = np.argwhere((a < b) & (b < c))  # rows i < j < k in the order of combinations()
+    # every ordering of a set points at its row, so an image needs no sort
+    position = np.zeros((n, n, n), dtype=np.intp)
+    for order in permutations(range(3)):
+        position[tuple(tri[:, order].T)] = np.arange(len(tri))
+    images = [position[tuple(p[tri].T)] for p in perms.values()]
     # every set takes the smallest position in its orbit
     orbit, last = np.arange(len(tri)), None
     while not np.array_equal(orbit, last):
@@ -823,7 +823,7 @@ def triple_orbits(space: str):
         out.append({
             "space": space,
             "size": int(size),
-            "type": triple_type(space, rep),
+            "type": _type_tag(space, keys[first]),
             "representative": tuple(str(x) for x in rep),
         })
     return out

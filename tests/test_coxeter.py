@@ -1,6 +1,7 @@
 import itertools
 import random
 
+import numpy as np
 import pytest
 
 from hyperweyl.coxeter import (
@@ -492,9 +493,43 @@ def test_subgroup_images_on_the_l_labels():
         pytest.param([(1, 2, 0, 3), (0, 2, 3, 1)], 12, id="A4"),
         pytest.param([(1, 2, 3, 0), (0, 3, 2, 1)], 8, id="D8"),
         pytest.param([(0, 1, 2)], 1, id="trivial"),
+        # a transposition and an 8-cycle: a chain seven levels deep
+        pytest.param([(1, 0, 2, 3, 4, 5, 6, 7), (1, 2, 3, 4, 5, 6, 7, 0)], 40320, id="S8"),
+        # S3 on 0..2 beside S4 on 3..6: base points in two blocks
+        pytest.param(
+            [(1, 0, 2, 3, 4, 5, 6), (1, 2, 0, 3, 4, 5, 6), (0, 1, 2, 4, 3, 5, 6), (0, 1, 2, 4, 5, 6, 3)],
+            144,
+            id="S3xS4",
+        ),
     ],
 )
 def test_perm_group_order_small_groups(gens, order):
     # a level that takes its orbit only from the generators found at that
     # level gets S4 and A4 wrong (8 and 9)
     assert perm_group_order(gens) == order
+
+
+def test_perm_group_order_reads_tuples_lists_and_arrays_alike():
+    gens = [(1, 0, 2, 3, 4, 5), (1, 2, 3, 4, 5, 0)]
+    orders = {
+        perm_group_order(gens),
+        perm_group_order([list(g) for g in gens]),
+        perm_group_order([np.array(g) for g in gens]),
+        perm_group_order(np.array(gens)),
+    }
+    assert orders == {720}
+
+
+@pytest.mark.parametrize(
+    "gens",
+    [
+        pytest.param([], id="no-generators"),
+        pytest.param([(0, 0, 1)], id="repeated-image"),
+        pytest.param([(1, 0, 2), (1, 0)], id="lengths-differ"),
+        pytest.param([(1, 2, 0), (0, 0, 2)], id="second-not-a-permutation"),
+        pytest.param([(2, 0, 3)], id="image-out-of-range"),
+    ],
+)
+def test_perm_group_order_rejects_what_is_not_a_permutation(gens):
+    with pytest.raises(ValueError):
+        perm_group_order(gens)
