@@ -6,9 +6,12 @@ value converges to a seven-slot target.  Doubling the shift roughly
 quarters the error, which is the convergence signature this demo prints.
 
 Two extras round out the story: the twelve blue/red label pairs share one
-target (the collapse behind the 44-label union space), and the 2-2-2
-pipeline replays a full degeneration — seed relation, normalization,
-shift-doubling, and target relation — end to end.
+target (the collapse behind the 44-label union space), and every three-term
+relation among the seven-slot functions is a limit of the eight-slot
+relation roy463.  Catalog check 15 moves roy463 onto one triple of each of
+the eight colour classes its translates fill, divides each coefficient by
+its row's normalizer at a shift t of b, and evaluates the resulting
+seven-slot relation; the demo prints how its residual falls with t.
 
 Run:  python3 demos/degeneration_walkthrough.py
 """
@@ -19,11 +22,10 @@ from hyperweyl.correspond import (
     appendix_row,
     check_limit,
     gen_point,
-    limit222_pipeline,
     limit_probe_args,
     limit_target_template,
-    pipeline_probe_args,
 )
+from hyperweyl.selftest import run_check
 
 SEED = 7
 
@@ -59,21 +61,14 @@ def main():
     print(f"  normalized shifted values differ by at most {gap:.3e} "
           f"(final shift errors {r1.errors[-1]:.1e}, {r2.errors[-1]:.1e})")
 
-    print("\nfull 2-2-2 degeneration pipeline:")
-    p = gen_point(rng, "W", probe=pipeline_probe_args)
-    result = limit222_pipeline(p)
-    for name, step in result["steps"].items():
-        mark = "PASS" if step.get("pass") else "FAIL"
-        extra = ""
-        if "residual" in step:
-            extra = f"  residual {step['residual']:.3e}"
-        elif "ratios" in step:
-            extra = "  error ratios " + ", ".join(
-                f"{r:.2f}" for r in step["ratios"]
-            )
-        print(f"  {mark} {name}{extra}")
-    print(f"verdict: {result['verdict']}")
-
+    print("\nroy463's translates degenerate onto a three-term relation per colour class")
+    print("(residual at t = 1e2, 1e3, 1e4):")
+    result = run_check("15-degeneration-pipeline", SEED)
+    for rep in result.evidence["reports"]:
+        decay = "  ->  ".join(f"{r:.1e}" for r in rep.get("residuals", ()))
+        note = "  (blue and red share the target; the third term dies)" if "third_slope" in rep else ""
+        print(f"  {rep['class']:<15} onto {', '.join(rep['targets']):<12} {decay}{note}")
+    print(f"verdict: {'PASS' if result.passed else 'FAIL'}")
 
 if __name__ == "__main__":
     main()

@@ -243,7 +243,7 @@ def _mark(ok: bool) -> str:
 
 def _report_line(rep: dict) -> str:
     """One text line for a report in a check's evidence: a relation report,
-    a limit report or the degeneration pipeline."""
+    a limit report or one colour class of check 15."""
     if "relation" in rep:
         return (
             f"{_mark(rep['passed'])} {rep['relation']}: residual {rep['residual']:.3e} "
@@ -253,8 +253,11 @@ def _report_line(rep: dict) -> str:
     if "label" in rep:
         errs = " -> ".join(f"{e:.3e}" for e in rep["errors"])
         return f"{_mark(rep['verdict'])} {rep['label']}: {errs or rep.get('failure', '')}"
-    steps = ", ".join(f"{_mark(step['pass'])} {name}" for name, step in rep["steps"].items())
-    return f"{rep['verdict']} pipeline: {steps or rep.get('failure', '')}"
+    res = " -> ".join(f"{r:.3e}" for r in rep.get("residuals", ())) or rep.get("failure", "")
+    slope = f"; third term log-magnitude slope {rep['third_slope']:.9f}" if "third_slope" in rep else ""
+    match = f"; orbit1jll ratios {rep['orbit1jll']['ratio_errors'][-1]:.1e}" if "orbit1jll" in rep else ""
+    return (f"{_mark(rep['passed'])} {rep['class']} ({rep['triples']} triples) onto "
+            f"{', '.join(rep['targets'])}: {res}{slope}{match}")
 
 
 def _emit_check(name, seed, fmt, out, evidence_lines) -> int:

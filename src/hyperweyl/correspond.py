@@ -5,8 +5,9 @@ quotient and a large imaginary shift of the b coordinate, onto one of the
 seven-slot functions evaluated at a fixed rational-linear change of letters.
 This module holds that table (``appendix_table``), the normalizers and
 numerical limit checks, the three built-in contiguous relations and their
-exact translations, and the end-to-end degeneration pipeline that follows
-one relation through the limit onto its seven-slot image.
+exact translations, and relation_limit, which carries any eight-slot
+relation through the limit onto the seven-slot relation among its rows'
+targets.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from __future__ import annotations
 import json
 import math
 import warnings
+from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -78,10 +80,10 @@ __all__ = [
     "translate_relation",
     "eval_relation",
     "relation_report",
-    "limit222_pipeline",
-    "pipeline_x_args",
+    "relation_limit",
     "relation_probe_args",
-    "pipeline_probe_args",
+    "relation_limit_probe_args",
+    "join_probes",
     "limit_probe_args",
     "PointSearchError",
     "gen_point",
@@ -95,11 +97,10 @@ FACTOR_SIN = "SinPi"
 ROY463_TOL = 1e-5
 ORBIT1JLL_TOL = 1e-7
 ROY463B_SHIFTED_TOL = 1e-4
-HALVING_WINDOW = (0.3, 0.7)
 LIMIT_DECAY = 0.6
 # rejected draws after which gen_point gives up
 POINT_BUDGET = 10_000
-# imaginary shifts of b that the limit checks and the pipeline step through
+# imaginary shifts of b for check_limit and for roy463b in check 12
 SHIFTS = (8.0, 16.0, 32.0)
 
 
@@ -352,15 +353,7 @@ class AppendixRow:
         }
 
 
-class _FixtureRow:
-    __slots__ = ("label", "m_args", "target_kind", "target_label", "target_args")
-
-    def __init__(self, label, m_args, target_kind, target_label, target_args):
-        self.label = label
-        self.m_args = m_args
-        self.target_kind = target_kind
-        self.target_label = target_label
-        self.target_args = target_args
+_FixtureRow = namedtuple("_FixtureRow", "label m_args target_kind target_label target_args")
 
 
 @lru_cache(maxsize=1)
@@ -452,8 +445,15 @@ def appendix_row(label) -> AppendixRow:
 
 
 @lru_cache(maxsize=None)
-def _gamma2_target(label: MLabel) -> FunTerm:
-    color, t_label = jl_label(label)
+def gamma2_target(t) -> FunTerm:
+    """Limit target of a coset row: the matching seven-slot function with
+    its arguments written in the surviving eight-slot letters.
+
+    L-labelled rows instantiate the canonical arrangement of their L coset
+    at the letter change; J-labelled rows apply a representative group word
+    for their J coset to it.
+    """
+    _, t_label = jl_label(parse_label(t) if isinstance(t, str) else t)
     x = xfromw()
     if isinstance(t_label, LLabel):
         args = tuple(f.substitute(x) for f in l_coset_args(t_label))
@@ -466,18 +466,6 @@ def _gamma2_target(label: MLabel) -> FunTerm:
         args = beta.apply(x)
         kind = "J"
     return FunTerm(kind, tuple(a.reduced() for a in args))
-
-
-def gamma2_target(t) -> FunTerm:
-    """Limit target of a coset row: the matching seven-slot function with
-    its arguments written in the surviving eight-slot letters.
-
-    L-labelled rows instantiate the canonical arrangement of their L coset
-    at the letter change; J-labelled rows apply a representative group word
-    for their J coset to it.
-    """
-    t = parse_label(t) if isinstance(t, str) else t
-    return _gamma2_target(t)
 
 
 def limit_target_template(t) -> FunTerm:
@@ -617,26 +605,6 @@ def _roy463() -> Relation:
     return Relation("roy463", (t1, t2, t3))
 
 
-def _poch_bracket_factors() -> tuple:
-    # The curly-brace factor (b)_{c-a}(h)_{c-a}/((1+a-b)_{c-a}(1+a-h)_{c-a})
-    # written as the product of two shifted-Pochhammer ratios, grouped so each
-    # ratio's two arguments share one large-imaginary direction.  Each factor
-    # tends to 1 with error O(1/T); in the product the leading corrections
-    # cancel (b+h does not move under the shift), leaving O(1/T^2).
-    up = GammaSinExpr.build(
-        W_SYMBOLS, 1, gamma_num=("b+c-a", "1+a-h"), gamma_den=("b", "1+c-h"),
-    )
-    down = GammaSinExpr.build(
-        W_SYMBOLS, 1, gamma_num=("h+c-a", "1+a-b"), gamma_den=("h", "1+c-b"),
-    )
-    return up, down
-
-
-def _poch_bracket() -> GammaSinExpr:
-    up, down = _poch_bracket_factors()
-    return up * down
-
-
 def _roy463b() -> Relation:
     c1 = GammaSinExpr.build(
         W_SYMBOLS, 2, sin_num=("c+g-a",),
@@ -655,13 +623,17 @@ def _roy463b() -> Relation:
         gamma_num=("1-c", "1+a-b", "1+a-h", "c-a+b", "c-a+h"),
     )
     t2 = (c2, _m_term(("a", "c", "g", "d", "e", "f", "b", "h")))
+    # numerators 1-4 over denominators 1-4 are the Pochhammer bracket
+    # (b)_{c-a}(h)_{c-a}/((1+a-b)_{c-a}(1+a-h)_{c-a}); numerators 5-6 cancel
+    # its Gamma(b) and Gamma(1+c-h) exactly, though not in rounding
     c3 = GammaSinExpr.build(
         W_SYMBOLS, -2, sin_num=("g",),
         gamma_den=(_HALF, _HALF, "1+a-c-g", "d", "e", "f"),
-    ) * _poch_bracket() * GammaSinExpr.build(
+    ) * GammaSinExpr.build(
         W_SYMBOLS, 1,
-        gamma_num=("1+c-h", "b", "b-a+d", "b-a+e", "b-a+f", "b-a+g"),
-        gamma_den=("b-c",),
+        gamma_num=("b+c-a", "1+a-h", "h+c-a", "1+a-b",
+                   "1+c-h", "b", "b-a+d", "b-a+e", "b-a+f", "b-a+g"),
+        gamma_den=("b", "1+c-h", "h", "1+c-b", "b-c"),
     )
     t3 = (
         c3,
@@ -720,9 +692,7 @@ def translate_relation(r: Relation, word, side: str) -> Relation:
 
 def _point_values(r: Relation, p):
     want = 8 if r.alphabet == W_SYMBOLS else 7
-    if isinstance(p, PointW):
-        vals = p.args()
-    elif isinstance(p, PointV):
+    if isinstance(p, (PointW, PointV)):
         vals = p.args()
     else:
         vals = tuple(complex(z) for z in p)
@@ -769,125 +739,31 @@ def relation_report(r: Relation, p) -> dict:
 def relation_probe_args(r: Relation, p):
     """All gamma and sine arguments the relation's evaluation touches at p."""
     values = _point_values(r, p)
-    gammas, sins = [], []
-    for coef, fun in r.terms:
-        if coef.prefactor == 0:
-            continue
-        for probe in (coef.probe_args(values), fun.probe_args(values)):
-            gammas.extend(probe[0])
-            sins.extend(probe[1])
-    return tuple(gammas), tuple(sins)
-
-
-# ---------------------------------------------------------------------------
-# the degeneration pipeline
-# ---------------------------------------------------------------------------
-
-_PIPELINE_X_TEXTS = (
-    "c", "1+a-d-g", "1+a-e-g", "1+a-f-g", "1+c-g", "1+a-g", "2+2a-d-e-f-g",
-)
-
-# roy463b term -> orbit1jll term carrying its limit
-_PIPELINE_TERM_MAP = (1, 0, 2)
-
-
-@lru_cache(maxsize=1)
-def _pipeline_x_forms() -> tuple:
-    return tuple(LinForm.parse(t, W_SYMBOLS) for t in _PIPELINE_X_TEXTS)
-
-
-def pipeline_x_args(p: PointW) -> tuple:
-    """Seven-slot coordinates onto which the pipeline's relation degenerates."""
-    return tuple(f.evaluate(p.args()) for f in _pipeline_x_forms())
-
-
-def limit222_pipeline(p: PointW) -> dict:
-    """Follow the rearranged three-term relation through the limit.
-
-    Five stages: the base relation holds at p; the rearranged relation holds
-    at every shifted point; the Pochhammer bracket tends to 1 with its error
-    halving per doubled shift; each normalized term converges to the matching
-    term of the three-term seven-slot relation at the changed letters; and
-    that relation holds there.  The verdict is PASS only if all stages pass.
-    The shifts are SHIFTS, which double at every step.
-    """
-    rels = builtin_relations()
-    roy, royb, jll = rels["roy463"], rels["roy463b"], rels["orbit1jll"]
-    shifted = [_shifted_point(p, t_im) for t_im in SHIFTS]
-    report = {"point": _point_dict(p), "shifts": list(SHIFTS), "steps": {}}
-    steps = report["steps"]
-
-    try:
-        r0 = eval_relation(roy, p)
-        steps["base_relation"] = {
-            "residual": r0, "bound": ROY463_TOL, "pass": r0 <= ROY463_TOL,
-        }
-
-        shifted_res = [eval_relation(royb, q) for q in shifted]
-        steps["shifted_relation"] = {
-            "residuals": shifted_res,
-            "bound": ROY463B_SHIFTED_TOL,
-            "pass": all(r <= ROY463B_SHIFTED_TOL for r in shifted_res),
-        }
-
-        bracket = _poch_bracket()
-        errs = [abs(bracket.eval_log(q.args()).to_complex() - 1.0) for q in shifted]
-        lo, hi = HALVING_WINDOW
-        ok3 = all(b < a for a, b in zip(errs, errs[1:]))
-        factors = []
-        for expr in _poch_bracket_factors():
-            es = [abs(expr.eval_log(q.args()).to_complex() - 1.0) for q in shifted]
-            rats = [b / a for a, b in zip(es, es[1:])]
-            factors.append({"errors": es, "ratios": rats})
-            ok3 = ok3 and all(lo <= r <= hi for r in rats)
-        steps["bracket_to_one"] = {
-            "errors": errs,
-            "factors": factors,
-            "window": [lo, hi],
-            "pass": ok3,
-        }
-
-        xvals = pipeline_x_args(p)
-        term_errs = []
-        term_pass = True
-        for k, (coef, fun) in enumerate(royb.terms):
-            lim_coef, lim_fun = jll.terms[_PIPELINE_TERM_MAP[k]]
-            ref = lim_coef.eval_log(xvals) + lim_fun.eval_log(xvals)
-            errs_k = []
-            for q in shifted:
-                vals = q.args()
-                val = coef.eval_log(vals) + fun.eval_log(vals)
-                errs_k.append(abs((val - ref).to_complex() - 1.0))
-            term_errs.append(errs_k)
-            term_pass = term_pass and all(
-                b < a for a, b in zip(errs_k, errs_k[1:])
-            )
-        steps["terms_to_limit"] = {
-            "errors": term_errs,
-            "target_terms": [_PIPELINE_TERM_MAP.index(j) for j in range(3)],
-            "pass": term_pass,
-        }
-
-        rx = eval_relation(jll, xvals)
-        steps["limit_relation"] = {
-            "residual": rx, "bound": ORBIT1JLL_TOL, "pass": rx <= ORBIT1JLL_TOL,
-        }
-    except (EvaluationDomainError, OverflowError) as exc:
-        report["failure"] = f"{type(exc).__name__}: {exc}"
-        report["verdict"] = "FAIL"
-        return report
-
-    report["verdict"] = (
-        "PASS" if all(s["pass"] for s in steps.values()) else "FAIL"
+    return join_probes(
+        probe for coef, fun in r.terms if coef.prefactor != 0
+        for probe in (coef.probe_args(values), fun.probe_args(values))
     )
-    return report
 
 
-def _point_dict(p: PointW) -> dict:
-    out = {}
-    for name, z in zip("abcdefg", p.args()):
-        out[name] = [z.real, z.imag]
-    return out
+# ---------------------------------------------------------------------------
+# the limit of a relation
+# ---------------------------------------------------------------------------
+
+
+def relation_limit(r: Relation, p: PointW, t: float) -> list:
+    """The seven-slot relation an eight-slot relation degenerates onto.
+
+    One pair per term: the log of the term's coefficient divided by the
+    limit_normalizer of its row (the coset fun.classify() names), at p with
+    b shifted by i t, and that row's target term.  The normalized M of each
+    row tends to pi/2 times its target at p, so the sum of exp(q) times the
+    target at p tends to zero as t grows; only gamma and sine factors are
+    evaluated at the shifted point, so t may be large.
+    """
+    vals = _shifted_point(p, t).args()
+    rows = [appendix_row(fun.classify()) for _, fun in r.terms]
+    return [(coef.eval_log(vals) - limit_normalizer(row.label).eval_log(vals), row.target_term())
+            for (coef, _), row in zip(r.terms, rows)]
 
 
 # ---------------------------------------------------------------------------
@@ -899,36 +775,28 @@ def limit_probe_args(t, p: PointW, shifts=SHIFTS):
     """Gamma/sine arguments check_limit evaluates for this row at p."""
     row = appendix_row(t)
     norm = limit_normalizer(t)
-    gammas, sins = [], []
-    tg, ts = row.target_term().probe_args(p.args())
-    gammas.extend(tg)
-    sins.extend(ts)
-    for t_im in shifts:
-        vals = _shifted_point(p, float(t_im)).args()
-        ng, ns = norm.probe_args(vals)
-        mg, ms = m_probe_args([f.evaluate(vals) for f in row.m_args])
-        gammas.extend(ng + mg)
-        sins.extend(ns + ms)
-    return tuple(gammas), tuple(sins)
+    return join_probes([row.target_term().probe_args(p.args())] + [
+        probe for vals in (_shifted_point(p, float(t_im)).args() for t_im in shifts)
+        for probe in (norm.probe_args(vals), m_probe_args([f.evaluate(vals) for f in row.m_args]))
+    ])
 
 
-def pipeline_probe_args(p: PointW):
-    """Gamma/sine arguments the pipeline evaluates for a candidate point."""
-    rels = builtin_relations()
-    gammas, sins = [], []
+def relation_limit_probe_args(r: Relation, p: PointW, t: float):
+    """Gamma/sine arguments relation_limit(r, p, t) evaluates, and those of
+    the targets it returns at p."""
+    vals = _shifted_point(p, t).args()
+    rows = [appendix_row(fun.classify()) for _, fun in r.terms]
+    return join_probes(
+        probe for (coef, _), row in zip(r.terms, rows)
+        for probe in (coef.probe_args(vals), limit_normalizer(row.label).probe_args(vals),
+                      row.target_term().probe_args(p.args()))
+    )
 
-    def extend(pair):
-        gammas.extend(pair[0])
-        sins.extend(pair[1])
 
-    extend(relation_probe_args(rels["roy463"], p))
-    for t_im in SHIFTS:
-        q = _shifted_point(p, float(t_im))
-        extend(relation_probe_args(rels["roy463b"], q))
-        extend(_poch_bracket().probe_args(q.args()))
-    xvals = pipeline_x_args(p)
-    extend(relation_probe_args(rels["orbit1jll"], xvals))
-    return tuple(gammas), tuple(sins)
+def join_probes(probes) -> tuple:
+    """(gamma arguments, sine arguments) pairs, joined into one pair."""
+    probes = list(probes)
+    return tuple(z for g, _ in probes for z in g), tuple(z for _, s in probes for z in s)
 
 
 class PointSearchError(RuntimeError):
@@ -940,9 +808,12 @@ def gen_point(rng, side: str = "W", probe=None):
     U(-0.3, 0.3), redrawn until the probe's margins hold.
 
     `probe` maps a candidate point to (gamma args, sine args); None accepts
-    the first draw.  Raises PointSearchError after POINT_BUDGET rejected draws.
+    the first draw.  Raises PointSearchError after POINT_BUDGET rejected draws,
+    and ValueError for a side other than W or V.
     """
     side = side.upper()
+    if side not in ("W", "V"):
+        raise ValueError(f"side must be W or V, not {side!r}")
     count = 7 if side == "W" else 6
     cls = PointW if side == "W" else PointV
     for _ in range(POINT_BUDGET):

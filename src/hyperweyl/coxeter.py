@@ -65,8 +65,8 @@ __all__ = [
     "dd_by_cases",
     "hamming",
     "t_distance",
-    "triple_type",
     "triple_orbits",
+    "triple_words",
     "group_order",
     "full_group_census",
     "d6_certificate",
@@ -773,7 +773,9 @@ def _type_keys(space: str, tri: np.ndarray) -> np.ndarray:
 
 
 def _type_tag(space: str, key) -> str:
-    # the tag that triple_type describes, from a key of _type_keys
+    # the type tag of a key of _type_keys: the sorted pairwise distances
+    # (after the J/L mixture in T), or in L coherent when the three indices
+    # differ
     if space == "L":
         return "incoherent" if key else "coherent"
     n_l, digits = divmod(int(key), 1000)
@@ -781,14 +783,19 @@ def _type_tag(space: str, key) -> str:
     return f"{mixture}{digits:03d}"
 
 
-def triple_type(space: str, triple) -> str:
-    """Type tag of a three-element set: its sorted pairwise distances (after
-    its J/L mixture in T), or the coherence tag in the L space (coherent when
-    the three indices differ)."""
-    if space not in _SPACES:
-        raise ValueError(f"unknown space {space!r}")
-    index = _space(space)[1]
-    return _type_tag(space, _type_keys(space, np.array([[index[x] for x in triple]]))[0])
+def _triples(space: str):
+    """All three-element label sets as rows of label indices i < j < k in the
+    order of combinations(), the row position of every ordered index triple,
+    and each generator's image of every row as a row position."""
+    labels, _, perms = _space(space)
+    n = len(labels)
+    a, b, c = np.ogrid[:n, :n, :n]
+    tri = np.argwhere((a < b) & (b < c))
+    # every ordering of a set points at its row, so an image needs no sort
+    position = np.zeros((n, n, n), dtype=np.intp)
+    for order in permutations(range(3)):
+        position[tuple(tri[:, order].T)] = np.arange(len(tri))
+    return tri, position, {g: position[tuple(p[tri].T)] for g, p in perms.items()}
 
 
 def triple_orbits(space: str):
@@ -799,20 +806,13 @@ def triple_orbits(space: str):
     representative is that first set with its members sorted.  The type tag
     is checked to be constant on each orbit, not assumed.
     """
-    labels, _, perms = _space(space)
-    n = len(labels)
-    a, b, c = np.ogrid[:n, :n, :n]
-    tri = np.argwhere((a < b) & (b < c))  # rows i < j < k in the order of combinations()
-    # every ordering of a set points at its row, so an image needs no sort
-    position = np.zeros((n, n, n), dtype=np.intp)
-    for order in permutations(range(3)):
-        position[tuple(tri[:, order].T)] = np.arange(len(tri))
-    images = [position[tuple(p[tri].T)] for p in perms.values()]
+    labels = _space(space)[0]
+    tri, _, images = _triples(space)
     # every set takes the smallest position in its orbit
     orbit, last = np.arange(len(tri)), None
     while not np.array_equal(orbit, last):
         last = orbit
-        for img in images:
+        for img in images.values():
             orbit = np.minimum(orbit, orbit[img])
     keys = _type_keys(space, tri)
     assert np.array_equal(keys, keys[orbit]), "type tag not orbit-constant"
@@ -827,3 +827,13 @@ def triple_orbits(space: str):
             "representative": tuple(str(x) for x in rep),
         })
     return out
+
+
+def triple_words(space: str, triple) -> dict:
+    """Each set in the orbit of a three-element label set, as a frozenset in
+    breadth-first order, with the first minimal-length word (letters applied
+    in order) that carries the given set to it."""
+    labels, index, _ = _space(space)
+    tri, position, images = _triples(space)
+    words = _orbit_words(images, int(position[tuple(index[lab] for lab in triple)]))
+    return {frozenset(labels[k] for k in tri[row]): word for row, word in words.items()}

@@ -167,3 +167,48 @@ def test_appendix_check_fails_on_an_altered_target_label(monkeypatch):
                 cached.cache_clear()
         assert not result.passed, target
         assert result.detail == detail
+
+
+def _failing_classes(result):
+    # a failing check 15 still reports every colour class
+    assert not result.passed
+    assert result.detail.startswith("classes out of bounds: ")
+    reports = result.evidence["reports"]
+    assert len(reports) == 8
+    return {rep["class"] for rep in reports if not rep["passed"]}
+
+
+def test_pipeline_check_fails_on_a_dropped_roy463_factor(monkeypatch):
+    # roy463 with Gamma(c-a+d) dropped from its first coefficient still
+    # translates onto every class, but no three-term limit closes
+    from hyperweyl import correspond
+
+    roy = correspond._roy463()
+    (coef, fun), *rest = roy.terms
+    lossy = correspond.GammaSinExpr(coef.prefactor, coef.numerator, coef.denominator[1:])
+    monkeypatch.setattr(correspond, "_roy463", lambda: correspond.Relation(roy.name, ((lossy, fun), *rest)))
+    correspond.builtin_relations.cache_clear()
+    try:
+        result = run_check("15-degeneration-pipeline")
+    finally:
+        monkeypatch.undo()
+        correspond.builtin_relations.cache_clear()
+    failing = _failing_classes(result)
+    assert failing >= {rep["class"] for rep in result.evidence["reports"] if "falls" in rep}
+
+
+def test_pipeline_check_fails_on_a_lossy_normalizer(monkeypatch):
+    # +v(0,7)'s normalizer without its Gamma(1+a-h): roy463 itself, the
+    # J,blue,blue translate, no longer closes
+    from hyperweyl import correspond
+
+    normalizer = correspond.limit_normalizer
+
+    def lossy(t):
+        norm = normalizer(t)
+        if str(t) != "+v(0,7)":
+            return norm
+        return correspond.GammaSinExpr(norm.prefactor, norm.numerator[1:], norm.denominator)
+
+    monkeypatch.setattr(correspond, "limit_normalizer", lossy)
+    assert "J,blue,blue" in _failing_classes(run_check("15-degeneration-pipeline"))

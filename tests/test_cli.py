@@ -8,6 +8,7 @@ spawning subprocesses.  Exit-code contract: 0 success, 1 failed check,
 
 import io
 import json
+import math
 import random
 
 import pytest
@@ -293,12 +294,34 @@ def test_a_tighter_decay_bound_fails_the_limit_checks(monkeypatch):
 
 
 def test_check_pipeline_passes():
+    # one report per colour class of roy463's translates: seven three-term
+    # limits that close, one blue/red class that collapses to two terms, and
+    # the two classes on orbit1jll's orbit matched with it
     code, data = run_json("check", "pipeline")
     assert code == 0
-    [pipeline] = data["reports"]
-    assert pipeline["verdict"] == "PASS"
-    assert len(pipeline["steps"]) == 5
-    assert all(step["pass"] for step in pipeline["steps"].values())
+    reports, bounds = data["reports"], data["bounds"]
+    assert data["triples"] == 4032
+    assert len({rep["class"] for rep in reports}) == 8
+    assert all(rep["passed"] for rep in reports)
+    three = [rep for rep in reports if "falls" in rep]
+    assert len(three) == 7
+    for rep in three:
+        assert rep["residuals"][-1] <= bounds["residual"]
+        assert min(rep["falls"]) >= bounds["decade_fall"]
+    [collapsed] = [rep for rep in reports if "third_slope" in rep]
+    assert collapsed["class"] == "J,blue,red"
+    assert collapsed["residuals"][0] <= bounds["collapse"]
+    assert abs(collapsed["third_slope"] + 2 * math.pi) <= bounds["slope"]
+    matched = [rep for rep in reports if "orbit1jll" in rep]
+    assert {rep["class"] for rep in matched} == {"J,blue,blue", "J,red,red"}
+    for rep in matched:
+        assert rep["orbit1jll"]["ratio_errors"][-1] <= bounds["match"]
+        assert rep["orbit1jll"]["residual"] <= bounds["orbit1jll"]
+    code, text = run_cli("check", "pipeline")
+    assert code == 0
+    lines = text.splitlines()
+    assert lines[0].startswith("PASS 15-degeneration-pipeline")
+    assert len(lines) == 9 and all(line.startswith("PASS ") for line in lines[1:])
 
 
 @pytest.mark.parametrize("seed", ["7", "11"])

@@ -1,8 +1,10 @@
-"""Coset table, limit targets, relations, translations, and the pipeline.
+"""Coset table, limit targets, relations, translations, and the limit of
+a relation.
 
 Numeric tolerances sit far above measured headroom: the fixture-vs-walk
 agreement comes in around 1e-12 and the translated-relation residuals
-around 1e-12, against contract bounds of 1e-8 and 1e-4/1e-6.
+around 1e-12, against contract bounds of 1e-8 and 1e-4/1e-6.  The limit of
+roy463 falls about 100x per decade of the shift, against a floor of 30x.
 """
 
 import json
@@ -12,13 +14,14 @@ import random
 import pytest
 
 from hyperweyl import correspond
-from hyperweyl.coxeter import all_m_labels
+from hyperweyl.coxeter import (
+    all_m_labels, jl_label, orbit_color, parse_label, triple_orbits, triple_words,
+)
 from hyperweyl.exactalg import LinForm, V_SYMBOLS, W_SYMBOLS
-from hyperweyl.hypnum import PrecisionWarning, eval_M_log, m_probe_args
+from hyperweyl.hypnum import PointW, PrecisionWarning, combine_exponentials, eval_M_log, m_probe_args
 from hyperweyl.correspond import (
     FunTerm,
     GammaSinExpr,
-    HALVING_WINDOW,
     PointSearchError,
     Relation,
     appendix_row,
@@ -30,11 +33,11 @@ from hyperweyl.correspond import (
     gamma2_target,
     gen_point,
     l_coset_args,
-    limit222_pipeline,
     limit_normalizer,
     limit_probe_args,
     limit_target_template,
-    pipeline_probe_args,
+    relation_limit,
+    relation_limit_probe_args,
     relation_probe_args,
     relation_report,
     table_json,
@@ -371,25 +374,76 @@ def test_normalizer_is_b_aware():
         assert touched
 
 
-def test_limit222_pipeline_passes():
-    rng = random.Random(222)
-    p = gen_point(rng, "W", pipeline_probe_args)
-    out = limit222_pipeline(p)
-    assert out["verdict"] == "PASS"
-    steps = out["steps"]
-    for key in (
-        "base_relation",
-        "shifted_relation",
-        "bracket_to_one",
-        "terms_to_limit",
-        "limit_relation",
-    ):
-        assert steps[key]["pass"], key
-    lo, hi = HALVING_WINDOW
-    for factor in steps["bracket_to_one"]["factors"]:
-        assert all(lo <= r <= hi for r in factor["ratios"])
-    errs = steps["bracket_to_one"]["errors"]
-    assert all(b < a for a, b in zip(errs, errs[1:]))
+def test_pochhammer_bracket_tends_to_one():
+    # roy463b's third coefficient carries the bracket
+    # (b)_{c-a}(h)_{c-a}/((1+a-b)_{c-a}(1+a-h)_{c-a}) as two ratios, each with
+    # arguments along one imaginary direction: each tends to 1 with its error
+    # halving per doubled shift, and in the product the leading corrections
+    # cancel (b+h does not move)
+    up = GammaSinExpr.build(W_SYMBOLS, 1, gamma_num=("b+c-a", "1+a-h"), gamma_den=("b", "1+c-h"))
+    down = GammaSinExpr.build(W_SYMBOLS, 1, gamma_num=("h+c-a", "1+a-b"), gamma_den=("h", "1+c-b"))
+    p = gen_point(random.Random(222), "W", lambda q: relation_probe_args(builtin_relations()["roy463b"], q))
+    shifted = [PointW(p.a, p.b + 1j * t, p.c, p.d, p.e, p.f, p.g).args() for t in correspond.SHIFTS]
+
+    def errors(expr):
+        return [abs(expr.eval_log(vals).to_complex() - 1.0) for vals in shifted]
+
+    for factor in (up, down):
+        errs = errors(factor)
+        assert all(0.3 <= b / a <= 0.7 for a, b in zip(errs, errs[1:]))
+    both = errors(up * down)
+    assert all(b < a for a, b in zip(both, both[1:]))
+    assert both[-1] < min(errors(up)[-1], errors(down)[-1])
+
+
+def test_relation_limit_of_roy463():
+    # each term pairs with its row's target, and the derived seven-slot
+    # relation closes about 100x per decade of the shift
+    roy = builtin_relations()["roy463"]
+    p = gen_point(random.Random(463), "W", lambda q: relation_limit_probe_args(roy, q, 1e2))
+    lims = [relation_limit(roy, p, t) for t in (1e2, 1e3, 1e4)]
+    assert [target for _, target in lims[0]] == [
+        appendix_row(lab).target_term() for lab in roy.term_labels()
+    ]
+    targets = [target.eval_log(p.args()) for _, target in lims[0]]
+    res = [combine_exponentials([q + x for (q, _), x in zip(lim, targets)])[1] for lim in lims]
+    assert res[-1] <= 5e-8
+    assert all(a >= 30 * b for a, b in zip(res, res[1:]))
+
+
+# roy463's translates under W(E7), by the colours of their three labels
+ROY463_CLASSES = {
+    "J,blue,blue": 480, "J,red,red": 480, "J,J,blue": 960, "J,J,red": 960,
+    "J,J,J": 640, "blue,blue,blue": 160, "red,red,red": 160, "J,blue,red": 192,
+}
+
+
+def test_roy463_translates_fill_eight_colour_classes():
+    roy = builtin_relations()["roy463"]
+    words = triple_words("M", roy.term_labels())
+    assert len(words) == 4032
+    classes = {}
+    for members, word in words.items():
+        cls = ",".join(sorted(orbit_color(lab) for lab in members))
+        classes.setdefault(cls, []).append((members, word))
+    assert {cls: len(found) for cls, found in classes.items()} == ROY463_CLASSES
+    # the first word into each class translates roy463 onto that triple
+    for cls, [(members, word), *_] in classes.items():
+        assert set(translate_relation(roy, word, "w").term_labels()) == members
+    # through jl_label each class but the blue/red one is one type-222 T orbit
+    t_orbits = {o["type"]: o for o in triple_orbits("T") if o["type"].endswith(":222")}
+    assert {mix: o["size"] for mix, o in t_orbits.items()} == {
+        "JLL:222": 480, "JJL:222": 960, "JJJ:222": 640, "LLL:222": 160,
+    }
+    for cls, found in classes.items():
+        images = {frozenset(jl_label(lab)[1] for lab in members) for members, _ in found}
+        if cls == "J,blue,red":
+            # its blue and red members share their target
+            assert {len(image) for image in images} == {2}
+            continue
+        mix = "".join(sorted("J" if c == "J" else "L" for c in cls.split(","))) + ":222"
+        rep = [parse_label(text) for text in t_orbits[mix]["representative"]]
+        assert images == set(triple_words("T", rep))
 
 
 # ---------------------------------------------------------------------------
@@ -414,3 +468,8 @@ def test_gen_point_sides():
     rng = random.Random(2)
     assert len(gen_point(rng, "W").args()) == 8
     assert len(gen_point(rng, "V").args()) == 7
+
+
+def test_gen_point_rejects_an_unknown_side():
+    with pytest.raises(ValueError, match="side must be W or V"):
+        gen_point(random.Random(3), "X")

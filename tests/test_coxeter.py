@@ -40,7 +40,6 @@ from hyperweyl.coxeter import (
     representative_words,
     t_distance,
     triple_orbits,
-    triple_type,
 )
 from hyperweyl.exactalg import (
     SUBGROUP_WORDS,
@@ -374,12 +373,6 @@ def test_t_triples():
     assert comp == {"JJJ": 5, "JJL": 7, "JLL": 4, "LLL": 2}
 
 
-def test_triple_type_examples():
-    a, b, c = parse_label("p0"), parse_label("p5"), parse_label("p10")
-    assert triple_type("J", (a, b, c)) == "444"
-    assert triple_type("L", (LLabel(1), LLabel(1, True), LLabel(2))) == "incoherent"
-
-
 SPACE_LABELS = {"M": all_m_labels, "J": all_j_labels, "L": all_l_labels, "T": all_t_labels}
 
 
@@ -393,15 +386,6 @@ def reference_type(space, triple):
     if space == "T":
         tag = "".join(sorted("L" if isinstance(x, LLabel) else "J" for x in triple)) + ":" + tag
     return tag
-
-
-@pytest.mark.parametrize("space", sorted(SPACE_LABELS))
-def test_triple_type_matches_the_distance_functions(space):
-    labels = SPACE_LABELS[space]()
-    rng = random.Random(5)
-    for _ in range(300):
-        triple = rng.sample(labels, 3)
-        assert triple_type(space, triple) == reference_type(space, triple)
 
 
 @pytest.mark.parametrize("space", sorted(SPACE_LABELS))
