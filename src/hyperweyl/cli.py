@@ -313,10 +313,11 @@ _VERBS = {
 
 
 def _preprocess(argv):
-    """Shield signed labels like -v(0,1) from option parsing."""
+    """Shield signed labels like -v(0,1) from option parsing, after the verb
+    distance only: the first token naming a verb (no option value names one)."""
     argv = list(sys.argv[1:] if argv is None else argv)
-    if "distance" in argv and "--" not in argv:
-        i = argv.index("distance")
+    i = next((k for k, a in enumerate(argv) if a in _VERBS), None)
+    if i is not None and argv[i] == "distance" and "--" not in argv:
         rest = argv[i + 1 :]
         if rest and not any(a in ("-h", "--help") for a in rest):
             argv.insert(i + 1, "--")

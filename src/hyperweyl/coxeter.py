@@ -14,9 +14,10 @@ red copies of the 12 L labels, plus the 32 J labels), it intertwines the two
 generator actions through matching_generator, and it compresses the
 discrete distance in a controlled way (t_distance).
 
-Words, orbits, group orders and triple censuses share one permutation-group
-core: every generator as an index array of label images (built on first
-use), one breadth-first orbit walk that records words, and Schreier-Sims.
+Words, orbits, group orders, distances and triple censuses share one core,
+built on first use: each generator as an index array of label images, one
+breadth-first orbit walk that records words, Schreier-Sims, and one table
+of the 56x56 discrete distances that every other space's distances gather.
 """
 
 from __future__ import annotations
@@ -60,10 +61,9 @@ __all__ = [
     "jl_preimage",
     "matching_generator",
     "color_orbits",
-    "label_vector",
+    "distance_table",
     "dd",
     "dd_by_cases",
-    "hamming",
     "t_distance",
     "triple_orbits",
     "triple_words",
@@ -455,19 +455,15 @@ def jl_preimage(t_label, color: str = None) -> MLabel:
             return MLabel(-1, 0, j) if t_label.barred else MLabel(1, 1, j)
         raise ValueError("color must be blue or red for L labels")
     if isinstance(t_label, JLabel):
-        plus_positions = [k for k, s in enumerate(t_label.signs) if s > 0]
-        if len(plus_positions) == 6:
-            return MLabel(1, 0, 1)
-        if len(plus_positions) == 0:
-            return MLabel(-1, 0, 1)
-        if len(plus_positions) == 2:
-            i, j = plus_positions
-            return MLabel(1, i + 2, j + 2)
-        if len(plus_positions) == 4:
-            minus_positions = [k for k, s in enumerate(t_label.signs) if s < 0]
-            i, j = minus_positions
-            return MLabel(-1, i + 2, j + 2)
-        raise ValueError("not a valid J string")
+        # two signs unlike the other four name the pair and give its sign; six
+        # alike give +-v(0,1)
+        plus = [k + 2 for k, s in enumerate(t_label.signs) if s > 0]
+        minus = [k + 2 for k, s in enumerate(t_label.signs) if s < 0]
+        if len(plus) == 2:
+            return MLabel(1, *plus)
+        if len(minus) == 2:
+            return MLabel(-1, *minus)
+        return MLabel(t_label.signs[0], 0, 1)
     raise TypeError("expected a J or L label")
 
 
@@ -490,47 +486,6 @@ def matching_generator(gen: str) -> str:
     if gen not in _GENERATOR_BRIDGE:
         raise KeyError(f"{gen!r} does not act on the seven-slot side")
     return _GENERATOR_BRIDGE[gen]
-
-
-# ---------------------------------------------------------------------------
-# vectors and distances
-# ---------------------------------------------------------------------------
-
-
-def label_vector(label: MLabel) -> np.ndarray:
-    """Eight-component integer vector +-(4(e_{i+1}+e_{j+1}) - sum e_k)."""
-    v = -np.ones(8, dtype=np.int64)
-    v[label.i] += 4
-    v[label.j] += 4
-    return label.sign * v
-
-
-def dd(u: MLabel, v: MLabel) -> int:
-    """Discrete distance: (1/16) |vec(u) - vec(v)|^2, always in {0,2,4,6}."""
-    diff = label_vector(u) - label_vector(v)
-    q = int(np.dot(diff, diff))
-    assert q % 16 == 0
-    return q // 16
-
-
-def dd_by_cases(u: MLabel, v: MLabel) -> int:
-    """Same distance from the case table: overlap size and relative sign."""
-    overlap = len({u.i, u.j} & {v.i, v.j})
-    same = u.sign == v.sign
-    if overlap == 2:
-        return 0 if same else 6
-    if overlap == 1:
-        return 2 if same else 4
-    return 4 if same else 2
-
-
-def hamming(s: JLabel, t: JLabel) -> int:
-    return sum(1 for x, y in zip(s.signs, t.signs) if x != y)
-
-
-def t_distance(s, t) -> int:
-    """Distance on the 44 seven-slot labels via blue preimages."""
-    return dd(jl_preimage(s), jl_preimage(t))
 
 
 # ---------------------------------------------------------------------------
@@ -745,26 +700,63 @@ def d6_certificate() -> dict:
 
 
 # ---------------------------------------------------------------------------
-# triples
+# distances
 # ---------------------------------------------------------------------------
-
-# the pairwise value behind each space's type tag (in L, 1 when two labels
-# share an index)
-_PAIR_VALUE = {"M": dd, "J": hamming, "L": lambda a, b: int(a.index == b.index), "T": t_distance}
 
 
 @lru_cache(maxsize=None)
-def _pair_table(space: str) -> np.ndarray:
+def distance_table(space: str) -> np.ndarray:
+    """Every distance between two labels of a space, as a read-only table in
+    the space's label order (all_m_labels(), all_j_labels() and so on).
+
+    M: the discrete distance (1/16)|v(u) - v(w)|^2 of the label vectors
+    v = +-(4(e_i + e_j) - sum_k e_k), always 0, 2, 4 or 6.  Every |v|^2 is
+    24, so for V the 56x8 matrix of label vectors the table is
+    (48 - 2 V V^T)/16.  J, L and T read M at their labels' blue preimages.
+    """
     labels = _space(space)[0]
-    table = np.array([[_PAIR_VALUE[space](a, b) for b in labels] for a in labels])
+    if space == "M":
+        v = np.array([lab.sign * (4 * np.isin(np.arange(8), lab.pair) - 1) for lab in labels])
+        table = (48 - 2 * v @ v.T) // 16
+    else:
+        m_index = _space("M")[1]
+        pre = [m_index[jl_preimage(lab)] for lab in labels]
+        table = distance_table("M")[np.ix_(pre, pre)]
     table.setflags(write=False)
     return table
 
 
+def dd(u: MLabel, v: MLabel) -> int:
+    """Discrete distance between two eight-slot labels, from distance_table("M")."""
+    index = _space("M")[1]
+    return int(distance_table("M")[index[u], index[v]])
+
+
+def dd_by_cases(u: MLabel, v: MLabel) -> int:
+    """Same distance from the case table: overlap size and relative sign."""
+    overlap = len({u.i, u.j} & {v.i, v.j})
+    same = u.sign == v.sign
+    if overlap == 2:
+        return 0 if same else 6
+    if overlap == 1:
+        return 2 if same else 4
+    return 4 if same else 2
+
+
+def t_distance(s, t) -> int:
+    """Distance on the 44 seven-slot labels via blue preimages, from distance_table("T")."""
+    index = _space("T")[1]
+    return int(distance_table("T")[index[s], index[t]])
+
+
+# ---------------------------------------------------------------------------
+# triples
+# ---------------------------------------------------------------------------
+
 def _type_keys(space: str, tri: np.ndarray) -> np.ndarray:
-    """Type key of each row of label indices: the sorted pairwise values as
-    three decimal digits and, in T, the number of L labels as the fourth."""
-    pairs = np.sort(_pair_table(space)[tri[:, [0, 0, 1]], tri[:, [1, 2, 2]]], axis=1)
+    """Type key of each row of label indices: the sorted pairwise distances
+    as three decimal digits and, in T, the number of L labels as the fourth."""
+    pairs = np.sort(distance_table(space)[tri[:, [0, 0, 1]], tri[:, [1, 2, 2]]], axis=1)
     keys = pairs @ np.array([100, 10, 1])
     if space == "T":
         is_l = np.array([isinstance(lab, LLabel) for lab in _space(space)[0]])
@@ -775,9 +767,9 @@ def _type_keys(space: str, tri: np.ndarray) -> np.ndarray:
 def _type_tag(space: str, key) -> str:
     # the type tag of a key of _type_keys: the sorted pairwise distances
     # (after the J/L mixture in T), or in L coherent when the three indices
-    # differ
+    # differ, which is when every pairwise distance is 2
     if space == "L":
-        return "incoherent" if key else "coherent"
+        return "coherent" if key == 222 else "incoherent"
     n_l, digits = divmod(int(key), 1000)
     mixture = "J" * (3 - n_l) + "L" * n_l + ":" if space == "T" else ""
     return f"{mixture}{digits:03d}"
@@ -815,7 +807,7 @@ def triple_orbits(space: str):
         for img in images.values():
             orbit = np.minimum(orbit, orbit[img])
     keys = _type_keys(space, tri)
-    assert np.array_equal(keys, keys[orbit]), "type tag not orbit-constant"
+    assert np.array_equal(keys, keys[orbit]), f"{space}: type tag not orbit-constant"
     out = []
     for first, size in zip(*np.unique(orbit, return_counts=True)):
         # members in label order, L labels before J labels in T

@@ -212,3 +212,114 @@ def test_pipeline_check_fails_on_a_lossy_normalizer(monkeypatch):
 
     monkeypatch.setattr(correspond, "limit_normalizer", lossy)
     assert "J,blue,blue" in _failing_classes(run_check("15-degeneration-pipeline"))
+
+
+@pytest.fixture
+def fresh_tables():
+    """Clear the cached label permutations and distance tables on both
+    sides of a test, so that a planted fault is read and does not leak."""
+    from hyperweyl import coxeter
+
+    caches = (coxeter._space, coxeter.distance_table)
+    for cached in caches:
+        cached.cache_clear()
+    yield
+    for cached in caches:
+        cached.cache_clear()
+
+
+def test_index_orbits_check_fails_on_a_mislabelled_color(monkeypatch, fresh_tables):
+    # +v(0,2) is blue; called red, its orbit mixes two colors
+    from hyperweyl import selftest
+    from hyperweyl.coxeter import Color, MLabel, orbit_color
+
+    def mislabel(label):
+        return Color.RED if label == MLabel(1, 0, 2) else orbit_color(label)
+
+    monkeypatch.setattr(selftest, "orbit_color", mislabel)
+    result = run_check("04-index-orbits")
+    assert not result.passed
+    assert result.detail == "the orbit of +v(0,2) mixes colors blue, red"
+
+
+def test_equivariance_check_fails_on_a_wrong_partner(monkeypatch, fresh_tables):
+    # s1 matches a5; matched with a4 the label map stops intertwining
+    from hyperweyl import selftest
+    from hyperweyl.coxeter import matching_generator
+
+    monkeypatch.setattr(selftest, "matching_generator", lambda g: "a4" if g == "s1" else matching_generator(g))
+    result = run_check("05-equivariance")
+    assert not result.passed
+    assert result.detail.startswith("label map does not intertwine s1 at ")
+
+
+def _swap_two_images(gen, a, b):
+    """act_m with gen's images of the labels a and b exchanged."""
+    from hyperweyl.coxeter import act_m
+
+    def act(g, label):
+        if g == gen and label in (a, b):
+            label = b if label == a else a
+        return act_m(g, label)
+
+    return act
+
+
+@pytest.mark.parametrize(
+    "fault, detail",
+    [
+        pytest.param("swap", "s1 does not preserve dd at (+v(0,1),-v(0,1))", id="swapped-images"),
+        pytest.param("cases", "case table disagrees at (+v(2,5),-v(3,6))", id="case-table"),
+    ],
+)
+def test_metric_suite_check_fails_on_a_planted_fault(monkeypatch, fresh_tables, fault, detail):
+    # s1 fixes +v(0,1) and sends +v(0,6) to +v(0,7); with the two images
+    # exchanged it is no isometry.  A case table wrong on one pair
+    # disagrees with the distance matrix there
+    from hyperweyl import selftest
+    from hyperweyl.coxeter import MLabel, dd_by_cases
+
+    if fault == "swap":
+        monkeypatch.setattr(selftest, "act_m", _swap_two_images("s1", MLabel(1, 0, 1), MLabel(1, 0, 6)))
+    else:
+        bad = (MLabel(1, 2, 5), MLabel(-1, 3, 6))
+        monkeypatch.setattr(selftest, "dd_by_cases", lambda u, v: 0 if (u, v) == bad else dd_by_cases(u, v))
+    result = run_check("06-metric-suite")
+    assert not result.passed
+    assert result.detail == detail
+
+
+def test_compression_check_fails_on_a_red_preimage(monkeypatch, fresh_tables):
+    # L 3 read at its red preimage +v(1,4) instead of the blue +v(0,4):
+    # its T distances are those of the wrong M label
+    from hyperweyl import coxeter
+    from hyperweyl.coxeter import Color, LLabel, jl_preimage
+
+    def red_three(label, color=None):
+        return jl_preimage(label, Color.RED if label == LLabel(3) else color)
+
+    monkeypatch.setattr(coxeter, "jl_preimage", red_three)
+    result = run_check("07-distance-compression")
+    assert not result.passed
+    assert result.detail == "compression fails at (+v(0,2),+v(0,4))"
+
+
+def test_triple_census_check_fails_on_a_wrong_distance(monkeypatch, fresh_tables):
+    # one pair of the M table read at 4 instead of 2: the triples through
+    # it no longer share a type with the rest of their orbits
+    from hyperweyl import coxeter
+
+    table = coxeter.distance_table
+
+    def wrong(space):
+        if space != "M":
+            return table(space)
+        d = table("M").copy()
+        assert d[0, 2] == 2
+        d[0, 2] = d[2, 0] = 4
+        return d
+
+    monkeypatch.setattr(coxeter, "distance_table", wrong)
+    result = run_check("08-triple-censuses")
+    assert not result.passed
+    assert result.detail == "AssertionError: M: type tag not orbit-constant"

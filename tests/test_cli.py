@@ -10,6 +10,7 @@ import io
 import json
 import math
 import random
+from pathlib import Path
 
 import pytest
 
@@ -176,6 +177,16 @@ def test_eval_explicit_args_match_default(w_point_file):
     )
     assert code == 0
     assert explicit == default
+
+
+def test_eval_reads_a_point_file_named_distance(w_point_file, tmp_path, monkeypatch):
+    # only the verb distance shields what follows it; a point file that
+    # happens to be called distance is an ordinary option value
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "distance").write_text(Path(w_point_file).read_text())
+    code, text = run_cli("eval", "--point", "distance", "--func", "M")
+    assert code == 0
+    assert text == run_cli("eval", "--func", "M", "--point", w_point_file)[1]
 
 
 def test_eval_v_side_function(v_point_file):

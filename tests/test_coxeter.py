@@ -26,13 +26,12 @@ from hyperweyl.coxeter import (
     d6_certificate,
     dd,
     dd_by_cases,
+    distance_table,
     full_group_census,
     group_order,
-    hamming,
     jl_label,
     jl_preimage,
     j_label_from_name,
-    label_vector,
     matching_generator,
     orbit_color,
     parse_label,
@@ -288,43 +287,43 @@ def test_matching_generator_rejects_last_reflection():
 # ---------------------------------------------------------------------------
 
 
-def test_label_vectors():
-    import numpy as np
-
-    v = label_vector(MLabel(1, 0, 7))
-    assert v.tolist() == [3, -1, -1, -1, -1, -1, -1, 3]
-    assert label_vector(MLabel(-1, 0, 7)).tolist() == [-3, 1, 1, 1, 1, 1, 1, -3]
-    for lab in all_m_labels():
-        assert int(np.dot(label_vector(lab), label_vector(lab))) == 24
+def hamming(s, t):
+    return sum(x != y for x, y in zip(s.signs, t.signs))
 
 
 def test_dd_agrees_with_case_table():
     labels = all_m_labels()
-    for u in labels:
-        for v in labels:
-            d = dd(u, v)
-            assert d == dd_by_cases(u, v)
-            assert d in (0, 2, 4, 6)
+    d = distance_table("M")
+    assert d.tolist() == [[dd_by_cases(u, v) for v in labels] for u in labels]
+    assert set(d.flat) == {0, 2, 4, 6}
+    assert not d.flags.writeable
+    assert [[dd(u, v) for v in labels] for u in labels] == d.tolist()
 
 
 def test_dd_antipode_sum():
     labels = all_m_labels()
-    for u in labels:
-        for v in labels:
-            assert dd(u, v) + dd(u, -v) == 6
+    neg = [labels.index(-u) for u in labels]
+    d = distance_table("M")
+    assert (d + d[:, neg] == 6).all()
 
 
 def test_dd_zero_only_on_equal():
-    labels = all_m_labels()
-    for u in labels:
-        for v in labels:
-            assert (dd(u, v) == 0) == (u == v)
+    d = distance_table("M")
+    assert ((d == 0) == np.eye(len(d), dtype=bool)).all()
 
 
 def test_t_distance_matches_hamming_on_sign_strings():
-    for s in all_j_labels():
-        for t in all_j_labels():
-            assert t_distance(s, t) == hamming(s, t)
+    labels = all_j_labels()
+    want = [[hamming(s, t) for t in labels] for s in labels]
+    assert distance_table("J").tolist() == want
+    assert [[t_distance(s, t) for t in labels] for s in labels] == want
+
+
+def test_l_distance_marks_shared_indices():
+    # 0 on equal labels, 4 on a label and its bar, 2 where the indices differ
+    labels = all_l_labels()
+    want = [[0 if a == b else 4 if a.index == b.index else 2 for b in labels] for a in labels]
+    assert distance_table("L").tolist() == want
 
 
 def test_t_distance_compression():
@@ -334,7 +333,7 @@ def test_t_distance_compression():
         for v in all_m_labels():
             cv, tv = jl_label(v)
             drop = 2 if {cu, cv} == {Color.BLUE, Color.RED} else 0
-            assert t_distance(tu, tv) == dd(u, v) - drop
+            assert t_distance(tu, tv) == dd_by_cases(u, v) - drop
 
 
 # ---------------------------------------------------------------------------
@@ -377,11 +376,11 @@ SPACE_LABELS = {"M": all_m_labels, "J": all_j_labels, "L": all_l_labels, "T": al
 
 
 def reference_type(space, triple):
-    # the type tag read directly off the distance functions
+    # the type tag read directly off the case table and the sign strings
     a, b, c = triple
     if space == "L":
         return "coherent" if len({a.index, b.index, c.index}) == 3 else "incoherent"
-    dist = {"M": dd, "J": hamming, "T": t_distance}[space]
+    dist = {"M": dd_by_cases, "J": hamming, "T": lambda s, t: dd_by_cases(jl_preimage(s), jl_preimage(t))}[space]
     tag = "".join(str(d) for d in sorted([dist(a, b), dist(a, c), dist(b, c)]))
     if space == "T":
         tag = "".join(sorted("L" if isinstance(x, LLabel) else "J" for x in triple)) + ":" + tag

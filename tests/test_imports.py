@@ -8,6 +8,9 @@ fails here instead of lingering.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -71,3 +74,19 @@ def test_every_export_is_defined(path):
     tree = ast.parse(path.read_text(), filename=str(path))
     missing = sorted(_exported(tree) - _bound(tree))
     assert not missing, f"{path.name} exports undefined names: " + ", ".join(missing)
+
+
+def test_importing_the_cli_builds_no_table():
+    # the label permutations, the distance tables and the 56-row table are
+    # built on first use, so no command pays for them at import
+    code = (
+        "import hyperweyl.cli\n"
+        "from hyperweyl import correspond, coxeter\n"
+        "cached = (coxeter._space, coxeter.distance_table, correspond.appendix_table)\n"
+        "print(*(f.cache_info().currsize for f in cached))"
+    )
+    src = str(Path(hyperweyl.__file__).parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.split() == ["0", "0", "0"]
