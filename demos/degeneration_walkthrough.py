@@ -3,7 +3,8 @@
 Push one parameter of the eight-slot function toward infinity along a
 label's direction and, after dividing out a gamma/sine normalizer, the
 value converges to a seven-slot target.  Doubling the shift roughly
-quarters the error, which is the convergence signature this demo prints.
+quarters the error, which is the convergence signature this demo prints
+from the evidence of catalog check 13.
 
 Two extras round out the story: the twelve blue/red label pairs share one
 target (the collapse behind the 44-label union space), and every three-term
@@ -16,50 +17,36 @@ seven-slot relation; the demo prints how its residual falls with t.
 Run:  python3 demos/degeneration_walkthrough.py
 """
 
-import random
+import cmath
+import math
 
-from hyperweyl.correspond import (
-    appendix_row,
-    check_limit,
-    gen_point,
-    limit_probe_args,
-    limit_target_template,
-)
+from hyperweyl.coxeter import jl_label, parse_label
 from hyperweyl.selftest import run_check
 
 SEED = 7
 
 
 def main():
-    rng = random.Random(SEED)
+    # catalog check 13 drives four rows through the shifts, then the first
+    # two, a blue/red pair, at one shared point
+    limits = run_check("13-limit-checks", SEED).evidence
+    *rows, blue, red = limits["reports"]
 
     print("shift-doubling convergence (error after shift 8, 16, 32):")
-    for label in ("+v(0,7)", "+v(1,7)", "+v(0,1)", "+v(2,7)"):
-        p = gen_point(rng, "W", probe=lambda q: limit_probe_args(label, q))
-        rep = check_limit(label, p)
-        errs = "  ->  ".join(f"{e:.3e}" for e in rep.errors)
-        tmpl = limit_target_template(label)
-        print(f"  {label}:  {errs}   (target kind {tmpl.kind}, "
-              f"{'PASS' if rep.verdict else 'FAIL'})")
+    for rep in rows:
+        errs = "  ->  ".join(f"{e:.3e}" for e in rep["errors"])
+        color, target = jl_label(parse_label(rep["label"]))
+        print(f"  {rep['label']}:  {errs}   ({color}, target {target}, "
+              f"{'PASS' if rep['verdict'] else 'FAIL'})")
 
     print("\na blue and a red label aim at the same seven-slot target:")
-    blue, red = appendix_row("+v(0,7)"), appendix_row("+v(1,7)")
-    print(f"  +v(0,7) is {blue.target_color}, target {blue.target_label}; "
-          f"+v(1,7) is {red.target_color}, target {red.target_label}")
-
-    def both(q):
-        g1, s1 = limit_probe_args("+v(0,7)", q)
-        g2, s2 = limit_probe_args("+v(1,7)", q)
-        return tuple(g1) + tuple(g2), tuple(s1) + tuple(s2)
-
-    p = gen_point(rng, "W", probe=both)
-    r1, r2 = check_limit("+v(0,7)", p), check_limit("+v(1,7)", p)
-    t1 = r1.target_log.to_complex()
-    t2 = r2.target_log.to_complex()
-    print(f"  limits at a shared point: {t1:.9g} vs {t2:.9g}")
-    gap = max(abs((v1 - v2).to_complex() - 1) for v1, v2 in zip(r1.values, r2.values))
-    print(f"  normalized shifted values differ by at most {gap:.3e} "
-          f"(final shift errors {r1.errors[-1]:.1e}, {r2.errors[-1]:.1e})")
+    for rep in (blue, red):
+        color, target = jl_label(parse_label(rep["label"]))
+        value = cmath.rect(math.exp(rep["target_log_mag"]), rep["target_phase"])
+        print(f"  {rep['label']} is {color}, target {target}, target value {value:.9g} "
+              f"(final shift error {rep['errors'][-1]:.1e})")
+    print(f"  normalized shifted values differ by at most {limits['pair_gap']:.3e} "
+          f"(within {limits['pair_bound']:.1e}, the sum of the final shift errors)")
 
     print("\nroy463's translates degenerate onto a three-term relation per colour class")
     print("(residual at t = 1e2, 1e3, 1e4):")

@@ -3,11 +3,12 @@
 Every coset row degenerates, after normalization by an explicit gamma
 quotient and a large imaginary shift of the b coordinate, onto one of the
 seven-slot functions evaluated at a fixed rational-linear change of letters.
-This module holds that table (``appendix_table``), the normalizers and
-numerical limit checks, the three built-in contiguous relations and their
-exact translations, and relation_limit, which carries any eight-slot
-relation through the limit onto the seven-slot relation among its rows'
-targets.
+This module holds that table (``appendix_table``), one record per row
+holding the row's transcribed target, its derived target and its
+normalizer, all built once; the numerical limit checks; the three built-in
+contiguous relations and their exact translations; and relation_limit,
+which carries any eight-slot relation through the limit onto the
+seven-slot relation among its rows' targets.
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ from __future__ import annotations
 import json
 import math
 import warnings
-from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -71,9 +71,7 @@ __all__ = [
     "appendix_table",
     "appendix_row",
     "bfs_m_args",
-    "fixture_rows",
     "gamma2_target",
-    "limit_target_template",
     "limit_normalizer",
     "check_limit",
     "builtin_relations",
@@ -311,14 +309,14 @@ def l_coset_args(label) -> tuple:
 
 @dataclass(frozen=True)
 class AppendixRow:
-    """One coset row: normal-form M arguments plus the limit target."""
+    """One coset row, built once: its transcribed M arguments and target
+    (printed), the target gamma2_target derives and the limit normalizer."""
 
     label: MLabel
     m_args: tuple
-    target_kind: str
-    target_label: object
-    target_color: str
-    target_args: tuple
+    printed: FunTerm
+    target: FunTerm
+    normalizer: GammaSinExpr
 
     def __post_init__(self):
         if classify_m(self.m_args) != self.label:
@@ -335,50 +333,20 @@ class AppendixRow:
                 "normal form unreachable (would indicate a bug): "
                 f"b pattern {bcoefs} for {self.label}"
             )
-        for a in self.target_args:
+        for a in self.target.args:
             if a.reduced().coef("b") != 0:
                 raise ValueError("target arguments must be free of the shifted letter")
 
-    def target_term(self) -> FunTerm:
-        return FunTerm(self.target_kind, self.target_args)
-
     def to_dict(self):
+        color, t_label = jl_label(self.label)
         return {
             "label": str(self.label),
-            "color": self.target_color,
+            "color": color,
             "m_args": [pretty_str(a) for a in self.m_args],
-            "target_kind": self.target_kind,
-            "target_label": str(self.target_label),
-            "target_args": [pretty_str(a) for a in self.target_args],
+            "target_kind": self.target.kind,
+            "target_label": str(t_label),
+            "target_args": [pretty_str(a) for a in self.target.args],
         }
-
-
-_FixtureRow = namedtuple("_FixtureRow", "label m_args target_kind target_label target_args")
-
-
-@lru_cache(maxsize=1)
-def fixture_rows() -> tuple:
-    """The checked-in table rows, parsed (reduced forms, source order)."""
-    rows = []
-    for line in FIXTURE_TEXT.splitlines():
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        lab_text, m_text, t_text, ta_text = (part.strip() for part in line.split("|"))
-        label = parse_label(lab_text)
-        m_args = tuple(
-            LinForm.parse(t, W_SYMBOLS).reduced() for t in m_text.split(";")
-        )
-        kind, t_lab = t_text.split()
-        if kind not in ("J", "L"):
-            raise ValueError(f"{label}: target kind {kind!r} is neither J nor L")
-        target_args = tuple(
-            LinForm.parse(t, W_SYMBOLS).reduced() for t in ta_text.split(";")
-        )
-        rows.append(_FixtureRow(label, m_args, kind, parse_label(t_lab), target_args))
-    if len(rows) != 56:
-        raise AssertionError("fixture must hold 56 rows")
-    return tuple(rows)
 
 
 @lru_cache(maxsize=None)
@@ -404,33 +372,47 @@ def _rows_by_label():
     return {row.label: row for row in appendix_table()}
 
 
+def _parse_forms(text) -> tuple:
+    return tuple(LinForm.parse(t, W_SYMBOLS).reduced() for t in text.split(";"))
+
+
 @lru_cache(maxsize=1)
 def appendix_table() -> tuple:
-    """All 56 rows in source order, cross-checked against group data.
+    """All 56 rows of the checked-in table, in source order, one record per
+    row, cross-checked against group data.
 
-    The slot vectors are the checked-in canonical representatives; for each
-    row an independently computed representative word must land in the same
-    coset (equal classifying slot), and the construction invariants of
-    AppendixRow hold.  Targets come from gamma2_target.
+    Each row's printed target must carry the kind and label jl_label gives
+    its coset, and an independently computed representative word must land
+    in the same coset as its slot vector (equal classifying slot); the
+    construction invariants of AppendixRow hold.  Targets come from
+    gamma2_target, normalizers from the slot vector.
     """
     rows = []
-    for fix in fixture_rows():
-        color, t_label = jl_label(fix.label)
-        if (fix.target_kind == "J") != isinstance(t_label, JLabel):
-            raise AssertionError(f"{fix.label}: target kind mismatch")
-        if t_label != fix.target_label:
-            raise AssertionError(f"{fix.label}: target label mismatch")
-        route = bfs_m_args(fix.label)
-        if route[1] != fix.m_args[1].reduced():
+    for line in FIXTURE_TEXT.splitlines():
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        lab_text, m_text, t_text, ta_text = (part.strip() for part in line.split("|"))
+        label = parse_label(lab_text)
+        m_args = _parse_forms(m_text)
+        kind, t_lab = t_text.split()
+        if kind not in ("J", "L"):
+            raise ValueError(f"{label}: target kind {kind!r} is neither J nor L")
+        _, t_label = jl_label(label)
+        if (kind == "J") != isinstance(t_label, JLabel):
+            raise AssertionError(f"{label}: target kind mismatch")
+        if t_label != parse_label(t_lab):
+            raise AssertionError(f"{label}: target label mismatch")
+        if bfs_m_args(label)[1] != m_args[1]:
             raise AssertionError(
-                f"{fix.label}: representative word lands in a different coset"
+                f"{label}: representative word lands in a different coset"
             )
-        target = gamma2_target(fix.label)
-        rows.append(
-            AppendixRow(
-                fix.label, fix.m_args, target.kind, t_label, color, target.args
-            )
-        )
+        rows.append(AppendixRow(
+            label, m_args, FunTerm(kind, _parse_forms(ta_text)), gamma2_target(label),
+            _limit_normalizer(kind, m_args),
+        ))
+    if len(rows) != 56:
+        raise AssertionError("fixture must hold 56 rows")
     return tuple(rows)
 
 
@@ -468,37 +450,11 @@ def gamma2_target(t) -> FunTerm:
     return FunTerm(kind, tuple(a.reduced() for a in args))
 
 
-def limit_target_template(t) -> FunTerm:
-    """The same target read off the limit formula applied to the row's
-    normal-form M arguments; agrees with gamma2_target by the invariances."""
-    row = appendix_row(t)
-    m = row.m_args
+def _limit_normalizer(kind, m) -> GammaSinExpr:
+    """Gamma quotient multiplying a row's M, with slot vector m and target
+    kind, so that the shifted product converges."""
     one = LinForm.const_form(W_SYMBOLS, 1)
-    if row.target_kind == "L":
-        args = (
-            m[4], m[5], m[6],
-            one + m[0] - m[2] - m[3],
-            m[4] + m[5] + m[6] - m[0],
-            one + m[0] - m[2],
-            one + m[0] - m[3],
-        )
-    else:
-        args = (
-            m[1], m[2], m[3],
-            one + m[0] - m[4] - m[5],
-            m[1] + m[2] + m[3] - m[0],
-            one + m[0] - m[4],
-            one + m[0] - m[5],
-        )
-    return FunTerm(row.target_kind, tuple(a.reduced() for a in args))
-
-
-def limit_normalizer(t) -> GammaSinExpr:
-    """Gamma quotient multiplying the row's M so the shifted product converges."""
-    row = appendix_row(t)
-    m = row.m_args
-    one = LinForm.const_form(W_SYMBOLS, 1)
-    if row.target_kind == "L":
+    if kind == "L":
         num = [one + m[0] - m[7]] + [m[1] - m[0] + m[k] for k in range(2, 7)]
         den = [m[1] - m[0]]
     else:
@@ -511,6 +467,11 @@ def limit_normalizer(t) -> GammaSinExpr:
         ]
         den = []
     return GammaSinExpr.build(W_SYMBOLS, 1, gamma_num=num, gamma_den=den)
+
+
+def limit_normalizer(t) -> GammaSinExpr:
+    """Gamma quotient multiplying the row's M so the shifted product converges."""
+    return appendix_row(t).normalizer
 
 
 @dataclass(frozen=True)
@@ -553,7 +514,7 @@ def check_limit(t, p: PointW) -> LimitReport:
     row = appendix_row(label)
     norm = limit_normalizer(label)
     try:
-        target_log = row.target_term().eval_log(p.args())
+        target_log = row.target.eval_log(p.args())
         ref = LogC.from_real(math.pi / 2) + target_log
         values = []
         for t_im in SHIFTS:
@@ -711,9 +672,10 @@ def _term_logs(r: Relation, p) -> list:
     ]
 
 
-def eval_relation(r: Relation, p) -> float:
-    """Scaled residual |sum| / max |term| of the relation at a point."""
-    logs = [lg for lg in _term_logs(r, p) if lg is not None]
+def _residual(logs) -> float:
+    """Scaled residual |sum| / max |term| of the term logs that are not None;
+    warns when none are left."""
+    logs = [lg for lg in logs if lg is not None]
     if not logs:
         warnings.warn(
             "all relation coefficients vanish; residual is trivially zero",
@@ -721,6 +683,11 @@ def eval_relation(r: Relation, p) -> float:
         )
         return 0.0
     return combine_exponentials(logs)[1]
+
+
+def eval_relation(r: Relation, p) -> float:
+    """Scaled residual |sum| / max |term| of the relation at a point."""
+    return _residual(_term_logs(r, p))
 
 
 def relation_report(r: Relation, p) -> dict:
@@ -731,9 +698,7 @@ def relation_report(r: Relation, p) -> dict:
         term = {"kind": fun.kind, "label": lab and str(lab)}
         term.update({"zero": True} if lg is None else {"log_mag": lg.log_mag, "phase": lg.phase})
         terms.append(term)
-    logs = [lg for lg in logs if lg is not None]
-    residual = combine_exponentials(logs)[1] if logs else 0.0
-    return {"relation": r.name, "residual": residual, "terms": terms}
+    return {"relation": r.name, "residual": _residual(logs), "terms": terms}
 
 
 def relation_probe_args(r: Relation, p):
@@ -762,7 +727,7 @@ def relation_limit(r: Relation, p: PointW, t: float) -> list:
     """
     vals = _shifted_point(p, t).args()
     rows = [appendix_row(fun.classify()) for _, fun in r.terms]
-    return [(coef.eval_log(vals) - limit_normalizer(row.label).eval_log(vals), row.target_term())
+    return [(coef.eval_log(vals) - limit_normalizer(row.label).eval_log(vals), row.target)
             for (coef, _), row in zip(r.terms, rows)]
 
 
@@ -775,7 +740,7 @@ def limit_probe_args(t, p: PointW, shifts=SHIFTS):
     """Gamma/sine arguments check_limit evaluates for this row at p."""
     row = appendix_row(t)
     norm = limit_normalizer(t)
-    return join_probes([row.target_term().probe_args(p.args())] + [
+    return join_probes([row.target.probe_args(p.args())] + [
         probe for vals in (_shifted_point(p, float(t_im)).args() for t_im in shifts)
         for probe in (norm.probe_args(vals), m_probe_args([f.evaluate(vals) for f in row.m_args]))
     ])
@@ -789,7 +754,7 @@ def relation_limit_probe_args(r: Relation, p: PointW, t: float):
     return join_probes(
         probe for (coef, _), row in zip(r.terms, rows)
         for probe in (coef.probe_args(vals), limit_normalizer(row.label).probe_args(vals),
-                      row.target_term().probe_args(p.args()))
+                      row.target.probe_args(p.args()))
     )
 
 
@@ -849,13 +814,8 @@ def table_text() -> str:
     heads = ("label", "M arguments", "", "target")
     lines = []
     rows = [
-        (
-            str(row.label),
-            row.to_dict()["m_args"],
-            f"{row.target_kind} {row.target_label}",
-            row.to_dict()["target_args"],
-        )
-        for row in appendix_table()
+        (d["label"], d["m_args"], f"{d['target_kind']} {d['target_label']}", d["target_args"])
+        for d in (row.to_dict() for row in appendix_table())
     ]
     lab_w = max(len(r[0]) for r in rows)
     m_w = max(len("; ".join(r[1])) for r in rows)

@@ -70,7 +70,6 @@ from .correspond import (
     bfs_m_args,
     builtin_relations,
     check_limit,
-    fixture_rows,
     gen_point,
     join_probes,
     limit_probe_args,
@@ -486,7 +485,6 @@ def _appendix(seed):
     # appendix_table refuses a fixture row whose target kind or label is not
     # jl_label's, so here only the fixture's target arguments remain to check
     rows = appendix_table()
-    fixed = {f.label: f for f in fixture_rows()}
 
     def probe(p):
         vals = p.args()
@@ -494,8 +492,8 @@ def _appendix(seed):
             args for row in rows for args in (
                 m_probe_args([a.evaluate(vals) for a in row.m_args]),
                 m_probe_args([a.evaluate(vals) for a in bfs_m_args(row.label)]),
-                row.target_term().probe_args(vals),
-                correspond.FunTerm(fixed[row.label].target_kind, fixed[row.label].target_args).probe_args(vals),
+                row.target.probe_args(vals),
+                row.printed.probe_args(vals),
             )
         )
 
@@ -512,11 +510,7 @@ def _appendix(seed):
                 return False, f"{row.label}: representatives disagree by {err:.2e}", {
                     "label": str(row.label), "coset_agreement": err, "bound": 1e-8,
                 }
-            t1 = row.target_term().eval_log(vals)
-            t2 = correspond.FunTerm(
-                fixed[row.label].target_kind, fixed[row.label].target_args
-            ).eval_log(vals)
-            err = abs((t1 - t2).to_complex() - 1.0)
+            err = abs((row.target.eval_log(vals) - row.printed.eval_log(vals)).to_complex() - 1.0)
             worst_t = max(worst_t, err)
             if err > 1e-8:
                 return False, f"{row.label}: target lists disagree by {err:.2e}", {

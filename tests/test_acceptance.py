@@ -125,7 +125,7 @@ def test_appendix_check_fails_on_an_altered_slot_vector(monkeypatch):
     row = "+v(0,7) | a; b; c; d; e; f; g; h |"
     assert row in correspond.FIXTURE_TEXT
     altered = correspond.FIXTURE_TEXT.replace(row, "+v(0,7) | a; b; c+1/3; d-1/3; e; f; g; h |")
-    caches = (correspond.fixture_rows, correspond.appendix_table, correspond._rows_by_label)
+    caches = (correspond.appendix_table, correspond._rows_by_label)
     monkeypatch.setattr(correspond, "FIXTURE_TEXT", altered)
     for cached in caches:
         cached.cache_clear()
@@ -147,7 +147,7 @@ def test_appendix_check_fails_on_an_altered_target_label(monkeypatch):
 
     row = "+v(0,7) | a; b; c; d; e; f; g; h | L 6 |"
     assert row in correspond.FIXTURE_TEXT
-    caches = (correspond.fixture_rows, correspond.appendix_table, correspond._rows_by_label)
+    caches = (correspond.appendix_table, correspond._rows_by_label)
     for target, detail in (
         ("L 5", "AssertionError: +v(0,7): target label mismatch"),
         ("J 6", "AssertionError: +v(0,7): target kind mismatch"),
@@ -323,3 +323,114 @@ def test_triple_census_check_fails_on_a_wrong_distance(monkeypatch, fresh_tables
     result = run_check("08-triple-censuses")
     assert not result.passed
     assert result.detail == "AssertionError: M: type tag not orbit-constant"
+
+
+def test_coset_census_check_fails_without_s6(monkeypatch, fresh_tables):
+    # s6 is the one generator that leaves the index orbits; without it only
+    # the 12-label orbit of the base label +v(0,7) is reached
+    from hyperweyl import coxeter
+
+    labels_fn, gens, act = coxeter._SPACES["M"]
+    monkeypatch.setitem(coxeter._SPACES, "M", (labels_fn, tuple(g for g in gens if g != "s6"), act))
+    result = run_check("01-coset-census")
+    assert not result.passed
+    assert result.detail == "12 labels reached from the base label"
+
+
+def test_coxeter_presentation_check_fails_on_a_wrong_generator(monkeypatch):
+    # s2 as the transposition (3,5) no longer commutes with s4 = (5,6)
+    from hyperweyl import exactalg
+
+    monkeypatch.setitem(exactalg.W_GENERATORS, "s2", exactalg.RatMatrix.permutation([(3, 5)], 8))
+    result = run_check("03-coxeter-presentation")
+    assert not result.passed
+    assert result.detail == "(s2 s4)^2 is not the identity on side w"
+
+
+def test_gamma_layer_check_fails_on_a_perturbed_stirling_coefficient(monkeypatch):
+    # the reflection formula holds whatever the asymptotic series gives, but
+    # a relative error of 1e-6 in 1/12 breaks the recursion past 1e-12
+    from hyperweyl import hypnum
+
+    first, *rest = hypnum._STIRLING
+    monkeypatch.setattr(hypnum, "_STIRLING", (first * (1 + 1e-6), *rest))
+    result = run_check("09-gamma-layer")
+    assert not result.passed
+    assert result.detail.startswith("residuals 0.00e+00/7.82e-12 at ")
+    assert result.evidence["recursion"] > result.evidence["bound"]
+
+
+def test_function_invariance_check_fails_on_a_foreign_generator(monkeypatch):
+    # a1' swaps A and D, which J is not symmetric in
+    from hyperweyl.exactalg import SUBGROUP_GENERATORS, generator
+
+    monkeypatch.setitem(SUBGROUP_GENERATORS, "G_J", [*SUBGROUP_GENERATORS["G_J"], generator("v", "a1'")])
+    result = run_check("10-function-invariance")
+    assert not result.passed
+    assert result.detail.startswith("J moves by ")
+
+
+def test_l_dual_route_check_fails_on_a_scaled_route(monkeypatch):
+    from hyperweyl import selftest
+    from hyperweyl.hypnum import LogC
+
+    route = selftest.eval_L_7f6_log
+    monkeypatch.setattr(selftest, "eval_L_7f6_log", lambda args: route(args) + LogC.from_real(1 + 1e-6))
+    result = run_check("11-l-dual-route")
+    assert not result.passed
+    assert result.detail == "routes differ by 1.00e-06"
+
+
+def test_relations_check_fails_on_a_dropped_orbit1jll_factor(monkeypatch):
+    # orbit1jll with Gamma(1-A) dropped from its first coefficient
+    from hyperweyl import correspond
+
+    jll = correspond._orbit1jll()
+    (coef, fun), *rest = jll.terms
+    lossy = correspond.GammaSinExpr(coef.prefactor, coef.numerator, coef.denominator[1:])
+    monkeypatch.setattr(correspond, "_orbit1jll", lambda: correspond.Relation(jll.name, ((lossy, fun), *rest)))
+    correspond.builtin_relations.cache_clear()
+    try:
+        result = run_check("12-relations")
+    finally:
+        monkeypatch.undo()
+        correspond.builtin_relations.cache_clear()
+    assert not result.passed
+    assert result.detail.startswith("orbit1jll residual ")
+    assert result.detail.endswith(" beyond its bound 1e-07")
+
+
+def test_warm_limit_checks_rebuild_no_row(monkeypatch):
+    # each coset row holds its printed and derived targets and its
+    # normalizer, built once with the table: warm checks 13 and 14 build no
+    # function term and no gamma quotient, and warm check 15 builds only the
+    # terms of its translated relations
+    from hyperweyl import correspond
+    from hyperweyl.coxeter import all_m_labels
+
+    names = ("13-limit-checks", "14-appendix-fidelity", "15-degeneration-pipeline")
+    for name in names:
+        run_check(name)
+    post_init, build = correspond.FunTerm.__post_init__, correspond.GammaSinExpr.build
+    counts = {}
+
+    def counted_post_init(self):
+        counts["FunTerm"] += 1
+        post_init(self)
+
+    def counted_build(cls, *args, **kwargs):
+        counts["GammaSinExpr"] += 1
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(correspond.FunTerm, "__post_init__", counted_post_init)
+    monkeypatch.setattr(correspond.GammaSinExpr, "build", classmethod(counted_build))
+    built = {}
+    for name in names:
+        counts.update(FunTerm=0, GammaSinExpr=0)
+        assert run_check(name).passed, name
+        built[name] = dict(counts)
+    assert built["13-limit-checks"] == {"FunTerm": 0, "GammaSinExpr": 0}
+    assert built["14-appendix-fidelity"] == {"FunTerm": 0, "GammaSinExpr": 0}
+    assert built["15-degeneration-pipeline"]["GammaSinExpr"] == 0
+    for label in all_m_labels():
+        assert correspond.limit_normalizer(label) is correspond.appendix_row(label).normalizer

@@ -35,7 +35,6 @@ from hyperweyl.correspond import (
     l_coset_args,
     limit_normalizer,
     limit_probe_args,
-    limit_target_template,
     relation_limit,
     relation_limit_probe_args,
     relation_probe_args,
@@ -66,10 +65,10 @@ def test_table_census():
     rows = appendix_table()
     assert len(rows) == 56
     assert {row.label for row in rows} == set(all_m_labels())
-    kinds = [row.target_kind for row in rows]
+    kinds = [row.target.kind for row in rows]
     assert kinds.count("J") == 32
     assert kinds.count("L") == 24
-    colors = [row.target_color for row in rows]
+    colors = [jl_label(row.label)[0] for row in rows]
     assert colors.count("blue") == 12
     assert colors.count("red") == 12
 
@@ -77,12 +76,13 @@ def test_table_census():
 def test_row_structure():
     for row in appendix_table():
         bcoefs = [a.reduced().coefs[B] for a in row.m_args]
-        if row.target_color == "J":
+        color, _ = jl_label(row.label)
+        if color == "J":
             assert bcoefs == [0, 0, 0, 0, 0, 0, 1, -1]
         else:
-            s = 1 if row.target_color == "blue" else -1
+            s = 1 if color == "blue" else -1
             assert bcoefs == [0, s, 0, 0, 0, 0, 0, -s]
-        for a in row.target_args:
+        for a in row.target.args:
             assert a.reduced().coefs[B] == 0
         assert str(appendix_row(str(row.label)).label) == str(row.label)
 
@@ -90,17 +90,17 @@ def test_row_structure():
 def test_blue_red_collapse():
     groups = {}
     for row in appendix_table():
-        if row.target_kind != "L":
+        if row.target.kind != "L":
             continue
-        key = str(row.target_label)
+        key = str(jl_label(row.label)[1])
         groups.setdefault(key, []).append(row)
     assert len(groups) == 12
     for key, pair in groups.items():
         assert len(pair) == 2
-        assert {r.target_color for r in pair} == {"blue", "red"}
+        assert {jl_label(r.label)[0] for r in pair} == {"blue", "red"}
         assert {r.label.i for r in pair} == {0, 1}
-        args0 = [form_key(a) for a in pair[0].target_args]
-        args1 = [form_key(a) for a in pair[1].target_args]
+        args0 = [form_key(a) for a in pair[0].target.args]
+        args1 = [form_key(a) for a in pair[1].target.args]
         assert args0 == args1
 
 
@@ -126,30 +126,6 @@ def test_fixture_and_walk_agree_numerically():
             fixed = eval_M_log([f.evaluate(vals) for f in row.m_args])
             walked = eval_M_log([f.evaluate(vals) for f in bfs_m_args(row.label)])
             assert abs((fixed - walked).to_complex() - 1.0) <= 1e-8
-
-
-def test_template_matches_primary_targets():
-    rng = random.Random(9120)
-    rows = appendix_table()
-
-    def probe(p):
-        vals = p.args()
-        g, s = [], []
-        for row in rows:
-            for term in (row.target_term(), limit_target_template(row.label)):
-                pg, ps = term.probe_args(vals)
-                g.extend(pg)
-                s.extend(ps)
-        return g, s
-
-    p = gen_point(rng, "W", probe)
-    vals = p.args()
-    for row in rows:
-        tmpl = limit_target_template(row.label)
-        assert tmpl.kind == row.target_kind
-        a = row.target_term().eval_log(vals)
-        b = tmpl.eval_log(vals)
-        assert abs((a - b).to_complex() - 1.0) <= 1e-7
 
 
 def test_gamma2_target_accepts_label_text():
@@ -318,6 +294,9 @@ def test_all_zero_coefficients_warn():
     r = Relation("null", ((zero, term),))
     with pytest.warns(PrecisionWarning):
         assert eval_relation(r, [0.2 + 0j] * 8) == 0.0
+    # the report that checks 12 and the relations verb read says so too
+    with pytest.warns(PrecisionWarning):
+        assert relation_report(r, [0.2 + 0j] * 8)["residual"] == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -403,7 +382,7 @@ def test_relation_limit_of_roy463():
     p = gen_point(random.Random(463), "W", lambda q: relation_limit_probe_args(roy, q, 1e2))
     lims = [relation_limit(roy, p, t) for t in (1e2, 1e3, 1e4)]
     assert [target for _, target in lims[0]] == [
-        appendix_row(lab).target_term() for lab in roy.term_labels()
+        appendix_row(lab).target for lab in roy.term_labels()
     ]
     targets = [target.eval_log(p.args()) for _, target in lims[0]]
     res = [combine_exponentials([q + x for (q, _), x in zip(lim, targets)])[1] for lim in lims]
