@@ -16,9 +16,8 @@ import random
 from hyperweyl.coxeter import matching_generator
 from hyperweyl.correspond import (
     builtin_relations,
+    draw_point,
     eval_relation,
-    gen_point,
-    relation_probe_args,
     relation_report,
     translate_relation,
 )
@@ -29,23 +28,12 @@ SEED = 7
 Q_GENERATORS = ("s1", "s2", "s3", "s4", "s5", "s3'")
 
 
-def combined_probe(relations):
-    """Pole-margin probe that keeps every listed relation evaluable."""
-
-    def probe(q):
-        gammas, sins = (), ()
-        for rel in relations:
-            g, s = relation_probe_args(rel, q)
-            gammas += tuple(g)
-            sins += tuple(s)
-        return gammas, sins
-
-    return probe
-
-
 def show(rel, side, rng, also=()):
-    p = gen_point(rng, side, probe=combined_probe((rel, *also)))
-    rep = relation_report(rel, p)
+    """Print rel's terms at a random point where rel and every relation in
+    `also` can be evaluated, and return the residuals of `also` there."""
+    _, (rep, residuals) = draw_point(rng, side, lambda q: (
+        relation_report(rel, q), [eval_relation(other, q) for other in also]
+    ))
     labels = rel.term_labels()
     print(f"\n{rel.name}  (labels {', '.join(str(x) for x in labels)})")
     for lab, term in zip(labels, rep["terms"]):
@@ -54,7 +42,7 @@ def show(rel, side, rng, also=()):
     mags = [t["log_mag"] for t in rep["terms"]]
     print(f"  log-magnitude spread {max(mags) - min(mags):.2f}, "
           f"residual {rep['residual']:.3e}")
-    return p
+    return residuals
 
 
 def main():
@@ -67,19 +55,17 @@ def main():
         for g in Q_GENERATORS
     ]
 
-    p_w = show(rels["roy463"], "W", rng, also=moved_w)
+    res_w = show(rels["roy463"], "W", rng, also=moved_w)
     show(rels["roy463b"], "W", rng)
-    p_v = show(rels["orbit1jll"], "V", rng, also=moved_v)
+    res_v = show(rels["orbit1jll"], "V", rng, also=moved_v)
 
     print("\ntranslating roy463 by each generator of the stabilizer Q:")
-    for moved in moved_w:
-        res = eval_relation(moved, p_w)
+    for moved, res in zip(moved_w, res_w):
         labels = ", ".join(str(x) for x in moved.term_labels())
         print(f"  {moved.name:>12}: labels [{labels}]  residual {res:.3e}")
 
     print("\nand orbit1jll by the matching generators on the other side:")
-    for moved in moved_v:
-        res = eval_relation(moved, p_v)
+    for moved, res in zip(moved_v, res_v):
         labels = ", ".join(str(x) for x in moved.term_labels())
         print(f"  {moved.name:>15}: labels [{labels}]  residual {res:.3e}")
 

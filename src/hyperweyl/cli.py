@@ -252,7 +252,7 @@ def _report_line(rep: dict) -> str:
         )
     if "label" in rep:
         errs = " -> ".join(f"{e:.3e}" for e in rep["errors"])
-        return f"{_mark(rep['verdict'])} {rep['label']}: {errs or rep.get('failure', '')}"
+        return f"{_mark(rep['verdict'])} {rep['label']}: {errs}"
     res = " -> ".join(f"{r:.3e}" for r in rep.get("residuals", ())) or rep.get("failure", "")
     slope = f"; third term log-magnitude slope {rep['third_slope']:.9f}" if "third_slope" in rep else ""
     match = f"; orbit1jll ratios {rep['orbit1jll']['ratio_errors'][-1]:.1e}" if "orbit1jll" in rep else ""

@@ -6,9 +6,11 @@ seven-slot functions evaluated at a fixed rational-linear change of letters.
 This module holds that table (``appendix_table``), one record per row
 holding the row's transcribed target, its derived target and its
 normalizer, all built once; the numerical limit checks; the three built-in
-contiguous relations and their exact translations; and relation_limit,
-which carries any eight-slot relation through the limit onto the
-seven-slot relation among its rows' targets.
+contiguous relations and their exact translations; relation_limit, which
+carries any eight-slot relation through the limit onto the seven-slot
+relation among its rows' targets; and draw_point, which draws a random
+point together with the evaluation to be done there, redrawing wherever
+that evaluation refuses the point as too close to a pole.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .appendix_fixture import FIXTURE_TEXT
 from .coxeter import (
@@ -43,7 +45,8 @@ from .exactalg import (
     word_to_matrix,
 )
 from .hypnum import (
-    EvaluationDomainError,
+    GAMMA_MARGIN,
+    DegeneratePointError,
     LogC,
     PointV,
     PointW,
@@ -58,6 +61,7 @@ from .hypnum import (
     log_sin_pi,
     m_probe_args,
     margins_ok,
+    _near_nonpos_int,
 )
 
 __all__ = [
@@ -80,11 +84,10 @@ __all__ = [
     "relation_report",
     "relation_limit",
     "relation_probe_args",
-    "relation_limit_probe_args",
-    "join_probes",
     "limit_probe_args",
     "PointSearchError",
     "gen_point",
+    "draw_point",
     "table_json",
     "table_text",
 ]
@@ -113,7 +116,9 @@ class GammaSinExpr:
 
     Everything multiplicative is kept symbolic: factors are (kind, form)
     pairs evaluated in log space and exponentiated once by the caller.
-    A factor of pi itself is expressed as Gamma(1/2)^2.
+    A factor of pi itself is expressed as Gamma(1/2)^2.  Like the hypnum
+    evaluators, evaluation holds every gamma argument GAMMA_MARGIN from a
+    pole and every sine argument SIN_MARGIN from an integer.
     """
 
     prefactor: Fraction
@@ -147,7 +152,11 @@ class GammaSinExpr:
     @staticmethod
     def _factor_log(kind, form, values) -> LogC:
         z = form.evaluate(values)
-        return lgamma(z) if kind == FACTOR_GAMMA else log_sin_pi(z)
+        if kind != FACTOR_GAMMA:
+            return log_sin_pi(z)
+        if _near_nonpos_int(z, GAMMA_MARGIN):
+            raise DegeneratePointError(f"gamma argument {z} within {GAMMA_MARGIN} of a pole")
+        return lgamma(z)
 
     def substitute(self, forms: Sequence[LinForm]) -> "GammaSinExpr":
         num = tuple((k, f.substitute(forms)) for k, f in self.numerator)
@@ -155,6 +164,7 @@ class GammaSinExpr:
         return GammaSinExpr(self.prefactor, num, den)
 
     def probe_args(self, values):
+        """(gamma arguments, sine arguments) at values; only bench/ calls it."""
         gammas, sins = [], []
         for kind, form in self.numerator + self.denominator:
             (gammas if kind == FACTOR_GAMMA else sins).append(form.evaluate(values))
@@ -218,6 +228,7 @@ class FunTerm:
         return FunTerm(self.kind, tuple(a.substitute(forms) for a in self.args))
 
     def probe_args(self, values):
+        """The evaluator's (gamma, sine) arguments; only bench/ calls it."""
         nums = self.numeric_args(values)
         if self.kind == "M":
             return m_probe_args(nums)
@@ -482,23 +493,18 @@ class LimitReport:
     shifts: tuple
     errors: tuple
     verdict: bool
-    target_log: Optional[LogC] = None
-    failure: Optional[str] = None
-    values: tuple = ()
+    target_log: LogC
+    values: tuple
 
     def to_dict(self):
-        out = {
+        return {
             "label": str(self.label),
             "shifts": list(self.shifts),
             "errors": list(self.errors),
             "verdict": self.verdict,
+            "target_log_mag": self.target_log.log_mag,
+            "target_phase": self.target_log.phase,
         }
-        if self.target_log is not None:
-            out["target_log_mag"] = self.target_log.log_mag
-            out["target_phase"] = self.target_log.phase
-        if self.failure is not None:
-            out["failure"] = self.failure
-        return out
 
 
 def _shifted_point(p: PointW, t: float) -> PointW:
@@ -513,22 +519,16 @@ def check_limit(t, p: PointW) -> LimitReport:
     label = parse_label(t) if isinstance(t, str) else t
     row = appendix_row(label)
     norm = limit_normalizer(label)
-    try:
-        target_log = row.target.eval_log(p.args())
-        ref = LogC.from_real(math.pi / 2) + target_log
-        values = []
-        for t_im in SHIFTS:
-            vals = _shifted_point(p, t_im).args()
-            values.append(norm.eval_log(vals) + eval_M_log(
-                [f.evaluate(vals) for f in row.m_args]
-            ))
-        errors = [abs((val - ref).to_complex() - 1.0) for val in values]
-    except (EvaluationDomainError, OverflowError) as exc:
-        return LimitReport(label, SHIFTS, (), False, failure=f"{type(exc).__name__}: {exc}")
+    target_log = row.target.eval_log(p.args())
+    ref = LogC.from_real(math.pi / 2) + target_log
+    values = []
+    for t_im in SHIFTS:
+        vals = _shifted_point(p, t_im).args()
+        values.append(norm.eval_log(vals) + eval_M_log([f.evaluate(vals) for f in row.m_args]))
+    errors = [abs((val - ref).to_complex() - 1.0) for val in values]
     decreasing = all(b < a for a, b in zip(errors, errors[1:]))
     verdict = decreasing and errors[-1] <= LIMIT_DECAY * errors[0]
-    return LimitReport(label, SHIFTS, tuple(errors), verdict, target_log=target_log,
-                       values=tuple(values))
+    return LimitReport(label, SHIFTS, tuple(errors), verdict, target_log, tuple(values))
 
 
 # ---------------------------------------------------------------------------
@@ -702,9 +702,10 @@ def relation_report(r: Relation, p) -> dict:
 
 
 def relation_probe_args(r: Relation, p):
-    """All gamma and sine arguments the relation's evaluation touches at p."""
+    """All gamma and sine arguments the relation's evaluation touches at p;
+    only bench/ calls it."""
     values = _point_values(r, p)
-    return join_probes(
+    return _join_probes(
         probe for coef, fun in r.terms if coef.prefactor != 0
         for probe in (coef.probe_args(values), fun.probe_args(values))
     )
@@ -732,34 +733,22 @@ def relation_limit(r: Relation, p: PointW, t: float) -> list:
 
 
 # ---------------------------------------------------------------------------
-# admissibility probes and point generation
+# point generation
 # ---------------------------------------------------------------------------
 
 
 def limit_probe_args(t, p: PointW, shifts=SHIFTS):
-    """Gamma/sine arguments check_limit evaluates for this row at p."""
+    """Gamma/sine arguments check_limit evaluates for this row at p; only
+    bench/ calls it."""
     row = appendix_row(t)
     norm = limit_normalizer(t)
-    return join_probes([row.target.probe_args(p.args())] + [
+    return _join_probes([row.target.probe_args(p.args())] + [
         probe for vals in (_shifted_point(p, float(t_im)).args() for t_im in shifts)
         for probe in (norm.probe_args(vals), m_probe_args([f.evaluate(vals) for f in row.m_args]))
     ])
 
 
-def relation_limit_probe_args(r: Relation, p: PointW, t: float):
-    """Gamma/sine arguments relation_limit(r, p, t) evaluates, and those of
-    the targets it returns at p."""
-    vals = _shifted_point(p, t).args()
-    rows = [appendix_row(fun.classify()) for _, fun in r.terms]
-    return join_probes(
-        probe for (coef, _), row in zip(r.terms, rows)
-        for probe in (coef.probe_args(vals), limit_normalizer(row.label).probe_args(vals),
-                      row.target.probe_args(p.args()))
-    )
-
-
-def join_probes(probes) -> tuple:
-    """(gamma arguments, sine arguments) pairs, joined into one pair."""
+def _join_probes(probes) -> tuple:
     probes = list(probes)
     return tuple(z for g, _ in probes for z in g), tuple(z for _, s in probes for z in s)
 
@@ -769,12 +758,13 @@ class PointSearchError(RuntimeError):
 
 
 def gen_point(rng, side: str = "W", probe=None):
-    """Random admissible point: real parts U(0.1, 0.9), imaginary parts
-    U(-0.3, 0.3), redrawn until the probe's margins hold.
+    """Random point: real parts U(0.1, 0.9), imaginary parts U(-0.3, 0.3).
 
-    `probe` maps a candidate point to (gamma args, sine args); None accepts
-    the first draw.  Raises PointSearchError after POINT_BUDGET rejected draws,
-    and ValueError for a side other than W or V.
+    Redrawn while `probe` raises DegeneratePointError or the (gamma args,
+    sine args) it returns miss their margins; None accepts the first draw.
+    Raises PointSearchError after POINT_BUDGET rejected draws, and ValueError
+    for a side other than W or V.  Only bench/ passes its own probes; other
+    callers use draw_point.
     """
     side = side.upper()
     if side not in ("W", "V"):
@@ -791,11 +781,25 @@ def gen_point(rng, side: str = "W", probe=None):
             return p
         try:
             gammas, sins = probe(p)
-        except (EvaluationDomainError, OverflowError):
+        except DegeneratePointError:
             continue
         if margins_ok(gammas, sins):
             return p
     raise PointSearchError(f"no admissible point found in {POINT_BUDGET} draws")
+
+
+def draw_point(rng, side: str, work):
+    """(point, work(point)) at the first of gen_point's draws where the work
+    raises no DegeneratePointError: every evaluation refuses the points
+    within its margins of a pole, so the work screens its own point.  Any
+    other error from the work propagates at once."""
+    done = []
+
+    def probe(p):
+        done.append(work(p))
+        return (), ()
+
+    return gen_point(rng, side, probe), done[-1]
 
 
 # ---------------------------------------------------------------------------

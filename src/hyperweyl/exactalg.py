@@ -536,26 +536,23 @@ SUBGROUP_GENERATORS = {
 }
 
 
+def _diagram_edges(letter, length, branch, vertex):
+    chain = [(f"{letter}{k}", f"{letter}{k + 1}") for k in range(1, length)]
+    return frozenset(map(frozenset, chain + [(branch, vertex)]))
+
+
+# the edges of each Coxeter diagram: the chain s1-...-s6 with s3' attached to
+# s4, and the chain a1-...-a5 with a1' attached to a2
+_DIAGRAM_EDGES = {
+    "w": _diagram_edges("s", 6, "s3'", "s4"),
+    "v": _diagram_edges("a", 5, "a1'", "a2"),
+}
+
+
 def coxeter_order(side: str, g1: str, g2: str) -> int:
     """Order m(g1,g2) prescribed by the relevant Coxeter diagram."""
     if g1 == g2:
         return 1
-    if side == "w":
-        # chain 1-2-3-4-5-6 with 3' attached to vertex 4
-        def adj(x, y):
-            if x == "s3'":
-                return y == "s4"
-            if y == "s3'":
-                return x == "s4"
-            return abs(int(x[1]) - int(y[1])) == 1
-    elif side == "v":
-        # chain 1-2-3-4-5 with 1' attached to vertex 2
-        def adj(x, y):
-            if x == "a1'":
-                return y == "a2"
-            if y == "a1'":
-                return x == "a2"
-            return abs(int(x[1]) - int(y[1])) == 1
-    else:
+    if side not in _DIAGRAM_EDGES:
         raise ValueError("side must be 'w' or 'v'")
-    return 3 if adj(g1, g2) else 2
+    return 3 if frozenset((g1, g2)) in _DIAGRAM_EDGES[side] else 2

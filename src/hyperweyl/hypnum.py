@@ -518,7 +518,7 @@ def _eight(w):
 
 
 # ---------------------------------------------------------------------------
-# degeneracy probes
+# the arguments each evaluation holds to its margins
 # ---------------------------------------------------------------------------
 
 
@@ -588,6 +588,8 @@ def require_margins(gammas, sins):
 
 
 def margins_ok(gammas, sins) -> bool:
+    """require_margins as a verdict; outside the tests only gen_point's probe
+    screening, which bench/ uses, reads it."""
     try:
         require_margins(gammas, sins)
     except EvaluationDomainError:

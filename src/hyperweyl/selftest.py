@@ -50,18 +50,14 @@ from .exactalg import (
     generator,
 )
 from .hypnum import (
-    EvaluationDomainError,
+    DegeneratePointError,
     combine_exponentials,
     eval_J_log,
     eval_L_7f6_log,
     eval_L_log,
     eval_M_log,
-    j_probe_args,
-    l7f6_probe_args,
-    l_probe_args,
     lgamma,
     log_sin_pi,
-    m_probe_args,
 )
 from . import correspond
 from .correspond import (
@@ -70,13 +66,9 @@ from .correspond import (
     bfs_m_args,
     builtin_relations,
     check_limit,
-    gen_point,
-    join_probes,
-    limit_probe_args,
+    draw_point,
     PointSearchError,
     relation_limit,
-    relation_limit_probe_args,
-    relation_probe_args,
     relation_report,
     translate_relation,
     xfromw,
@@ -306,7 +298,7 @@ def _gamma_layer(seed):
         worst_ref = max(worst_ref, ref)
         worst_rec = max(worst_rec, rec)
         if ref > 1e-12 or rec > 1e-12:
-            return False, f"residuals {ref:.2e}/{rec:.2e} at {z}", {
+            return False, f"reflection {ref:.2e}, recursion {rec:.2e} at {z}", {
                 "reflection": ref, "recursion": rec, "bound": 1e-12,
             }
     worst_st = 0.0
@@ -335,23 +327,21 @@ def _function_invariance(seed):
               "M": correspond.ROY463_TOL}
     evidence = {"worst": worst, "bounds": bounds}
     jobs = (
-        ("J", "G_J", eval_J_log, j_probe_args, "V", 5),
-        ("L", "G_L", eval_L_log, l_probe_args, "V", 5),
-        ("M", "G", eval_M_log, m_probe_args, "W", 3),
+        ("J", "G_J", eval_J_log, "V", 5),
+        ("L", "G_L", eval_L_log, "V", 5),
+        ("M", "G", eval_M_log, "W", 3),
     )
-    for kind, gens_key, evaluator, probe, side, npts in jobs:
+    for kind, gens_key, evaluator, side, npts in jobs:
         mats = SUBGROUP_GENERATORS[gens_key]
         worst[kind] = 0.0
 
-        def probe_all(p):
-            return join_probes([probe(p.args())] + [probe(mat.apply_values(p.args())) for mat in mats])
+        def images(p):
+            return evaluator(p.args()), [evaluator(mat.apply_values(p.args())) for mat in mats]
 
         for _ in range(npts):
-            p = gen_point(rng, side, probe_all)
-            base = evaluator(p.args())
-            for mat in mats:
-                moved = evaluator(mat.apply_values(p.args()))
-                err = abs((moved - base).to_complex() - 1.0)
+            _, (base, moved) = draw_point(rng, side, images)
+            for value in moved:
+                err = abs((value - base).to_complex() - 1.0)
                 worst[kind] = max(worst[kind], err)
                 if err > bounds[kind]:
                     return False, f"{kind} moves by {err:.2e} under a generator", evidence
@@ -365,17 +355,16 @@ def _l_dual_route(seed):
     rng = random.Random(seed)
     tol = correspond.ORBIT1JLL_TOL
 
-    def probe(p):
+    def routes(p):
         args = p.args()
         if (args[5] - args[3]).real <= 0.05:
-            raise EvaluationDomainError("thin half-plane margin for the 7F6 route")
-        return join_probes([l_probe_args(args), l7f6_probe_args(args)])
+            raise DegeneratePointError("thin half-plane margin for the 7F6 route")
+        return eval_L_log(args), eval_L_7f6_log(args)
 
     worst = 0.0
     for _ in range(3):
-        p = gen_point(rng, "V", probe)
-        a = eval_L_log(p.args()).to_complex()
-        b = eval_L_7f6_log(p.args()).to_complex()
+        _, logs = draw_point(rng, "V", routes)
+        a, b = (lg.to_complex() for lg in logs)
         err = abs(a - b) / abs(a)
         worst = max(worst, err)
         if err > tol:
@@ -390,11 +379,10 @@ def _relations(seed):
     rels = builtin_relations()
     reports = []
 
-    def draw(rel, side):
-        return gen_point(rng, side, lambda q: relation_probe_args(rel, q))
+    def drawn(rel, side):
+        return draw_point(rng, side, lambda q: relation_report(rel, q))[1]
 
-    def measure(rel, bound, p):
-        rep = relation_report(rel, p)
+    def measure(rep, bound):
         mags = [t["log_mag"] for t in rep["terms"] if "log_mag" in t]
         rep["bound"] = bound
         rep["passed"] = rep["residual"] <= bound
@@ -408,17 +396,18 @@ def _relations(seed):
         ("orbit1jll", "V", ("a1", "a2", "a3", "a4", "a5", "a1'"), correspond.ORBIT1JLL_TOL),
     ):
         base = rels[name]
-        worst = max(measure(base, tol, draw(base, side)) for _ in range(3))
+        worst = max(measure(drawn(base, side), tol) for _ in range(3))
         moved = [translate_relation(base, (g,), side.lower()) for g in gens]
-        worst_t = max(measure(rel, 10 * tol, draw(rel, side)) for rel in moved)
+        worst_t = max(measure(drawn(rel, side), 10 * tol) for rel in moved)
         summary.append(f"{name} {worst:.1e} (translated {worst_t:.1e})")
     # roy463b is drawn last, so the points above do not move; it must vanish
     # at its point and with b shifted by each of SHIFTS
     royb = rels["roy463b"]
-    shifted = lambda q: [replace(q, b=q.b + 1j * t) for t in correspond.SHIFTS]
-    p = gen_point(rng, "W", lambda q: join_probes(relation_probe_args(royb, x) for x in [q] + shifted(q)))
-    res = measure(royb, correspond.ROY463_TOL, p)
-    res_t = max(measure(royb, correspond.ROY463B_SHIFTED_TOL, q) for q in shifted(p))
+    _, (at_p, *shifted) = draw_point(rng, "W", lambda q: [
+        relation_report(royb, x) for x in [q] + [replace(q, b=q.b + 1j * t) for t in correspond.SHIFTS]
+    ])
+    res = measure(at_p, correspond.ROY463_TOL)
+    res_t = max(measure(r, correspond.ROY463B_SHIFTED_TOL) for r in shifted)
     summary.append(f"roy463b {res:.1e} (shifted {res_t:.1e})")
     evidence = {"reports": reports}
     for rep in reports:
@@ -440,19 +429,17 @@ def _limits(seed):
     decay = correspond.LIMIT_DECAY
     rows = []
     for lab in LIMIT_LABELS:
-        p = gen_point(rng, "W", lambda q: limit_probe_args(lab, q))
-        rows.append(check_limit(lab, p))
+        rows.append(draw_point(rng, "W", lambda q: check_limit(lab, q))[1])
 
     # at a common point, the pair's normalized shifted values must agree at
     # every shift to within the sum of the two final shift errors
-    p = gen_point(rng, "W", lambda q: join_probes(limit_probe_args(lab, q) for lab in LIMIT_LABELS[:2]))
-    pair = [check_limit(lab, p) for lab in LIMIT_LABELS[:2]]
+    _, pair = draw_point(rng, "W", lambda q: [check_limit(lab, q) for lab in LIMIT_LABELS[:2]])
     gaps = [
         abs((v1 - v2).to_complex() - 1.0)
         for v1, v2 in zip(pair[0].values, pair[1].values)
     ]
-    gap = max(gaps, default=None)
-    combined = sum(rep.errors[-1] for rep in pair if rep.errors)
+    gap = max(gaps)
+    combined = sum(rep.errors[-1] for rep in pair)
     evidence = {
         "decay": decay,
         "reports": [rep.to_dict() for rep in rows + pair],
@@ -460,8 +447,6 @@ def _limits(seed):
         "pair_bound": combined,
     }
     for rep in rows:
-        if rep.failure is not None:
-            return False, f"{rep.label}: {rep.failure}", evidence
         if not rep.verdict:
             errs = " -> ".join(f"{e:.1e}" for e in rep.errors)
             return False, (
@@ -483,34 +468,29 @@ def _limits(seed):
 def _appendix(seed):
     rng = random.Random(seed)
     # appendix_table refuses a fixture row whose target kind or label is not
-    # jl_label's, so here only the fixture's target arguments remain to check
-    rows = appendix_table()
-
-    def probe(p):
+    # jl_label's, so here only the fixture's target arguments remain to
+    # check.  Each row draws its own two points: one point shared by all 56
+    # rows is refused by some row about nine draws in ten
+    def row_values(row, p):
         vals = p.args()
-        return join_probes(
-            args for row in rows for args in (
-                m_probe_args([a.evaluate(vals) for a in row.m_args]),
-                m_probe_args([a.evaluate(vals) for a in bfs_m_args(row.label)]),
-                row.target.probe_args(vals),
-                row.printed.probe_args(vals),
-            )
+        return (
+            eval_M_log([x.evaluate(vals) for x in row.m_args]),
+            eval_M_log([x.evaluate(vals) for x in bfs_m_args(row.label)]),
+            row.target.eval_log(vals),
+            row.printed.eval_log(vals),
         )
 
     worst_m = worst_t = 0.0
-    for _ in range(2):
-        p = gen_point(rng, "W", probe)
-        vals = p.args()
-        for row in rows:
-            a = eval_M_log([x.evaluate(vals) for x in row.m_args])
-            b = eval_M_log([x.evaluate(vals) for x in bfs_m_args(row.label)])
+    for row in appendix_table():
+        for _ in range(2):
+            _, (a, b, target, printed) = draw_point(rng, "W", lambda q: row_values(row, q))
             err = abs((a - b).to_complex() - 1.0)
             worst_m = max(worst_m, err)
             if err > 1e-8:
                 return False, f"{row.label}: representatives disagree by {err:.2e}", {
                     "label": str(row.label), "coset_agreement": err, "bound": 1e-8,
                 }
-            err = abs((row.target.eval_log(vals) - row.printed.eval_log(vals)).to_complex() - 1.0)
+            err = abs((target - printed).to_complex() - 1.0)
             worst_t = max(worst_t, err)
             if err > 1e-8:
                 return False, f"{row.label}: target lists disagree by {err:.2e}", {
@@ -551,12 +531,19 @@ def _class_limit(rng, cls, size, word, jll_words):
             (coef.substitute(xfromw()), fun.substitute(xfromw()))
             for coef, fun in map(by_label.get, t_labels)
         ))
+
+    def limit_values(q):
+        lims = [relation_limit(rel, q, t) for t in DERIVED_SHIFTS]
+        tlogs = [target.eval_log(q.args()) for _, target in lims[0]]
+        return lims, tlogs, jll and (
+            [coef.eval_log(q.args()) for coef, _ in jll.terms],
+            [fun.eval_log(q.args()) for _, fun in jll.terms],
+        )
+
+    _, (lims, tlogs, jll_logs) = draw_point(rng, "W", limit_values)
+    # the values are logs; an overflow can come only from the arithmetic
+    # below, and fails this class alone
     try:
-        p = gen_point(rng, "W", lambda q: join_probes(
-            [relation_limit_probe_args(rel, q, DERIVED_SHIFTS[0])] + ([relation_probe_args(jll, q)] if jll else [])
-        ))
-        lims = [relation_limit(rel, p, t) for t in DERIVED_SHIFTS]
-        tlogs = [target.eval_log(p.args()) for _, target in lims[0]]
         logs = [[q + x for (q, _), x in zip(lim, tlogs)] for lim in lims]
         res = rep["residuals"] = [combine_exponentials(terms)[1] for terms in logs]
         if len(set(t_labels)) == 3:
@@ -570,8 +557,7 @@ def _class_limit(rng, cls, size, word, jll_words):
             slope = rep["third_slope"] = (mags[2] - mags[1]) / (DERIVED_SHIFTS[2] - DERIVED_SHIFTS[1])
             passed = res[0] <= COLLAPSE_TOL and abs(slope + 2 * math.pi) <= SLOPE_TOL
         if jll is not None:
-            coefs = [coef.eval_log(p.args()) for coef, _ in jll.terms]
-            funs = [fun.eval_log(p.args()) for _, fun in jll.terms]
+            coefs, funs = jll_logs
             match = rep["orbit1jll"] = {
                 "word": list(vword),
                 "function_agreement": max(abs((f - t).to_complex() - 1) for f, t in zip(funs, tlogs)),
@@ -585,7 +571,7 @@ def _class_limit(rng, cls, size, word, jll_words):
             passed = passed and match["ratio_errors"][-1] <= MATCH_TOL and max(
                 match["function_agreement"], match["residual"]) <= correspond.ORBIT1JLL_TOL
         rep["passed"] = passed
-    except (EvaluationDomainError, OverflowError) as exc:
+    except OverflowError as exc:
         rep["failure"] = f"{type(exc).__name__}: {exc}"
     return rep
 
@@ -647,8 +633,12 @@ CATALOG = (
 def run_check(name: str, seed: int = 7) -> CheckResult:
     """Run one catalog entry by name; seed drives every random point draw.
 
-    A point search that exhausts correspond.POINT_BUDGET is not a verdict on
-    the check: its PointSearchError propagates to the caller.
+    Each check draws its points with correspond.draw_point, passing the
+    evaluation it makes there, and a draw is redrawn only when that
+    evaluation raises DegeneratePointError.  Any other exception, from a
+    draw or after it, is the check's failure.  A point search that exhausts
+    correspond.POINT_BUDGET is not a verdict on the check: its
+    PointSearchError propagates to the caller.
     """
     for entry_name, fn, budget in CATALOG:
         if entry_name == name:

@@ -356,7 +356,7 @@ def test_gamma_layer_check_fails_on_a_perturbed_stirling_coefficient(monkeypatch
     monkeypatch.setattr(hypnum, "_STIRLING", (first * (1 + 1e-6), *rest))
     result = run_check("09-gamma-layer")
     assert not result.passed
-    assert result.detail.startswith("residuals 0.00e+00/7.82e-12 at ")
+    assert result.detail.startswith("reflection 0.00e+00, recursion 7.82e-12 at ")
     assert result.evidence["recursion"] > result.evidence["bound"]
 
 

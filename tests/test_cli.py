@@ -16,9 +16,9 @@ import pytest
 
 from hyperweyl import cli, correspond, selftest
 from hyperweyl.cli import CHECK_SUITES, dispatch, main
-from hyperweyl.correspond import gen_point
+from hyperweyl.correspond import draw_point
 from hyperweyl.coxeter import dd, parse_label
-from hyperweyl.hypnum import j_probe_args, m_probe_args
+from hyperweyl.hypnum import eval_J_log, eval_M_log
 from hyperweyl.selftest import CATALOG, CheckResult
 
 
@@ -36,7 +36,7 @@ def run_json(*argv):
 @pytest.fixture(scope="session")
 def w_point_file(tmp_path_factory):
     """An admissible eight-slot point, written the way the eval verb reads it."""
-    p = gen_point(random.Random(7), "W", probe=lambda q: m_probe_args(q.args()))
+    p, _ = draw_point(random.Random(7), "W", lambda q: eval_M_log(q.args()))
     path = tmp_path_factory.mktemp("points") / "w.json"
     data = {k: [getattr(p, k).real, getattr(p, k).imag] for k in "abcdefg"}
     path.write_text(json.dumps(data))
@@ -46,7 +46,7 @@ def w_point_file(tmp_path_factory):
 @pytest.fixture(scope="session")
 def v_point_file(tmp_path_factory):
     """An admissible seven-slot point for the V-side functions."""
-    p = gen_point(random.Random(7), "V", probe=lambda q: j_probe_args(q.args()))
+    p, _ = draw_point(random.Random(7), "V", lambda q: eval_J_log(q.args()))
     path = tmp_path_factory.mktemp("points") / "v.json"
     data = {k: [getattr(p, k).real, getattr(p, k).imag] for k in "ABCDEF"}
     path.write_text(json.dumps(data))

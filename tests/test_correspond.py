@@ -18,7 +18,15 @@ from hyperweyl.coxeter import (
     all_m_labels, jl_label, orbit_color, parse_label, triple_orbits, triple_words,
 )
 from hyperweyl.exactalg import LinForm, V_SYMBOLS, W_SYMBOLS
-from hyperweyl.hypnum import PointW, PrecisionWarning, combine_exponentials, eval_M_log, m_probe_args
+from hyperweyl.hypnum import (
+    DegeneratePointError,
+    DivergentSeriesError,
+    PointW,
+    PrecisionWarning,
+    combine_exponentials,
+    eval_M_log,
+    margins_ok,
+)
 from hyperweyl.correspond import (
     FunTerm,
     GammaSinExpr,
@@ -29,6 +37,7 @@ from hyperweyl.correspond import (
     bfs_m_args,
     builtin_relations,
     check_limit,
+    draw_point,
     eval_relation,
     gamma2_target,
     gen_point,
@@ -36,7 +45,6 @@ from hyperweyl.correspond import (
     limit_normalizer,
     limit_probe_args,
     relation_limit,
-    relation_limit_probe_args,
     relation_probe_args,
     relation_report,
     table_json,
@@ -109,22 +117,13 @@ def test_fixture_and_walk_agree_numerically():
     # function must not see the difference.
     rng = random.Random(14007)
 
-    def probe(p):
+    def both(row, p):
         vals = p.args()
-        g, s = [], []
-        for row in appendix_table():
-            for args in (row.m_args, bfs_m_args(row.label)):
-                pg, ps = m_probe_args([f.evaluate(vals) for f in args])
-                g.extend(pg)
-                s.extend(ps)
-        return g, s
+        return [eval_M_log([f.evaluate(vals) for f in args]) for args in (row.m_args, bfs_m_args(row.label))]
 
-    for _ in range(2):
-        p = gen_point(rng, "W", probe)
-        vals = p.args()
-        for row in appendix_table():
-            fixed = eval_M_log([f.evaluate(vals) for f in row.m_args])
-            walked = eval_M_log([f.evaluate(vals) for f in bfs_m_args(row.label)])
+    for row in appendix_table():
+        for _ in range(2):
+            _, (fixed, walked) = draw_point(rng, "W", lambda q: both(row, q))
             assert abs((fixed - walked).to_complex() - 1.0) <= 1e-8
 
 
@@ -217,39 +216,30 @@ def test_relation_term_labels():
 # ---------------------------------------------------------------------------
 
 
-def seeded_points(rng, rel_names, n):
+def seeded_reports(rng, rel_names, n):
+    """n drawn points, each as the reports of the named relations there."""
     rels = builtin_relations()
     picked = [rels[name] for name in rel_names]
     side = "W" if picked[0].alphabet == W_SYMBOLS else "V"
-
-    def probe(p):
-        g, s = [], []
-        for r in picked:
-            pg, ps = relation_probe_args(r, p)
-            g.extend(pg)
-            s.extend(ps)
-        return g, s
-
-    return [gen_point(rng, side, probe) for _ in range(n)]
+    return [draw_point(rng, side, lambda q: [relation_report(r, q) for r in picked])[1] for _ in range(n)]
 
 
 def test_roy463_residuals():
     rng = random.Random(463)
-    for p in seeded_points(rng, ("roy463", "roy463b"), 3):
-        assert eval_relation(builtin_relations()["roy463"], p) <= 1e-5
-        assert eval_relation(builtin_relations()["roy463b"], p) <= 1e-5
+    for roy, royb in seeded_reports(rng, ("roy463", "roy463b"), 3):
+        assert roy["residual"] <= 1e-5
+        assert royb["residual"] <= 1e-5
 
 
 def test_orbit1jll_residuals():
     rng = random.Random(610)
-    for p in seeded_points(rng, ("orbit1jll",), 3):
-        assert eval_relation(builtin_relations()["orbit1jll"], p) <= 1e-7
+    for (rep,) in seeded_reports(rng, ("orbit1jll",), 3):
+        assert rep["residual"] <= 1e-7
 
 
 def test_relation_report_shape():
     rng = random.Random(11)
-    (p,) = seeded_points(rng, ("roy463",), 1)
-    rep = relation_report(builtin_relations()["roy463"], p)
+    ((rep,),) = seeded_reports(rng, ("roy463",), 1)
     assert rep["relation"] == "roy463"
     assert len(rep["terms"]) == 3
     assert all("log_mag" in t for t in rep["terms"])
@@ -267,10 +257,8 @@ def test_translations_stay_sound():
         for g in gen_names:
             moved = translate_relation(base, (g,), side)
             assert moved.name == f"{name}.{g}"
-            p = gen_point(
-                rng, side.upper(), lambda q: relation_probe_args(moved, q)
-            )
-            assert eval_relation(moved, p) <= bound
+            _, residual = draw_point(rng, side.upper(), lambda q: eval_relation(moved, q))
+            assert residual <= bound
 
 
 def test_translation_by_empty_word_is_identity():
@@ -307,9 +295,7 @@ def test_all_zero_coefficients_warn():
 @pytest.mark.parametrize("label", ["+v(0,7)", "+v(1,7)", "+v(0,1)", "+v(2,7)"])
 def test_check_limit_converges(label):
     rng = random.Random(sum(ord(ch) for ch in label))
-    p = gen_point(rng, "W", lambda q: limit_probe_args(label, q))
-    report = check_limit(label, p)
-    assert report.failure is None
+    _, report = draw_point(rng, "W", lambda q: check_limit(label, q))
     assert report.verdict
     assert all(b < a for a, b in zip(report.errors, report.errors[1:]))
     assert report.errors[-1] <= 0.6 * report.errors[0]
@@ -321,15 +307,7 @@ def test_collapsed_rows_share_the_target_value():
     # +v(0,7) and +v(1,7) carry the same L target; the reference values
     # their limits aim at must coincide.
     rng = random.Random(77)
-
-    def probe(q):
-        g1, s1 = limit_probe_args("+v(0,7)", q)
-        g2, s2 = limit_probe_args("+v(1,7)", q)
-        return tuple(g1) + tuple(g2), tuple(s1) + tuple(s2)
-
-    p = gen_point(rng, "W", probe)
-    r1 = check_limit("+v(0,7)", p)
-    r2 = check_limit("+v(1,7)", p)
+    _, (r1, r2) = draw_point(rng, "W", lambda q: [check_limit(lab, q) for lab in ("+v(0,7)", "+v(1,7)")])
     assert r1.verdict and r2.verdict
     diff = abs((r1.target_log - r2.target_log).to_complex() - 1.0)
     assert diff <= 1e-10
@@ -361,30 +339,31 @@ def test_pochhammer_bracket_tends_to_one():
     # cancel (b+h does not move)
     up = GammaSinExpr.build(W_SYMBOLS, 1, gamma_num=("b+c-a", "1+a-h"), gamma_den=("b", "1+c-h"))
     down = GammaSinExpr.build(W_SYMBOLS, 1, gamma_num=("h+c-a", "1+a-b"), gamma_den=("h", "1+c-b"))
-    p = gen_point(random.Random(222), "W", lambda q: relation_probe_args(builtin_relations()["roy463b"], q))
-    shifted = [PointW(p.a, p.b + 1j * t, p.c, p.d, p.e, p.f, p.g).args() for t in correspond.SHIFTS]
 
-    def errors(expr):
-        return [abs(expr.eval_log(vals).to_complex() - 1.0) for vals in shifted]
+    def errors(q):
+        shifted = [PointW(q.a, q.b + 1j * t, q.c, q.d, q.e, q.f, q.g).args() for t in correspond.SHIFTS]
+        return [[abs(expr.eval_log(vals).to_complex() - 1.0) for vals in shifted] for expr in (up, down, up * down)]
 
-    for factor in (up, down):
-        errs = errors(factor)
+    _, (err_up, err_down, both) = draw_point(random.Random(222), "W", errors)
+    for errs in (err_up, err_down):
         assert all(0.3 <= b / a <= 0.7 for a, b in zip(errs, errs[1:]))
-    both = errors(up * down)
     assert all(b < a for a, b in zip(both, both[1:]))
-    assert both[-1] < min(errors(up)[-1], errors(down)[-1])
+    assert both[-1] < min(err_up[-1], err_down[-1])
 
 
 def test_relation_limit_of_roy463():
     # each term pairs with its row's target, and the derived seven-slot
     # relation closes about 100x per decade of the shift
     roy = builtin_relations()["roy463"]
-    p = gen_point(random.Random(463), "W", lambda q: relation_limit_probe_args(roy, q, 1e2))
-    lims = [relation_limit(roy, p, t) for t in (1e2, 1e3, 1e4)]
+
+    def limits(q):
+        lims = [relation_limit(roy, q, t) for t in (1e2, 1e3, 1e4)]
+        return lims, [target.eval_log(q.args()) for _, target in lims[0]]
+
+    _, (lims, targets) = draw_point(random.Random(463), "W", limits)
     assert [target for _, target in lims[0]] == [
         appendix_row(lab).target for lab in roy.term_labels()
     ]
-    targets = [target.eval_log(p.args()) for _, target in lims[0]]
     res = [combine_exponentials([q + x for (q, _), x in zip(lim, targets)])[1] for lim in lims]
     assert res[-1] <= 5e-8
     assert all(a >= 30 * b for a, b in zip(res, res[1:]))
@@ -441,6 +420,82 @@ def test_gen_point_budget_exhaustion(monkeypatch):
     with pytest.raises(PointSearchError, match="in 5 draws"):
         gen_point(random.Random(1), "W", probe)
     assert len(draws) == 5
+
+
+def test_draw_point_gives_up_after_the_budget(monkeypatch):
+    monkeypatch.setattr(correspond, "POINT_BUDGET", 5)
+    draws = []
+
+    def refuse(p):
+        draws.append(p)
+        raise DegeneratePointError("always too close to a pole")
+
+    with pytest.raises(PointSearchError, match="in 5 draws"):
+        draw_point(random.Random(1), "W", refuse)
+    assert len(draws) == 5
+
+
+@pytest.mark.parametrize("error", [DivergentSeriesError, OverflowError])
+def test_draw_point_redraws_only_for_a_degenerate_point(error):
+    # any other failure of the work is a fault at the point, not a reason
+    # to draw another
+    draws = []
+
+    def fail(p):
+        draws.append(p)
+        raise error("not a margin")
+
+    with pytest.raises(error, match="not a margin"):
+        draw_point(random.Random(1), "W", fail)
+    assert len(draws) == 1
+
+
+def test_draw_point_returns_the_point_with_its_work():
+    point, args = draw_point(random.Random(4), "V", lambda q: q.args())
+    assert args == point.args()
+    assert point == gen_point(random.Random(4), "V")
+
+
+def test_gamma_factors_refuse_a_point_near_a_pole():
+    # the coefficient gamma factors hold the same margin as the evaluators
+    gamma_a = GammaSinExpr.build(W_SYMBOLS, 1, gamma_num=("a",))
+    rest = [0.3 + 0.1j] * 7
+    with pytest.raises(DegeneratePointError, match="within 0.1 of a pole"):
+        gamma_a.eval_log([-1 + 0.05] + rest)
+    near = gamma_a.eval_log([-1 + 0.11] + rest)
+    assert abs(near.to_complex() - math.gamma(-1 + 0.11)) <= 1e-12 * abs(math.gamma(-1 + 0.11))
+
+
+def _admitted(work, q):
+    try:
+        work(q)
+    except DegeneratePointError:
+        return False
+    return True
+
+
+def test_kept_probes_admit_what_the_evaluations_admit():
+    # the benchmark still screens its points with relation_probe_args and
+    # limit_probe_args: each must accept a draw exactly when the evaluation
+    # it stands for does
+    rng = random.Random(2024)
+    rels = builtin_relations()
+    seen = {}
+    for name, side, count in (("roy463", "W", 40), ("roy463b", "W", 40), ("orbit1jll", "V", 60)):
+        r = rels[name]
+        for _ in range(count):
+            q = gen_point(rng, side)
+            admitted = _admitted(lambda x: relation_report(r, x), q)
+            assert margins_ok(*relation_probe_args(r, q)) == admitted, (name, q)
+            seen.setdefault(name, set()).add(admitted)
+    for label in ("+v(0,7)", "+v(1,7)", "+v(0,1)", "+v(2,7)"):
+        for _ in range(15):
+            q = gen_point(rng, "W")
+            admitted = _admitted(lambda x: check_limit(label, x), q)
+            assert margins_ok(*limit_probe_args(label, q)) == admitted, (label, q)
+            seen.setdefault(label, set()).add(admitted)
+    # every probe met both verdicts
+    assert all(verdicts == {False, True} for verdicts in seen.values()), seen
 
 
 def test_gen_point_sides():
