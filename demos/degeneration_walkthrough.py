@@ -10,9 +10,13 @@ Two extras round out the story: the twelve blue/red label pairs share one
 target (the collapse behind the 44-label union space), and every three-term
 relation among the seven-slot functions is a limit of the eight-slot
 relation roy463.  Catalog check 15 moves roy463 onto one triple of each of
-the eight colour classes its translates fill, divides each coefficient by
-its row's normalizer at a shift t of b, and evaluates the resulting
-seven-slot relation; the demo prints how its residual falls with t.
+the eight colour classes its translates fill and divides each coefficient
+by its row's normalizer.  Under the shift b -> b + it, Stirling's formula
+and the sine's exponential give each quotient's log exactly as
+A·it·log t + B·t + C·log t + D + o(1).  The terms of largest Re B survive;
+where they grow alike, the limit is the t-free relation sum exp(D)·target
+= 0.  The demo prints each class's surviving terms, their common growth
+and the residual of that relation.
 
 Run:  python3 demos/degeneration_walkthrough.py
 """
@@ -48,13 +52,15 @@ def main():
     print(f"  normalized shifted values differ by at most {limits['pair_gap']:.3e} "
           f"(within {limits['pair_bound']:.1e}, the sum of the final shift errors)")
 
-    print("\nroy463's translates degenerate onto a three-term relation per colour class")
-    print("(residual at t = 1e2, 1e3, 1e4):")
+    print("\nroy463's translates degenerate onto a t-free relation per colour class")
+    print("(surviving terms, their growth A·it·log t + B·t, residual of sum exp(D)·target):")
     result = run_check("15-degeneration-pipeline", SEED)
     for rep in result.evidence["reports"]:
-        decay = "  ->  ".join(f"{r:.1e}" for r in rep.get("residuals", ()))
-        note = "  (blue and red share the target; the third term dies)" if "third_slope" in rep else ""
-        print(f"  {rep['class']:<15} onto {', '.join(rep['targets']):<12} {decay}{note}")
+        live = rep["survivors"]
+        growth = rep["growth"][live[0]]
+        note = "  (blue and red share the target; the third term dies)" if len(live) == 2 else ""
+        print(f"  {rep['class']:<15} onto {', '.join(rep['targets']):<12} terms {live}: "
+              f"A = {growth['A']}, B = {growth['B']}, residual {rep['residual']:.1e}{note}")
     print(f"verdict: {'PASS' if result.passed else 'FAIL'}")
 
 if __name__ == "__main__":

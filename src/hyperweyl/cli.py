@@ -253,11 +253,11 @@ def _report_line(rep: dict) -> str:
     if "label" in rep:
         errs = " -> ".join(f"{e:.3e}" for e in rep["errors"])
         return f"{_mark(rep['verdict'])} {rep['label']}: {errs}"
-    res = " -> ".join(f"{r:.3e}" for r in rep.get("residuals", ())) or rep.get("failure", "")
-    slope = f"; third term log-magnitude slope {rep['third_slope']:.9f}" if "third_slope" in rep else ""
-    match = f"; orbit1jll ratios {rep['orbit1jll']['ratio_errors'][-1]:.1e}" if "orbit1jll" in rep else ""
+    match = f"; orbit1jll ratios {rep['orbit1jll']['ratio_error']:.1e}" if "orbit1jll" in rep else ""
+    failed = f"; failed: {', '.join(rep['failed'])}" if rep["failed"] else ""
     return (f"{_mark(rep['passed'])} {rep['class']} ({rep['triples']} triples) onto "
-            f"{', '.join(rep['targets'])}: {res}{slope}{match}")
+            f"{', '.join(rep['targets'])}: terms {rep['survivors']} survive, t-free residual "
+            f"{rep['residual']:.3e}{match}{failed}")
 
 
 def _emit_check(name, seed, fmt, out, evidence_lines) -> int:

@@ -15,6 +15,7 @@ that evaluation refuses the point as too close to a pole.
 
 from __future__ import annotations
 
+import cmath
 import json
 import math
 import warnings
@@ -45,6 +46,7 @@ from .exactalg import (
     word_to_matrix,
 )
 from .hypnum import (
+    _HALF_LOG_TWO_PI,
     GAMMA_MARGIN,
     DegeneratePointError,
     LogC,
@@ -66,6 +68,7 @@ from .hypnum import (
 
 __all__ = [
     "GammaSinExpr",
+    "Growth",
     "FunTerm",
     "Relation",
     "AppendixRow",
@@ -77,12 +80,14 @@ __all__ = [
     "bfs_m_args",
     "gamma2_target",
     "limit_normalizer",
+    "contracts",
     "check_limit",
     "builtin_relations",
     "translate_relation",
     "eval_relation",
     "relation_report",
     "relation_limit",
+    "relation_limit_gaps",
     "relation_probe_args",
     "limit_probe_args",
     "PointSearchError",
@@ -108,6 +113,26 @@ SHIFTS = (8.0, 16.0, 32.0)
 # ---------------------------------------------------------------------------
 # coefficient expressions
 # ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Growth:
+    """Exact growth A·it·log t + B·t + C·log t of a log under b -> b + it:
+    A = a and B = pi·b_re + i(b_im + log b_pow) with a, b_re, b_im and b_pow
+    rational, and C = c, a reduced LinForm read at the point."""
+
+    a: Fraction
+    b_re: Fraction
+    b_im: Fraction
+    b_pow: Fraction
+    c: LinForm
+
+    def at(self, t: float, values) -> complex:
+        b = complex(math.pi * self.b_re, self.b_im + math.log(self.b_pow))
+        return (1j * float(self.a) * math.log(t) + b) * t + self.c.evaluate(values) * math.log(t)
+
+    def to_dict(self) -> dict:
+        return {"A": str(self.a), "B": f"{self.b_re}*pi + ({self.b_im} + log({self.b_pow}))*i", "C": str(self.c)}
 
 
 @dataclass(frozen=True)
@@ -158,6 +183,38 @@ class GammaSinExpr:
             raise DegeneratePointError(f"gamma argument {z} within {GAMMA_MARGIN} of a pole")
         return lgamma(z)
 
+    def growth(self, values) -> tuple:
+        """(Growth, D) with log expr(p + it·e_b) = A·it·log t + B·t + C·log t
+        + D + o(1), p the point of values and D a LogC.  Each factor whose
+        reduced form has b-coefficient beta != 0, with value x at p, tends by
+        Stirling's formula (up to O(1/t)) and the sine's exponential (up to
+        O(exp(-2 pi |beta| t))) to
+          log Gamma: (x + i beta t - 1/2)(log |beta| t + i pi sgn(beta)/2) - i beta t + log(2 pi)/2,
+          log sin pi: pi |beta| t + log(i sgn(beta)/2) - i pi sgn(beta) x;
+        the factors with beta = 0 go into D whole."""
+        def moves(factor):
+            return factor[1].reduced().coef("b") != 0
+
+        still = GammaSinExpr(self.prefactor, *(tuple(f for f in fs if not moves(f))
+                                               for fs in (self.numerator, self.denominator)))
+        d = still.eval_log(values).as_log()
+        a, b_re, b_pow, c = Fraction(0), Fraction(0), Fraction(1), LinForm.const_form(W_SYMBOLS, 0)
+        for sign, factors in ((1, self.numerator), (-1, self.denominator)):
+            for kind, form in filter(moves, factors):
+                form = form.reduced()
+                beta = form.coef("b")
+                x, s = form.evaluate(values), 1 if beta > 0 else -1
+                if kind == FACTOR_GAMMA:
+                    a += sign * beta
+                    b_re -= sign * abs(beta) / 2
+                    b_pow *= abs(beta) ** (sign * beta)
+                    c += sign * (form - Fraction(1, 2))
+                    d += sign * ((x - 0.5) * complex(math.log(abs(beta)), s * math.pi / 2) + _HALF_LOG_TWO_PI)
+                else:
+                    b_re += sign * abs(beta)
+                    d += sign * (1j * s * math.pi * (0.5 - x) - math.log(2))
+        return Growth(a, b_re, -a, b_pow, c), LogC(d.real, d.imag)
+
     def substitute(self, forms: Sequence[LinForm]) -> "GammaSinExpr":
         num = tuple((k, f.substitute(forms)) for k, f in self.numerator)
         den = tuple((k, f.substitute(forms)) for k, f in self.denominator)
@@ -175,6 +232,13 @@ class GammaSinExpr:
             self.prefactor * other.prefactor,
             self.numerator + other.numerator,
             self.denominator + other.denominator,
+        )
+
+    def __truediv__(self, other: "GammaSinExpr") -> "GammaSinExpr":
+        return GammaSinExpr(
+            self.prefactor / other.prefactor,
+            self.numerator + other.denominator,
+            self.denominator + other.numerator,
         )
 
 
@@ -511,11 +575,17 @@ def _shifted_point(p: PointW, t: float) -> PointW:
     return PointW(p.a, p.b + 1j * t, p.c, p.d, p.e, p.f, p.g)
 
 
+def contracts(errors) -> bool:
+    """The verdict on errors at SHIFTS: strictly decreasing, with the last
+    at most LIMIT_DECAY times the first."""
+    return all(b < a for a, b in zip(errors, errors[1:])) and errors[-1] <= LIMIT_DECAY * errors[0]
+
+
 def check_limit(t, p: PointW) -> LimitReport:
     """Drive the normalized row at p through SHIFTS and compare against
-    pi/2 times the target value; the verdict wants strictly decreasing
-    relative errors with the last at most LIMIT_DECAY times the first.  The
-    report keeps the normalized shifted values, one per shift."""
+    pi/2 times the target value; the verdict is whether the relative errors
+    contract.  The report keeps the normalized shifted values, one per
+    shift."""
     label = parse_label(t) if isinstance(t, str) else t
     row = appendix_row(label)
     norm = limit_normalizer(label)
@@ -526,9 +596,7 @@ def check_limit(t, p: PointW) -> LimitReport:
         vals = _shifted_point(p, t_im).args()
         values.append(norm.eval_log(vals) + eval_M_log([f.evaluate(vals) for f in row.m_args]))
     errors = [abs((val - ref).to_complex() - 1.0) for val in values]
-    decreasing = all(b < a for a, b in zip(errors, errors[1:]))
-    verdict = decreasing and errors[-1] <= LIMIT_DECAY * errors[0]
-    return LimitReport(label, SHIFTS, tuple(errors), verdict, target_log, tuple(values))
+    return LimitReport(label, SHIFTS, tuple(errors), contracts(errors), target_log, tuple(values))
 
 
 # ---------------------------------------------------------------------------
@@ -716,20 +784,34 @@ def relation_probe_args(r: Relation, p):
 # ---------------------------------------------------------------------------
 
 
-def relation_limit(r: Relation, p: PointW, t: float) -> list:
+def _limit_quotients(r: Relation) -> list:
+    """(coefficient / limit_normalizer of its row, the row's target) per term
+    of r; the row is the coset fun.classify() names."""
+    rows = [appendix_row(fun.classify()) for _, fun in r.terms]
+    return [(coef / limit_normalizer(row.label), row.target) for (coef, _), row in zip(r.terms, rows)]
+
+
+def relation_limit(r: Relation, p: PointW) -> list:
     """The seven-slot relation an eight-slot relation degenerates onto.
 
-    One pair per term: the log of the term's coefficient divided by the
-    limit_normalizer of its row (the coset fun.classify() names), at p with
-    b shifted by i t, and that row's target term.  The normalized M of each
-    row tends to pi/2 times its target at p, so the sum of exp(q) times the
-    target at p tends to zero as t grows; only gamma and sine factors are
-    evaluated at the shifted point, so t may be large.
+    One (Growth, D, target) per term: the growth and t-free rest of the log
+    of the term's coefficient / normalizer under b -> b + it at p, and the
+    row's target.  The normalized M of each row tends to pi/2 times its
+    target, so where the terms of largest Re B grow alike, the sum of
+    exp(D) times the target over them vanishes at p.
     """
-    vals = _shifted_point(p, t).args()
-    rows = [appendix_row(fun.classify()) for _, fun in r.terms]
-    return [(coef.eval_log(vals) - limit_normalizer(row.label).eval_log(vals), row.target)
-            for (coef, _), row in zip(r.terms, rows)]
+    return [(*q.growth(p.args()), target) for q, target in _limit_quotients(r)]
+
+
+def relation_limit_gaps(r: Relation, p: PointW) -> list:
+    """Per term, |q(p + it) / exp(growth + D) - 1| at each of SHIFTS, q the
+    term's coefficient / normalizer."""
+    vals, gaps = p.args(), []
+    for q, _ in _limit_quotients(r):
+        growth, rest = q.growth(vals)
+        gaps.append([abs(cmath.exp((q.eval_log(_shifted_point(p, t).args()) - rest).as_log()
+                                   - growth.at(t, vals)) - 1) for t in SHIFTS])
+    return gaps
 
 
 # ---------------------------------------------------------------------------

@@ -756,8 +756,11 @@ def t_distance(s, t) -> int:
 def _type_keys(space: str, tri: np.ndarray) -> np.ndarray:
     """Type key of each row of label indices: the sorted pairwise distances
     as three decimal digits and, in T, the number of L labels as the fourth."""
-    pairs = np.sort(distance_table(space)[tri[:, [0, 0, 1]], tri[:, [1, 2, 2]]], axis=1)
-    keys = pairs @ np.array([100, 10, 1])
+    d = distance_table(space)
+    i, j, k = tri.T
+    a, b, c = d[i, j], d[i, k], d[j, k]
+    lo, hi = np.minimum(np.minimum(a, b), c), np.maximum(np.maximum(a, b), c)
+    keys = 100 * lo + 10 * (a + b + c - lo - hi) + hi
     if space == "T":
         is_l = np.array([isinstance(lab, LLabel) for lab in _space(space)[0]])
         keys += 1000 * is_l[tri].sum(axis=1)

@@ -20,7 +20,7 @@ difference) and the eight-parameter function built from two
 very-well-poised 9F8(1) series.  Gamma factors that a series' prefactor
 shares with the function's denominator are cancelled before any is
 computed.  Each evaluator issues a PrecisionWarning when one of its series
-falls short of its tolerance, or when its two halves cancel to fewer than
+misses its tolerance, or when its two halves cancel to fewer than
 nine digits.
 """
 
@@ -621,7 +621,7 @@ def _two_series_log(what: str, sine_arg: complex, halves, coefs) -> LogC:
 
     Each half is (prefactor, numerators, denominators, gamma denominators):
     the log prefactor times the unit-argument series over the product of
-    Gamma at the gamma denominators.  Warns when a series falls short of its
+    Gamma at the gamma denominators.  Warns when a series misses its
     tolerance or the two halves cancel to fewer than nine digits.
     """
     results = [sum_pfq(nums, dens) for _, nums, dens, _ in halves]
@@ -723,7 +723,7 @@ def eval_M_log(w) -> LogC:
     with the Gamma[params] it shares with the denominator cancelled, so it
     divides only by the sine and the other half's six gamma factors; the two
     halves meet in one rescaled subtraction, with a warning if more than
-    nine digits cancel or a series falls short of its tolerance.
+    nine digits cancel or a series misses its tolerance.
     """
     a, b, c, d, e, f, g, h = _eight(w)
     if abs((2 + 3 * a) - (b + c + d + e + f + g + h)) > 1e-9:

@@ -180,7 +180,8 @@ def _failing_classes(result):
 
 def test_pipeline_check_fails_on_a_dropped_roy463_factor(monkeypatch):
     # roy463 with Gamma(c-a+d) dropped from its first coefficient still
-    # translates onto every class, but no three-term limit closes
+    # translates onto every class, but in none does the t-free relation of
+    # its surviving terms close
     from hyperweyl import correspond
 
     roy = correspond._roy463()
@@ -193,8 +194,8 @@ def test_pipeline_check_fails_on_a_dropped_roy463_factor(monkeypatch):
     finally:
         monkeypatch.undo()
         correspond.builtin_relations.cache_clear()
-    failing = _failing_classes(result)
-    assert failing >= {rep["class"] for rep in result.evidence["reports"] if "falls" in rep}
+    assert len(_failing_classes(result)) == 8
+    assert all("residual" in rep["failed"] for rep in result.evidence["reports"])
 
 
 def test_pipeline_check_fails_on_a_lossy_normalizer(monkeypatch):
@@ -211,7 +212,34 @@ def test_pipeline_check_fails_on_a_lossy_normalizer(monkeypatch):
         return correspond.GammaSinExpr(norm.prefactor, norm.numerator[1:], norm.denominator)
 
     monkeypatch.setattr(correspond, "limit_normalizer", lossy)
-    assert "J,blue,blue" in _failing_classes(run_check("15-degeneration-pipeline"))
+    result = run_check("15-degeneration-pipeline")
+    assert "J,blue,blue" in _failing_classes(result)
+    [rep] = [rep for rep in result.evidence["reports"] if rep["class"] == "J,blue,blue"]
+    assert "deficit" in rep["failed"]
+
+
+def test_pipeline_check_fails_on_a_growth_without_its_linear_gamma_term(monkeypatch):
+    # Stirling's -i beta t left out of every gamma factor moves Im B by A,
+    # alike in every term: growths still agree and every t-free residual
+    # still closes, but the expansions drift from the shifted values by
+    # exp(i A t), so the cross-check fails each class with A != 0
+    from dataclasses import replace
+
+    from hyperweyl import correspond
+
+    growth = correspond.GammaSinExpr.growth
+
+    def without_linear_term(self, values):
+        g, rest = growth(self, values)
+        return replace(g, b_im=g.b_im + g.a), rest
+
+    monkeypatch.setattr(correspond.GammaSinExpr, "growth", without_linear_term)
+    result = run_check("15-degeneration-pipeline")
+    reports = result.evidence["reports"]
+    moving = {rep["class"] for rep in reports if rep["growth"][rep["survivors"][0]]["A"] != "0"}
+    assert len(moving) == 6
+    assert _failing_classes(result) == moving
+    assert all(rep["failed"] == ["expansion"] for rep in reports if rep["class"] in moving)
 
 
 @pytest.fixture

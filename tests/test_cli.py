@@ -8,7 +8,6 @@ spawning subprocesses.  Exit-code contract: 0 success, 1 failed check,
 
 import io
 import json
-import math
 import random
 from pathlib import Path
 
@@ -306,27 +305,26 @@ def test_a_tighter_decay_bound_fails_the_limit_checks(monkeypatch):
 
 def test_check_pipeline_passes():
     # one report per colour class of roy463's translates: seven three-term
-    # limits that close, one blue/red class that collapses to two terms, and
-    # the two classes on orbit1jll's orbit matched with it
+    # limits whose terms all grow alike, one blue/red class whose third term
+    # grows 2 pi t slower, leaving two terms on one target, and the two
+    # classes on orbit1jll's orbit matched with it
     code, data = run_json("check", "pipeline")
     assert code == 0
     reports, bounds = data["reports"], data["bounds"]
     assert data["triples"] == 4032
     assert len({rep["class"] for rep in reports}) == 8
-    assert all(rep["passed"] for rep in reports)
-    three = [rep for rep in reports if "falls" in rep]
-    assert len(three) == 7
-    for rep in three:
-        assert rep["residuals"][-1] <= bounds["residual"]
-        assert min(rep["falls"]) >= bounds["decade_fall"]
-    [collapsed] = [rep for rep in reports if "third_slope" in rep]
+    assert all(rep["passed"] and not rep["failed"] for rep in reports)
+    for rep in reports:
+        assert rep["residual"] <= bounds["residual"] <= 1e-12
+        assert all(b < a for gaps in rep["gaps"] for a, b in zip(gaps, gaps[1:]))
+        assert len({json.dumps(rep["growth"][k]) for k in rep["survivors"]}) == 1
+    [collapsed] = [rep for rep in reports if len(rep["survivors"]) == 2]
     assert collapsed["class"] == "J,blue,red"
-    assert collapsed["residuals"][0] <= bounds["collapse"]
-    assert abs(collapsed["third_slope"] + 2 * math.pi) <= bounds["slope"]
+    assert len({collapsed["targets"][k] for k in collapsed["survivors"]}) == 1
     matched = [rep for rep in reports if "orbit1jll" in rep]
     assert {rep["class"] for rep in matched} == {"J,blue,blue", "J,red,red"}
     for rep in matched:
-        assert rep["orbit1jll"]["ratio_errors"][-1] <= bounds["match"]
+        assert rep["orbit1jll"]["ratio_error"] <= bounds["residual"]
         assert rep["orbit1jll"]["residual"] <= bounds["orbit1jll"]
     code, text = run_cli("check", "pipeline")
     assert code == 0
@@ -380,6 +378,21 @@ def test_selftest_verb_runs_catalog_subset(monkeypatch):
     assert code == 0
     assert "2/2 checks passed" in text
     assert text.count("PASS") == 2
+
+
+def test_selftest_json_is_strict():
+    # no NaN or Infinity anywhere in the catalog's evidence, and check 15's
+    # exact growth is rendered as strings
+    code, text = run_cli("--format", "json", "--seed", "3", "selftest")
+    assert code == 0
+
+    def refuse(name):
+        raise ValueError(f"non-finite constant {name} in the JSON")
+
+    records = json.loads(text, parse_constant=refuse)
+    [pipeline] = [r for r in records if r["name"] == "15-degeneration-pipeline"]
+    for rep in pipeline["evidence"]["reports"]:
+        assert all(isinstance(v, str) for growth in rep["growth"] for v in growth.values())
 
 
 def test_selftest_verb_reports_failures(monkeypatch):

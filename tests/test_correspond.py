@@ -3,13 +3,16 @@ a relation.
 
 Numeric tolerances sit far above measured headroom: the fixture-vs-walk
 agreement comes in around 1e-12 and the translated-relation residuals
-around 1e-12, against contract bounds of 1e-8 and 1e-4/1e-6.  The limit of
-roy463 falls about 100x per decade of the shift, against a floor of 30x.
+around 1e-12, against contract bounds of 1e-8 and 1e-4/1e-6.  The t-free
+limit of roy463 closes to about 1e-14, against check 15's 1e-12.
 """
 
+import cmath
 import json
 import math
 import random
+from dataclasses import replace
+from fractions import Fraction
 
 import pytest
 
@@ -25,6 +28,8 @@ from hyperweyl.hypnum import (
     PrecisionWarning,
     combine_exponentials,
     eval_M_log,
+    lgamma,
+    log_sin_pi,
     margins_ok,
 )
 from hyperweyl.correspond import (
@@ -37,6 +42,7 @@ from hyperweyl.correspond import (
     bfs_m_args,
     builtin_relations,
     check_limit,
+    contracts,
     draw_point,
     eval_relation,
     gamma2_target,
@@ -45,6 +51,7 @@ from hyperweyl.correspond import (
     limit_normalizer,
     limit_probe_args,
     relation_limit,
+    relation_limit_gaps,
     relation_probe_args,
     relation_report,
     table_json,
@@ -352,21 +359,47 @@ def test_pochhammer_bracket_tends_to_one():
 
 
 def test_relation_limit_of_roy463():
-    # each term pairs with its row's target, and the derived seven-slot
-    # relation closes about 100x per decade of the shift
+    # each term pairs with its row's target; all three grow alike exactly,
+    # the t-free relation among the targets closes, and every term's gap to
+    # its expansion contracts over the shifts
     roy = builtin_relations()["roy463"]
 
     def limits(q):
-        lims = [relation_limit(roy, q, t) for t in (1e2, 1e3, 1e4)]
-        return lims, [target.eval_log(q.args()) for _, target in lims[0]]
+        lim = relation_limit(roy, q)
+        return lim, [target.eval_log(q.args()) for *_, target in lim], relation_limit_gaps(roy, q)
 
-    _, (lims, targets) = draw_point(random.Random(463), "W", limits)
-    assert [target for _, target in lims[0]] == [
-        appendix_row(lab).target for lab in roy.term_labels()
-    ]
-    res = [combine_exponentials([q + x for (q, _), x in zip(lim, targets)])[1] for lim in lims]
-    assert res[-1] <= 5e-8
-    assert all(a >= 30 * b for a, b in zip(res, res[1:]))
+    _, (lim, targets, gaps) = draw_point(random.Random(463), "W", limits)
+    assert [target for *_, target in lim] == [appendix_row(lab).target for lab in roy.term_labels()]
+    assert lim[0][0] == lim[1][0] == lim[2][0]
+    assert combine_exponentials([d + x for (_, d, _), x in zip(lim, targets)])[1] <= 1e-12
+    assert all(map(contracts, gaps))
+
+
+@pytest.mark.parametrize("beta", [-2, -1, 1])
+@pytest.mark.parametrize("kind", ["gamma", "sine"])
+def test_growth_of_one_factor(kind, beta):
+    # log Gamma(x + i beta t) and log sin pi(x + i beta t) against their
+    # expansions: the gamma gap shrinks like 1/t over the shifts; the sine's,
+    # exp(-2 pi |beta| t), shrinks over the shifts / 32 and lies below
+    # rounding at the shifts themselves
+    p = PointW(0.3 + 0.1j, 0.45 - 0.2j, 0.6, 0.2, 0.7 + 0.05j, 0.35, 0.55)
+    form = LinForm.parse(f"a{beta:+d}b", W_SYMBOLS)
+    key = "gamma_num" if kind == "gamma" else "sin_num"
+    growth, rest = GammaSinExpr.build(W_SYMBOLS, 1, **{key: (form,)}).growth(p.args())
+    exact = lgamma if kind == "gamma" else log_sin_pi
+
+    def gaps(shifts):
+        return [abs(cmath.exp((exact(form.evaluate(replace(p, b=p.b + 1j * t).args())) - rest).as_log()
+                              - growth.at(t, p.args())) - 1) for t in shifts]
+
+    if kind == "gamma":
+        assert (growth.a, growth.b_re, growth.b_pow) == (beta, -Fraction(abs(beta), 2), Fraction(abs(beta)) ** beta)
+        assert growth.c == form - Fraction(1, 2)
+        assert contracts(gaps(correspond.SHIFTS))
+    else:
+        assert (growth.a, growth.b_re, growth.b_pow, growth.c.is_zero()) == (0, abs(beta), 1, True)
+        assert contracts(gaps([t / 32 for t in correspond.SHIFTS]))
+        assert max(gaps(correspond.SHIFTS)) < 1e-13
 
 
 # roy463's translates under W(E7), by the colours of their three labels
