@@ -14,8 +14,11 @@ red copies of the 12 L labels, plus the 32 J labels), it intertwines the two
 generator actions through matching_generator, and it compresses the
 discrete distance in a controlled way (t_distance).
 
-Words, orbits, group orders, distances and triple censuses share one core,
-built on first use: each generator as an index array of label images, one
+Each generator acts on the labels through its matrix: a label is a coset,
+named by its classifying form, and the generator's matrix carries every
+classifying form to another one (_space).  Words, orbits, group
+orders, distances and triple censuses share one core, built on first use:
+each generator as an index array of label images read off its matrix, one
 breadth-first orbit walk that records words, Schreier-Sims, and one table
 of the 56x56 discrete distances that every other space's distances gather.
 """
@@ -27,16 +30,20 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, reduce
 from itertools import combinations, permutations
+from types import MappingProxyType
 from typing import Sequence
 
 import numpy as np
 
 from .exactalg import (
+    HYPERPLANES,
     LinForm,
     SUBGROUP_WORDS,
     V_SYMBOLS,
     W_GENERATOR_NAMES,
     W_SYMBOLS,
+    generator,
+    symbol_forms,
 )
 
 __all__ = [
@@ -44,10 +51,7 @@ __all__ = [
     "JLabel",
     "LLabel",
     "Color",
-    "act_m",
-    "act_j",
-    "act_l",
-    "act_t",
+    "act",
     "all_m_labels",
     "all_j_labels",
     "all_l_labels",
@@ -229,80 +233,6 @@ def parse_label(text: str):
 
 
 # ---------------------------------------------------------------------------
-# generator actions on labels
-# ---------------------------------------------------------------------------
-
-_K0 = frozenset({0, 1, 2, 3})
-_K1 = frozenset({4, 5, 6, 7})
-
-
-def act_m(gen: str, label: MLabel) -> MLabel:
-    """Action of an eight-slot-side generator on the 56 labels.
-
-    s_m with 1 <= m <= 6 transposes the index values 7-m and 8-m; the branch
-    generator flips the sign and complements the pair inside {0,1,2,3} or
-    {4,5,6,7} when the pair lies inside one of them, else acts trivially.
-    """
-    if gen == "s3'":
-        pair = {label.i, label.j}
-        for block in (_K0, _K1):
-            if pair <= block:
-                comp = sorted(block - pair)
-                return MLabel(-label.sign, comp[0], comp[1])
-        return label
-    if gen in ("s1", "s2", "s3", "s4", "s5", "s6"):
-        m = int(gen[1])
-        u, v = 7 - m, 8 - m
-        swap = {u: v, v: u}
-        i2 = swap.get(label.i, label.i)
-        j2 = swap.get(label.j, label.j)
-        if i2 > j2:
-            i2, j2 = j2, i2
-        return MLabel(label.sign, i2, j2)
-    raise KeyError(f"unknown generator {gen!r}")
-
-
-def act_j(gen: str, label: JLabel) -> JLabel:
-    """Action of a seven-slot-side generator on the 32 sign strings."""
-    s = list(label.signs)
-    if gen in ("a1", "a2", "a3", "a4", "a5"):
-        k = int(gen[1])
-        s[k - 1], s[k] = s[k], s[k - 1]
-        return JLabel(tuple(s))
-    if gen == "a1'":
-        s0, s1 = s[0], s[1]
-        s[0], s[1] = -s1, -s0
-        return JLabel(tuple(s))
-    raise KeyError(f"unknown generator {gen!r}")
-
-
-def act_l(gen: str, label: LLabel) -> LLabel:
-    """Action of a seven-slot-side generator on the 12 barred labels."""
-    if gen in ("a1", "a2", "a3", "a4", "a5"):
-        k = int(gen[1])
-        if label.index == k:
-            return LLabel(k + 1, label.barred)
-        if label.index == k + 1:
-            return LLabel(k, label.barred)
-        return label
-    if gen == "a1'":
-        if label.index == 1:
-            return LLabel(2, not label.barred)
-        if label.index == 2:
-            return LLabel(1, not label.barred)
-        return label
-    raise KeyError(f"unknown generator {gen!r}")
-
-
-def act_t(gen: str, label):
-    if isinstance(label, JLabel):
-        return act_j(gen, label)
-    if isinstance(label, LLabel):
-        return act_l(gen, label)
-    raise TypeError("T labels are J or L labels")
-
-
-# ---------------------------------------------------------------------------
 # classification of symbolic vectors
 # ---------------------------------------------------------------------------
 
@@ -408,6 +338,76 @@ def classify_l(forms: Sequence[LinForm]) -> LLabel:
 
 
 # ---------------------------------------------------------------------------
+# generator actions on labels
+# ---------------------------------------------------------------------------
+
+# fixed expansion order: reproducible minimal-length lexicographically-first words
+M_BFS_GENERATOR_ORDER = ("s1", "s2", "s3", "s4", "s5", "s3'", "s6")
+J_BFS_GENERATOR_ORDER = ("a1", "a2", "a3", "a4", "a5", "a1'")
+
+
+# label list, generators in expansion order, side, classifier and table of
+# classifying forms of each space; T is L followed by J
+_SPACES = {
+    "M": (all_m_labels, M_BFS_GENERATOR_ORDER, "w", classify_m, _m_classify_table),
+    "J": (all_j_labels, J_BFS_GENERATOR_ORDER, "v", classify_j, _j_classify_table),
+    "L": (all_l_labels, J_BFS_GENERATOR_ORDER, "v", classify_l, _l_classify_table),
+    "T": (all_t_labels, J_BFS_GENERATOR_ORDER, "v", None,
+          lambda: {**_l_classify_table(), **_j_classify_table()}),
+}
+
+
+@lru_cache(maxsize=None)
+def _space(space: str):
+    """Labels of a space, their indices, and each generator as a read-only
+    index array of images (label k goes to label perms[g][k]), read off the
+    generator's matrix.
+
+    A label's classifying form, its key in the classify table, is an affine
+    form in the rows of any coset representative r, and the representative
+    r g substitutes g's images of the symbols into it.  So the forms, in
+    label order, are stacked as integer rows (constant first) over one even
+    denominator and act by one product with g's doubled matrix, the
+    constant column held fixed; the images, reduced modulo the hyperplane
+    (whose last coefficient is 1), are again keys.  A generator that moves
+    the hyperplane, leaves the denominator or reaches no key raises
+    ValueError.
+    """
+    labels_fn, gens, side, _, table = _SPACES[space]
+    labels = tuple(labels_fn())
+    form_of = {lab: form for form, lab in table().items()}
+    coefs = [(form_of[lab].const, *form_of[lab].coefs) for lab in labels]
+    den = math.lcm(2, *(q.denominator for row in coefs for q in row))
+    rows = np.array([[int(q * den) for q in row] for row in coefs])
+    keys = {row: k for k, row in enumerate(map(tuple, rows.tolist()))}
+    plane = HYPERPLANES[W_SYMBOLS if side == "w" else V_SYMBOLS]
+    plane = np.array([int(q) for q in (plane.const, *plane.coefs)])
+    perms = {}
+    for g in gens:
+        doubled = np.zeros((len(plane),) * 2, dtype=np.int64)
+        doubled[0, 0], doubled[1:, 1:] = 2, generator(side, g).twice
+        if not np.array_equal(plane @ doubled, 2 * plane):
+            raise ValueError(f"{g} does not preserve the hyperplane")
+        image = rows @ doubled
+        if (image & 1).any():
+            raise ValueError(f"{g} takes a classifying form off the denominator {den}")
+        image >>= 1
+        image -= np.outer(image[:, -1], plane)
+        found = [keys.get(row) for row in map(tuple, image.tolist())]
+        if None in found:
+            raise ValueError(f"{g} takes a classifying form to no label")
+        perms[g] = np.array(found)
+        perms[g].setflags(write=False)
+    return labels, {lab: k for k, lab in enumerate(labels)}, perms
+
+
+def act(space: str, gen: str, label):
+    """Image of a label of space M, J, L or T under a generator."""
+    labels, index, perms = _space(space)
+    return labels[perms[gen][index[label]]]
+
+
+# ---------------------------------------------------------------------------
 # the blue/red/J correspondence
 # ---------------------------------------------------------------------------
 
@@ -443,28 +443,25 @@ def jl_label(label: MLabel):
     return Color.J, s if label.sign > 0 else -s
 
 
+@lru_cache(maxsize=1)
+def _jl_inverse() -> dict:
+    inverse = {jl_label(lab): lab for lab in all_m_labels()}
+    assert len(inverse) == 56, "jl_label must be injective"
+    return inverse
+
+
 def jl_preimage(t_label, color: str = None) -> MLabel:
     """Inverse of jl_label.  For L labels the color (blue or red) is required;
     the blue preimage is the default used by the distance compression."""
     if isinstance(t_label, LLabel):
         color = color or Color.BLUE
-        j = t_label.index + 1
-        if color == Color.BLUE:
-            return MLabel(-1, 1, j) if t_label.barred else MLabel(1, 0, j)
-        if color == Color.RED:
-            return MLabel(-1, 0, j) if t_label.barred else MLabel(1, 1, j)
-        raise ValueError("color must be blue or red for L labels")
-    if isinstance(t_label, JLabel):
-        # two signs unlike the other four name the pair and give its sign; six
-        # alike give +-v(0,1)
-        plus = [k + 2 for k, s in enumerate(t_label.signs) if s > 0]
-        minus = [k + 2 for k, s in enumerate(t_label.signs) if s < 0]
-        if len(plus) == 2:
-            return MLabel(1, *plus)
-        if len(minus) == 2:
-            return MLabel(-1, *minus)
-        return MLabel(t_label.signs[0], 0, 1)
-    raise TypeError("expected a J or L label")
+        if color not in (Color.BLUE, Color.RED):
+            raise ValueError("color must be blue or red for L labels")
+    elif isinstance(t_label, JLabel):
+        color = Color.J
+    else:
+        raise TypeError("expected a J or L label")
+    return _jl_inverse()[color, t_label]
 
 
 _GENERATOR_BRIDGE = {
@@ -491,32 +488,6 @@ def matching_generator(gen: str) -> str:
 # ---------------------------------------------------------------------------
 # the permutation-group core
 # ---------------------------------------------------------------------------
-
-# fixed expansion order: reproducible minimal-length lexicographically-first words
-M_BFS_GENERATOR_ORDER = ("s1", "s2", "s3", "s4", "s5", "s3'", "s6")
-J_BFS_GENERATOR_ORDER = ("a1", "a2", "a3", "a4", "a5", "a1'")
-
-# label list, generators in expansion order, and action of each space
-_SPACES = {
-    "M": (all_m_labels, M_BFS_GENERATOR_ORDER, act_m),
-    "J": (all_j_labels, J_BFS_GENERATOR_ORDER, act_j),
-    "L": (all_l_labels, J_BFS_GENERATOR_ORDER, act_l),
-    "T": (all_t_labels, J_BFS_GENERATOR_ORDER, act_t),
-}
-
-
-@lru_cache(maxsize=None)
-def _space(space: str):
-    """Labels of a space, their indices, and each generator as a read-only
-    index array of images (label k goes to label perms[g][k])."""
-    labels_fn, gens, act = _SPACES[space]
-    labels = tuple(labels_fn())
-    index = {lab: k for k, lab in enumerate(labels)}
-    perms = {g: np.array([index[act(g, lab)] for lab in labels]) for g in gens}
-    for perm in perms.values():
-        perm.setflags(write=False)
-    return labels, index, perms
-
 
 def _orbit_words(perms: dict, start: int) -> dict:
     """Breadth-first orbit of a point: each point reached, in the order
@@ -597,20 +568,22 @@ def perm_group_order(gens: Sequence) -> int:
     return math.prod(len(orbit) for orbit in chain)
 
 
+@lru_cache(maxsize=None)
 def representative_words(space: str = "M"):
-    """Minimal-length, first-found representative word for every label.
+    """Minimal-length, first-found representative word for every label, as
+    a read-only mapping built once per space.
 
     Words compose left to right; the word's label is the result of applying
-    its letters in order to the base label: +v(0,7), the all-plus string or
-    the label 4, the labels of the identity arrangement under classify_m,
-    classify_j and classify_l.
+    its letters in order to the identity's label, the classify_m, classify_j
+    or classify_l of the symbol forms (+v(0,7), the all-plus string or the
+    label 4).
     """
-    bases = {"M": MLabel(1, 0, 7), "J": JLabel((1,) * 6), "L": LLabel(4)}
-    if space not in bases:
+    if space not in ("M", "J", "L"):
         raise ValueError("space must be M, J or L")
+    _, _, side, classify, _ = _SPACES[space]
     labels, index, perms = _space(space)
-    words = _orbit_words(perms, index[bases[space]])
-    return {labels[k]: word for k, word in words.items()}
+    words = _orbit_words(perms, index[classify(symbol_forms(side))])
+    return MappingProxyType({labels[k]: word for k, word in words.items()})
 
 
 def color_orbits():
@@ -649,14 +622,14 @@ def full_group_census() -> int:
     1. Check 03 proves that the generator matrices satisfy the Coxeter
        relations of E7, so the matrix group is a quotient of the abstract
        W(E7), whose order is the product of its degrees, 2,903,040.
-    2. Each generator matrix induces act_m's permutation on the cosets
-       through classify_m (tested), so the permutation group is the image
-       of the matrix group acting on cosets.
+    2. Each generator's permutation is read off its matrix, acting on the
+       classifying forms of the cosets (by construction, in _space), so the
+       permutation group is the image of the matrix group acting on cosets.
     3. An image of the full order 2,903,040 therefore makes both maps
        isomorphisms.
 
-    The seven-slot side is certified the same way, with act_j/act_l and
-    classify_j/classify_l; d6_certificate shows that its group is W(D6),
+    The seven-slot side is certified the same way, through the forms of
+    classify_j and classify_l; d6_certificate shows that its group is W(D6),
     of order 23,040, and that the index-action subgroup Q is isomorphic to it.
     """
     return perm_group_order([_word_perm("M", (g,)) for g in W_GENERATOR_NAMES])

@@ -327,19 +327,35 @@ class SeriesResult:
 
 def _direct_sum(nums, all_dens, n: int):
     """(t_0 + ... + t_(n-1), |t_0| + ... + |t_(n-1)|, t_n) with t_0 = 1, from
-    the term ratios in one vectorized pass, one complex division per term."""
-    ks = np.arange(n, dtype=complex)
-    num = ks + nums[0]
-    den = ks + all_dens[0]
-    tmp = np.empty_like(ks)
-    for a in nums[1:]:
-        num *= np.add(ks, a, out=tmp)
-    for b in all_dens[1:]:
-        den *= np.add(ks, b, out=tmp)
-    num /= den
-    terms = np.cumprod(num, out=num)
-    head = terms[:-1]
-    return 1.0 + complex(head.sum()), 1.0 + float(np.abs(head).sum()), complex(terms[-1])
+    the term ratios, one complex division per term.
+
+    The terms are taken in vectorized blocks of at most 2^16, each block's
+    first ratio multiplied by the running product, so every term is the
+    same sequential product as in one pass.  A sum or t_n that overflows
+    raises EvaluationDomainError.
+    """
+    head, abs_head, t_n = 1.0, 1.0, 1.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        for start in range(0, n, 1 << 16):
+            ks = np.arange(start, min(n, start + (1 << 16)), dtype=complex)
+            num = ks + nums[0]
+            den = ks + all_dens[0]
+            tmp = np.empty_like(ks)
+            for a in nums[1:]:
+                num *= np.add(ks, a, out=tmp)
+            for b in all_dens[1:]:
+                den *= np.add(ks, b, out=tmp)
+            num /= den
+            num[0] *= t_n
+            terms = np.cumprod(num, out=num)
+            t_n = complex(terms[-1])
+            # t_n itself is summed only when a later block follows
+            body = terms[:-1] if start + len(ks) == n else terms
+            head += complex(body.sum())
+            abs_head += float(np.abs(body).sum())
+    if not (cmath.isfinite(head) and cmath.isfinite(t_n)):
+        raise EvaluationDomainError(f"the terms of a {n}-term series overflow")
+    return head, abs_head, t_n
 
 
 def _tail(nums, dens, sigma: complex, n: int, t_n: complex):
@@ -392,7 +408,8 @@ def sum_pfq(nums: Sequence[complex], dens: Sequence[complex]) -> SeriesResult:
     converged means err_estimate <= REL_TOL * |value|.
 
     A numerator at a non-positive integer ends the series, whose at most
-    N_MAX terms are summed directly.
+    N_MAX terms are summed directly.  Terms or a sum that overflow raise
+    EvaluationDomainError.
     """
     nums = [complex(a) for a in nums]
     dens = [complex(b) for b in dens]

@@ -27,8 +27,7 @@ import numpy as np
 from .coxeter import (
     Color,
     M_BFS_GENERATOR_ORDER,
-    act_m,
-    act_t,
+    act,
     all_m_labels,
     all_t_labels,
     color_orbits,
@@ -127,10 +126,10 @@ def _coset_census(seed):
 
 
 # ceiling on the memory the group orders and the W(D6) certificate allocate,
-# measured by tracemalloc.  The peak reads 0.198 MB as the first call in a
-# process (about 0.03 MB of it the label permutations cached on that call),
-# 0.183 MB after check 01 and in the full catalog, and 0.159 MB on a second
-# call in one process
+# measured by tracemalloc.  The peak reads 0.28 MB as the first call in a
+# process (about 0.12 MB of it the classify tables and label permutations
+# built on that call), 0.22 MB after check 01 and in the full catalog, and
+# 0.16 MB on a second call in one process
 GROUP_ORDERS_PEAK_MB = 16.0
 
 
@@ -198,8 +197,8 @@ def _equivariance(seed):
     for lab in all_m_labels():
         c0, t0 = jl_label(lab)
         for g in gens:
-            c1, t1 = jl_label(act_m(g, lab))
-            if c1 != c0 or t1 != act_t(matching_generator(g), t0):
+            c1, t1 = jl_label(act("M", g, lab))
+            if c1 != c0 or t1 != act("T", matching_generator(g), t0):
                 return False, f"label map does not intertwine {g} at {lab}", {}
             count += 1
     return True, f"{count} generator/label pairs intertwine exactly", {"pairs": count}
@@ -217,7 +216,7 @@ def _metric_suite(seed):
         (d + d[:, neg] != 6, "antipode sum fails at ({},{})"),
     ]
     for g in M_BFS_GENERATOR_ORDER:
-        p = np.array([index[act_m(g, lab)] for lab in labels])
+        p = np.array([index[act("M", g, lab)] for lab in labels])
         faults.append((d[p][:, p] != d, g + " does not preserve dd at ({},{})"))
     for bad, message in faults:
         if bad.any():

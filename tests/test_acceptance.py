@@ -50,32 +50,43 @@ def test_group_orders_check_fails_past_its_memory_ceiling(monkeypatch):
 
 
 @pytest.fixture
-def l_action(monkeypatch):
-    """Replace the generator action behind the L label space; the cached
-    label permutations are rebuilt on both sides of the test."""
+def fresh_tables():
+    """Clear the cached label permutations, distance tables and words on
+    both sides of a test, so that a planted fault is read and does not leak."""
     from hyperweyl import coxeter
 
-    def patch(act):
-        labels_fn, gens, _ = coxeter._SPACES["L"]
-        monkeypatch.setitem(coxeter._SPACES, "L", (labels_fn, gens, act))
-        coxeter._space.cache_clear()
-
-    yield patch
-    monkeypatch.undo()
-    coxeter._space.cache_clear()
+    caches = (coxeter._space, coxeter.distance_table, coxeter.representative_words)
+    for cached in caches:
+        cached.cache_clear()
+    yield
+    for cached in caches:
+        cached.cache_clear()
 
 
-def test_group_orders_check_fails_on_an_odd_generator(l_action):
+@pytest.fixture
+def planted_images(monkeypatch, fresh_tables):
+    """Give one generator of a space other images of some labels: its
+    permutation, read off the matrices, is replaced with one in which label
+    a goes where the derived permutation sends label b."""
+    from hyperweyl import coxeter
+
+    def plant(space, gen, images):
+        _, index, perms = coxeter._space(space)
+        perm = perms[gen].copy()
+        for a, b in images.items():
+            perm[index[a]] = perms[gen][index[b]]
+        monkeypatch.setitem(perms, gen, perm)
+
+    return plant
+
+
+def test_group_orders_check_fails_on_an_odd_generator(planted_images):
     # a1' that bars only one of its two images is an odd signed permutation;
-    # with it the six generators reach all 2^6 * 6! signed permutations
-    from hyperweyl.coxeter import LLabel, act_l, d6_certificate
+    # with it the six generators reach all 2^6 * 6! signed permutations.
+    # a1' sends 1 to 2bar and 2 to 1bar; here 2 goes to 1 and 2bar to 1bar
+    from hyperweyl.coxeter import LLabel, d6_certificate
 
-    def one_sign(gen, label):
-        if gen == "a1'" and label.index in (1, 2):
-            return LLabel(3 - label.index, label.barred != (label.index == 1))
-        return act_l(gen, label)
-
-    l_action(one_sign)
+    planted_images("L", "a1'", {LLabel(2): LLabel(2, True), LLabel(2, True): LLabel(2)})
     cert = d6_certificate()
     assert cert["signed_permutations"]["a1'"] == ["2bar", "1", "3", "4", "5", "6"]
     assert not cert["even"]
@@ -85,16 +96,12 @@ def test_group_orders_check_fails_on_an_odd_generator(l_action):
     assert "no isomorphism Q -> W(D6) (generators not all even" in result.detail
 
 
-def test_group_orders_check_fails_on_a_generator_that_ignores_the_bar(l_action):
-    # swapping 1 with 2bar alone does not commute with the bar
-    from hyperweyl.coxeter import LLabel, act_l, d6_certificate
+def test_group_orders_check_fails_on_a_generator_that_ignores_the_bar(planted_images):
+    # swapping 1 with 2bar alone does not commute with the bar: here a1'
+    # keeps 2 and 1bar in place instead of swapping them too
+    from hyperweyl.coxeter import LLabel, d6_certificate
 
-    def half_swap(gen, label):
-        if gen == "a1'":
-            return {LLabel(1): LLabel(2, True), LLabel(2, True): LLabel(1)}.get(label, label)
-        return act_l(gen, label)
-
-    l_action(half_swap)
+    planted_images("L", "a1'", {LLabel(2): LLabel(1, True), LLabel(1, True): LLabel(2)})
     with pytest.raises(ValueError, match="a1' is not a signed permutation"):
         d6_certificate()
     result = run_check("02-group-orders")
@@ -242,20 +249,6 @@ def test_pipeline_check_fails_on_a_growth_without_its_linear_gamma_term(monkeypa
     assert all(rep["failed"] == ["expansion"] for rep in reports if rep["class"] in moving)
 
 
-@pytest.fixture
-def fresh_tables():
-    """Clear the cached label permutations and distance tables on both
-    sides of a test, so that a planted fault is read and does not leak."""
-    from hyperweyl import coxeter
-
-    caches = (coxeter._space, coxeter.distance_table)
-    for cached in caches:
-        cached.cache_clear()
-    yield
-    for cached in caches:
-        cached.cache_clear()
-
-
 def test_index_orbits_check_fails_on_a_mislabelled_color(monkeypatch, fresh_tables):
     # +v(0,2) is blue; called red, its orbit mixes two colors
     from hyperweyl import selftest
@@ -281,18 +274,6 @@ def test_equivariance_check_fails_on_a_wrong_partner(monkeypatch, fresh_tables):
     assert result.detail.startswith("label map does not intertwine s1 at ")
 
 
-def _swap_two_images(gen, a, b):
-    """act_m with gen's images of the labels a and b exchanged."""
-    from hyperweyl.coxeter import act_m
-
-    def act(g, label):
-        if g == gen and label in (a, b):
-            label = b if label == a else a
-        return act_m(g, label)
-
-    return act
-
-
 @pytest.mark.parametrize(
     "fault, detail",
     [
@@ -300,7 +281,7 @@ def _swap_two_images(gen, a, b):
         pytest.param("cases", "case table disagrees at (+v(2,5),-v(3,6))", id="case-table"),
     ],
 )
-def test_metric_suite_check_fails_on_a_planted_fault(monkeypatch, fresh_tables, fault, detail):
+def test_metric_suite_check_fails_on_a_planted_fault(monkeypatch, planted_images, fault, detail):
     # s1 fixes +v(0,1) and sends +v(0,6) to +v(0,7); with the two images
     # exchanged it is no isometry.  A case table wrong on one pair
     # disagrees with the distance matrix there
@@ -308,7 +289,8 @@ def test_metric_suite_check_fails_on_a_planted_fault(monkeypatch, fresh_tables, 
     from hyperweyl.coxeter import MLabel, dd_by_cases
 
     if fault == "swap":
-        monkeypatch.setattr(selftest, "act_m", _swap_two_images("s1", MLabel(1, 0, 1), MLabel(1, 0, 6)))
+        a, b = MLabel(1, 0, 1), MLabel(1, 0, 6)
+        planted_images("M", "s1", {a: b, b: a})
     else:
         bad = (MLabel(1, 2, 5), MLabel(-1, 3, 6))
         monkeypatch.setattr(selftest, "dd_by_cases", lambda u, v: 0 if (u, v) == bad else dd_by_cases(u, v))
@@ -354,12 +336,11 @@ def test_triple_census_check_fails_on_a_wrong_distance(monkeypatch, fresh_tables
 
 
 def test_coset_census_check_fails_without_s6(monkeypatch, fresh_tables):
-    # s6 is the one generator that leaves the index orbits; without it only
-    # the 12-label orbit of the base label +v(0,7) is reached
+    # s6 is the one generator that leaves the index orbits; without its
+    # permutation only the 12-label orbit of the base label +v(0,7) is reached
     from hyperweyl import coxeter
 
-    labels_fn, gens, act = coxeter._SPACES["M"]
-    monkeypatch.setitem(coxeter._SPACES, "M", (labels_fn, tuple(g for g in gens if g != "s6"), act))
+    monkeypatch.delitem(coxeter._space("M")[2], "s6")
     result = run_check("01-coset-census")
     assert not result.passed
     assert result.detail == "12 labels reached from the base label"

@@ -88,6 +88,29 @@ def test_table_census():
     assert colors.count("red") == 12
 
 
+def test_a_cold_table_walks_each_space_once(monkeypatch):
+    # 56 rows read representative words for their M label and 32 for their
+    # J target; the words of each space come from one orbit walk
+    from collections import Counter
+
+    from hyperweyl import coxeter
+
+    walk, walks = coxeter._orbit_words, Counter()
+
+    def counted(perms, start):
+        words = walk(perms, start)
+        walks[len(words)] += 1
+        return words
+
+    cached = (coxeter.representative_words, correspond.bfs_m_args, correspond.gamma2_target,
+              correspond.appendix_table, correspond._rows_by_label)
+    for f in cached:
+        f.cache_clear()
+    monkeypatch.setattr(coxeter, "_orbit_words", counted)
+    assert len(appendix_table()) == 56
+    assert walks == {56: 1, 32: 1}
+
+
 def test_row_structure():
     for row in appendix_table():
         bcoefs = [a.reduced().coefs[B] for a in row.m_args]

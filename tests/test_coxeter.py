@@ -11,10 +11,7 @@ from hyperweyl.coxeter import (
     LLabel,
     MLabel,
     M_BFS_GENERATOR_ORDER,
-    act_j,
-    act_l,
-    act_m,
-    act_t,
+    act,
     all_j_labels,
     all_l_labels,
     all_m_labels,
@@ -43,25 +40,27 @@ from hyperweyl.coxeter import (
 from hyperweyl.exactalg import (
     SUBGROUP_WORDS,
     coxeter_order,
-    generator,
     symbol_forms,
     word_to_matrix,
 )
 
 W_GENS = M_BFS_GENERATOR_ORDER
 V_GENS = J_BFS_GENERATOR_ORDER
+SPACE_LABELS = {"M": all_m_labels, "J": all_j_labels, "L": all_l_labels, "T": all_t_labels}
+
+
+def fold(space, word, start):
+    for g in word:
+        start = act(space, g, start)
+    return start
 
 
 def fold_m(word, start=MLabel(1, 0, 7)):
-    for g in word:
-        start = act_m(g, start)
-    return start
+    return fold("M", word, start)
 
 
 def fold_j(word, start=JLabel((1,) * 6)):
-    for g in word:
-        start = act_j(g, start)
-    return start
+    return fold("J", word, start)
 
 
 # ---------------------------------------------------------------------------
@@ -109,42 +108,76 @@ def test_j_label_rejects_odd_strings():
 # ---------------------------------------------------------------------------
 
 
+def documented_image(gen, lab):
+    """A generator's image of a label by the rules the action is known by.
+
+    s_m (1 <= m <= 6) transposes the index values 7-m and 8-m; s3' flips the
+    sign and complements a pair inside {0..3} or {4..7} and fixes the rest.
+    a_k swaps the positions (or L indices) k and k+1; a1' swaps the first
+    two and negates both (on L: toggles the bar).
+    """
+    if isinstance(lab, MLabel):
+        if gen == "s3'":
+            for block in ({0, 1, 2, 3}, {4, 5, 6, 7}):
+                if set(lab.pair) <= block:
+                    return MLabel(-lab.sign, *sorted(block - set(lab.pair)))
+            return lab
+        swap = {7 - int(gen[1]): 8 - int(gen[1]), 8 - int(gen[1]): 7 - int(gen[1])}
+        return MLabel(lab.sign, *sorted(swap.get(x, x) for x in lab.pair))
+    k, flip = (1, -1) if gen == "a1'" else (int(gen[1]), 1)
+    if isinstance(lab, JLabel):
+        s = list(lab.signs)
+        s[k - 1], s[k] = flip * s[k], flip * s[k - 1]
+        return JLabel(tuple(s))
+    swap = {k: k + 1, k + 1: k}
+    if lab.index not in swap:
+        return lab
+    return LLabel(swap[lab.index], lab.barred != (flip < 0))
+
+
+def test_derived_action_follows_the_documented_rules():
+    # every image read off the generator matrices, 56 x 7 and 44 x 6
+    pairs = [("M", g, lab) for g in W_GENS for lab in all_m_labels()]
+    pairs += [("T", g, lab) for g in V_GENS for lab in all_t_labels()]
+    assert len(pairs) == 56 * 7 + 44 * 6
+    for space, g, lab in pairs:
+        assert act(space, g, lab) == documented_image(g, lab), (g, lab)
+
+
+def test_a_generator_that_moves_the_hyperplane_is_refused(monkeypatch):
+    # s2 as the transposition of a and b takes b+...+h-3a-2 elsewhere
+    from hyperweyl import coxeter, exactalg
+
+    monkeypatch.setitem(exactalg.W_GENERATORS, "s2", exactalg.RatMatrix.permutation([(1, 2)], 8))
+    coxeter._space.cache_clear()
+    try:
+        with pytest.raises(ValueError, match="^s2 does not preserve the hyperplane$"):
+            coxeter._space("M")
+    finally:
+        coxeter._space.cache_clear()
+
+
 def test_actions_are_involutions():
-    for g in W_GENS:
-        for lab in all_m_labels():
-            assert act_m(g, act_m(g, lab)) == lab
-    for g in V_GENS:
-        for lab in all_j_labels():
-            assert act_j(g, act_j(g, lab)) == lab
-        for lab in all_l_labels():
-            assert act_l(g, act_l(g, lab)) == lab
+    for space, gens in (("M", W_GENS), ("J", V_GENS), ("L", V_GENS)):
+        for g in gens:
+            for lab in SPACE_LABELS[space]():
+                assert act(space, g, act(space, g, lab)) == lab
 
 
 def test_actions_satisfy_braid_relations():
     # (g1 g2)^m = 1 on labels, m from the diagram
-    for g1, g2 in itertools.combinations(W_GENS, 2):
-        m = coxeter_order("w", g1, g2)
-        for lab in all_m_labels():
-            cur = lab
-            for _ in range(m):
-                cur = act_m(g2, act_m(g1, cur))
-            assert cur == lab, (g1, g2, lab)
-    for g1, g2 in itertools.combinations(V_GENS, 2):
-        m = coxeter_order("v", g1, g2)
-        for lab in all_t_labels():
-            cur = lab
-            for _ in range(m):
-                cur = act_t(g2, act_t(g1, cur))
-            assert cur == lab, (g1, g2, lab)
+    for space, side, gens in (("M", "w", W_GENS), ("T", "v", V_GENS)):
+        for g1, g2 in itertools.combinations(gens, 2):
+            m = coxeter_order(side, g1, g2)
+            for lab in SPACE_LABELS[space]():
+                assert fold(space, (g1, g2) * m, lab) == lab, (g1, g2, lab)
 
 
 def test_central_involution_commutes_with_actions():
-    for g in W_GENS:
-        for lab in all_m_labels():
-            assert -act_m(g, lab) == act_m(g, -lab)
-    for g in V_GENS:
-        for lab in all_t_labels():
-            assert -act_t(g, lab) == act_t(g, -lab)
+    for space, gens in (("M", W_GENS), ("T", V_GENS)):
+        for g in gens:
+            for lab in SPACE_LABELS[space]():
+                assert -act(space, g, lab) == act(space, g, -lab)
 
 
 def test_transitivity_from_base_label():
@@ -163,6 +196,7 @@ def test_transitivity_from_base_label():
 def test_identity_labels():
     assert classify_m(symbol_forms("w")) == MLabel(1, 0, 7)
     assert classify_j(symbol_forms("v")) == j_label_from_name("p0")
+    assert classify_l(symbol_forms("v")) == LLabel(4)
 
 
 def test_classify_matches_action_short_words():
@@ -197,29 +231,6 @@ def test_representative_words_reach_their_labels():
         assert fold_m(word) == lab
     for lab, word in representative_words("J").items():
         assert fold_j(word) == lab
-
-
-TIES = {
-    "M": ("w", W_GENS, act_m, classify_m),
-    "J": ("v", V_GENS, act_j, classify_j),
-    "L": ("v", V_GENS, act_l, classify_l),
-}
-
-
-@pytest.mark.parametrize("space", sorted(TIES))
-def test_generator_matrices_induce_the_label_permutations(space):
-    # the coset reached by a representative word and then one generator
-    # matrix is the one the generator's label permutation gives
-    side, gens, act, classify = TIES[space]
-    ident = symbol_forms(side)
-    words = representative_words(space)
-    assert len(words) == {"M": 56, "J": 32, "L": 12}[space]
-    for lab, word in words.items():
-        rep = word_to_matrix(word, side)
-        assert classify(rep.apply(ident)) == lab
-        for g in gens:
-            moved = (rep @ generator(side, g)).apply(ident)
-            assert classify(moved) == act(g, lab), (lab, g)
 
 
 # ---------------------------------------------------------------------------
@@ -272,9 +283,9 @@ def test_jl_equivariance():
     for lab in all_m_labels():
         c0, t0 = jl_label(lab)
         for g in ("s1", "s2", "s3", "s4", "s5", "s3'"):
-            c1, t1 = jl_label(act_m(g, lab))
+            c1, t1 = jl_label(act("M", g, lab))
             assert c1 == c0
-            assert t1 == act_t(matching_generator(g), t0)
+            assert t1 == act("T", matching_generator(g), t0)
 
 
 def test_matching_generator_rejects_last_reflection():
@@ -372,9 +383,6 @@ def test_t_triples():
     assert comp == {"JJJ": 5, "JJL": 7, "JLL": 4, "LLL": 2}
 
 
-SPACE_LABELS = {"M": all_m_labels, "J": all_j_labels, "L": all_l_labels, "T": all_t_labels}
-
-
 def reference_type(space, triple):
     # the type tag read directly off the case table and the sign strings
     a, b, c = triple
@@ -389,8 +397,8 @@ def reference_type(space, triple):
 
 @pytest.mark.parametrize("space", sorted(SPACE_LABELS))
 def test_triple_orbits_match_a_walk_over_label_triples(space):
-    # reference: walk each orbit of sorted label triples with the act_* maps
-    gens, act = (W_GENS, act_m) if space == "M" else (V_GENS, act_t)
+    # reference: walk each orbit of sorted label triples, label by label
+    gens, acting = (W_GENS, "M") if space == "M" else (V_GENS, "T")
     key = lambda lab: (isinstance(lab, JLabel), lab.sort_key())
     canon = lambda tri: tuple(sorted(tri, key=key))
     seen, want = set(), []
@@ -402,7 +410,7 @@ def test_triple_orbits_match_a_walk_over_label_triples(space):
             nxt = []
             for tri in frontier:
                 for g in gens:
-                    out = canon(act(g, x) for x in tri)
+                    out = canon(act(acting, g, x) for x in tri)
                     if out not in members:
                         members.add(out)
                         nxt.append(out)
@@ -448,12 +456,7 @@ def test_d6_certificate():
 def _l_perm(word):
     """Permutation of the indices of all_l_labels() that a word induces."""
     labels = all_l_labels()
-    images = []
-    for lab in labels:
-        for g in word:
-            lab = act_l(g, lab)
-        images.append(labels.index(lab))
-    return tuple(images)
+    return tuple(labels.index(fold("L", word, lab)) for lab in labels)
 
 
 def test_subgroup_images_on_the_l_labels():

@@ -10,6 +10,7 @@ a 50-digit re-run) and pasted here as literals.
 import cmath
 import math
 import random
+import tracemalloc
 import warnings
 from fractions import Fraction
 
@@ -394,6 +395,39 @@ def test_sum_pfq_refuses_parameters_past_n_max(monkeypatch):
     assert sum_pfq((-1023, 1), (1,)).terms_used == 1024
     with pytest.raises(EvaluationDomainError, match="too long to sum"):
         sum_pfq((-1024, 1), (1,))
+
+
+def test_sum_pfq_refuses_terms_that_overflow():
+    # 70,001 terms of a terminating series pass the largest float; the sum
+    # is refused, not returned as a converged NaN, and before numpy warns
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(EvaluationDomainError, match="70001-term series overflow"):
+            sum_pfq((-70000, 0.25, 0.5), (0.5 + 0.5j, 0.75))
+
+
+def test_a_long_direct_sum_is_held_in_blocks():
+    # 2^20 terms held at once peak at 75.5 MB; in blocks, under 10 MB, and
+    # t_N is the same sequential product as in one pass
+    nums, dens = (0.5, 0.25, -2.6e5j), (0.5 + 0.5j, 0.75 - 2.6e5j)
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    base = tracemalloc.get_traced_memory()[0]
+    tracemalloc.reset_peak()
+    try:
+        r = sum_pfq(nums, dens)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert r.terms_used == 1 << 20
+    assert peak < 10e6
+    n = 3 << 16
+    ks = np.arange(n, dtype=complex)
+    ratios = np.prod([ks + a for a in nums], axis=0) / np.prod([ks + b for b in (*dens, 1)], axis=0)
+    all_dens = [complex(b) for b in dens] + [1.0 + 0j]
+    assert hypnum._direct_sum([complex(a) for a in nums], all_dens, n)[2] == np.cumprod(ratios)[-1]
 
 
 def test_sum_pfq_tolerance_consistency(monkeypatch):
