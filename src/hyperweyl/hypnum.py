@@ -8,20 +8,19 @@ exponentiation happens at the end.  Log-gamma recurses upward only to
 |z| > 10, where twelve Stirling terms already reach double precision.
 
 On top of that sits the summation engine for one-more-numerator
-hypergeometric series at unit argument.  It sums the first N terms
-directly, from their ratios with one complex division per term, and adds
-the tail beyond them from its asymptotic expansion in 1/N, whose
-coefficients follow exactly from the parameters; N is a few times the
-largest parameter modulus, so a sum takes 32 to a few hundred terms.  The
-evaluators for the three special functions of interest sit on the engine:
-the 44-label pair (a sum and a difference of two Saalschutzian 4F3(1)
-series, with a very-well-poised 7F6(1) as a second route to the
-difference) and the eight-parameter function built from two
-very-well-poised 9F8(1) series.  Gamma factors that a series' prefactor
-shares with the function's denominator are cancelled before any is
-computed.  Each evaluator issues a PrecisionWarning when one of its series
-misses its tolerance, or when its two halves cancel to fewer than
-nine digits.
+hypergeometric series at unit argument.  It sums the first N terms directly,
+from their ratios with one complex division per term, and adds the tail
+beyond them from its asymptotic expansion in 1/N, whose coefficients follow
+exactly from the parameters, until its terms fall below the direct sum's
+rounding; N is a few times the largest parameter modulus, so a sum takes 32
+to a few hundred terms.  The evaluators for the three special functions of
+interest sit on the engine: the 44-label pair (a sum and a difference of two
+Saalschutzian 4F3(1) series, with a very-well-poised 7F6(1) as a second route
+to the difference) and the eight-parameter function built from two
+very-well-poised 9F8(1) series.  Gamma factors that a series' prefactor shares
+with the function's denominator are cancelled before any is computed.  Each
+evaluator issues a PrecisionWarning when one of its series misses its
+tolerance, or when its two halves cancel to fewer than nine digits.
 """
 
 from __future__ import annotations
@@ -305,15 +304,15 @@ def series_sigma(nums: Sequence[complex], dens: Sequence[complex]) -> complex:
 # may take; sum_pfq reads both when it is called
 REL_TOL = 1e-12
 N_MAX = 1 << 20
-# terms kept of the tail's asymptotic expansion in 1/N
+# the most terms of the tail's asymptotic expansion in 1/N one sum may take
 _TAIL_TERMS = 20
 
 
-# column k of the composition S(x) -> S(x / (1 + x)), k = 1 .. K-1: the
-# coefficients (-1)^j C(k - 1 + j, j) of x^(k+j) in (x / (1 + x))^k, to x^K
-_COMPOSE = [
-    [(-1) ** j * math.comb(k - 1 + j, j) for j in range(_TAIL_TERMS + 1 - k)]
-    for k in range(1, _TAIL_TERMS)
+# row m of the composition S(x) -> S(x / (1 + x)), m = 0 .. K: the
+# coefficients (-1)^(m-l) C(m - 1, m - l) of c_l, l = 1 .. m, in that of x^m
+_COMPOSE_ROWS = [
+    [(-1) ** (m - l) * math.comb(m - 1, m - l) for l in range(1, m + 1)]
+    for m in range(_TAIL_TERMS + 1)
 ]
 
 
@@ -358,14 +357,14 @@ def _direct_sum(nums, all_dens, n: int):
     return head, abs_head, t_n
 
 
-def _tail(nums, dens, sigma: complex, n: int, t_n: complex):
+def _tail(nums, dens, sigma: complex, n: int, t_n: complex, floor: float):
     """(R_n, size of its last two expansion terms) for R_n = sum of t_k, k >= n.
 
     R_n = t_n n S(x) with S(x) = c_0 + c_1 x + c_2 x^2 + ... and x = 1/n.
     Put into R_n - R_(n+1) = t_n, this reads S(x) - u(x) S(x / (1 + x)) = x
-    with u(x) = prod(1 + a x) / prod(1 + b x) over the numerators and the
-    denominators.  As u = 1 - sigma x + ..., order m of that identity fixes
-    c_(m-1) through the factor sigma + m - 1.
+    with u(x) = prod(1 + a x) / prod(1 + b x) over nums and dens.  As
+    u = 1 - sigma x + ..., order m fixes c_(m-1) through sigma + m - 1.
+    The terms stop after two in a row below `floor`, or at _TAIL_TERMS.
     """
     u = [1.0 + 0j] + [0j] * _TAIL_TERMS
     for j, a in enumerate(nums, start=1):
@@ -374,18 +373,19 @@ def _tail(nums, dens, sigma: complex, n: int, t_n: complex):
     for b in dens:
         for i in range(1, _TAIL_TERMS + 1):
             u[i] -= b * u[i - 1]
-    # v: the coefficients of S(x / (1 + x)) from the c_k found so far
-    c = 1 / sigma
-    cs = [c]
-    v = [c] + [0j] * _TAIL_TERMS
-    for k, column in enumerate(_COMPOSE, start=1):
-        # order k + 1 of the identity, with c_k still out of v
-        c = sum(map(operator.mul, u[: k + 2], reversed(v[: k + 2]))) / (sigma + k)
-        cs.append(c)
-        for i, w in enumerate(column, start=k):
-            v[i] += w * c
     x = 1.0 / n
-    terms = [t_n * n * c * x**k for k, c in enumerate(cs)]
+    # cs: the c_l found so far; v: the coefficients of S(x / (1 + x)) they fix
+    cs, v, terms = [], [], []
+    for k in range(_TAIL_TERMS):
+        # order k + 1 of the identity, whose right side x counts at k = 0
+        # only; rows k and k + 1 are read without c_k and c_(k+1)
+        rows = [sum(map(operator.mul, _COMPOSE_ROWS[m], cs[1:])) for m in (k, k + 1)]
+        c = (sum(map(operator.mul, u[: k + 2], reversed(v + rows))) + (k == 0)) / (sigma + k)
+        cs.append(c)
+        v.append(rows[0] + c)
+        terms.append(t_n * n * c * x**k)
+        if k > 0 and max(map(abs, terms[-2:])) < floor:
+            break
     return sum(terms), abs(terms[-2]) + abs(terms[-1])
 
 
@@ -393,7 +393,7 @@ def sum_pfq(nums: Sequence[complex], dens: Sequence[complex]) -> SeriesResult:
     """Unit-argument series with one more numerator than denominator parameter.
 
     Sums the first N terms t_0 = 1, t_1, ... directly and adds the tail's
-    asymptotic expansion R_N = t_N N sum_(k<K) c_k N^-k with K = 20 (J.
+    asymptotic expansion R_N = t_N N sum_(k<K) c_k N^-k with K <= 20 (J.
     Willis, Numer. Algorithms 59 (2012), arXiv:1102.3003); c_0 = 1/sigma,
     with sigma = sum(dens) - sum(nums).  N is the least power of two at or
     past 32 and four times the largest parameter modulus, where the
@@ -405,11 +405,12 @@ def sum_pfq(nums: Sequence[complex], dens: Sequence[complex]) -> SeriesResult:
     err_estimate is the size of the expansion's last two terms (a
     very-well-poised tail alternates in size, so the last alone can
     undershoot) plus a rounding floor sqrt(N) eps (sum_(n<N) |t_n| + |R_N|);
-    converged means err_estimate <= REL_TOL * |value|.
+    K is where two successive terms first fall below the floor's first
+    part.  converged means err_estimate <= REL_TOL * |value|.
 
     A numerator at a non-positive integer ends the series, whose at most
-    N_MAX terms are summed directly.  Terms or a sum that overflow raise
-    EvaluationDomainError.
+    N_MAX terms are summed directly, with that floor as err_estimate.
+    Terms or a sum that overflow raise EvaluationDomainError.
     """
     nums = [complex(a) for a in nums]
     dens = [complex(b) for b in dens]
@@ -419,28 +420,26 @@ def sum_pfq(nums: Sequence[complex], dens: Sequence[complex]) -> SeriesResult:
         if _near_nonpos_int(b, _POLE_MARGIN):
             raise DegeneratePointError(f"denominator parameter {b} at a pole")
 
-    all_dens = dens + [1.0 + 0j]
     ends = [1 - round(a.real) for a in nums if _near_nonpos_int(a, _POLE_MARGIN)]
     if ends:
         n = min(ends)
         if n > N_MAX:
             raise EvaluationDomainError(f"a series of {n} terms is too long to sum")
-        return SeriesResult(_direct_sum(nums, all_dens, n)[0], n, 0.0, True)
-
-    sigma = series_sigma(nums, dens)
-    if sigma.real <= 0:
-        raise DivergentSeriesError(
-            f"parameter sums give convergence exponent {sigma}; series diverges"
-        )
-
-    want = max(32, 4 * max(abs(p) for p in nums + dens))
-    if want > N_MAX:
-        raise EvaluationDomainError(f"a parameter is too large to sum within {N_MAX} terms")
-    n = 1 << math.ceil(math.log2(want))
-    head, abs_head, t_n = _direct_sum(nums, all_dens, n)
-    tail, truncation = _tail(nums, dens, sigma, n, t_n)
+    else:
+        sigma = series_sigma(nums, dens)
+        if sigma.real <= 0:
+            raise DivergentSeriesError(
+                f"parameter sums give convergence exponent {sigma}; series diverges"
+            )
+        want = max(32, 4 * max(abs(p) for p in nums + dens))
+        if want > N_MAX:
+            raise EvaluationDomainError(f"a parameter is too large to sum within {N_MAX} terms")
+        n = 1 << math.ceil(math.log2(want))
+    head, abs_head, t_n = _direct_sum(nums, dens + [1.0 + 0j], n)
+    rounding = math.sqrt(n) * math.ulp(1.0)
+    tail, truncation = (0.0, 0.0) if ends else _tail(nums, dens, sigma, n, t_n, rounding * abs_head)
     value = head + tail
-    err = truncation + math.sqrt(n) * math.ulp(1.0) * (abs_head + abs(tail))
+    err = truncation + rounding * (abs_head + abs(tail))
     return SeriesResult(value, n, err, err <= REL_TOL * abs(value))
 
 

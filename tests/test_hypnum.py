@@ -337,12 +337,27 @@ def test_sigma_symbolic_on_hyperplanes():
 
 
 def test_sum_pfq_terminating():
+    # 1 - 2 + 1 is an exact 0, which has no relative accuracy to claim
     r = sum_pfq((-2, 1), (1,))
-    assert r.value == 0 and r.converged and r.terms_used == 3
+    assert r.value == 0 and r.err_estimate <= 1e-14 and r.terms_used == 3
     r = sum_pfq((-1, 1, 1, 1), (2, 2, 2))
     assert abs(r.value - 0.875) < 1e-15
     r = sum_pfq((-3, 0.4 + 0.2j, 0.6, 0.9), (1.2, 0.8, 1.1))
     assert r.terms_used == 4 and r.converged
+
+
+@pytest.mark.parametrize("nums, dens, ref", [
+    # mpmath.hyper at 60 digits
+    ((-40, 0.5 + 0.3j, 0.7), (1.1 - 0.2j, 0.3), complex(-0.227252426943001, 0.0064971667591831985)),
+    ((-60, 2.5, 3.5), (0.5, 0.25 + 0.1j), complex(3.15157007304643e-05, -3.5359407753927694e-05)),
+    ((-80, 4.25, 5.5), (0.5, 0.5 + 0.3j), complex(-1.1535798236910856e-07, 5.729248884136778e-08)),
+])
+def test_terminating_sums_state_their_rounding(nums, dens, ref):
+    # terms far larger than their sum cancel in double precision; the
+    # rounding floor covers the loss and flags the sum
+    r = sum_pfq(nums, dens)
+    assert r.err_estimate >= abs(r.value - ref)
+    assert not r.converged
 
 
 def test_sum_pfq_pinned_saalschutzian():
@@ -591,20 +606,82 @@ def test_partial_sums_match_per_factor_ratios(shape):
     assert checked >= 3
 
 
+def _tail_inputs(shape, n=None):
+    # the arguments sum_pfq gives _tail for a shape, with the rounding floor
+    # of its direct sum; n defaults to the sum's own length
+    nums, dens = _series_shapes()[shape]
+    nums = [complex(z) for z in nums]
+    dens = [complex(z) for z in dens]
+    n = n or sum_pfq(nums, dens).terms_used
+    head, abs_head, t_n = hypnum._direct_sum(nums, dens + [1.0 + 0j], n)
+    floor = math.sqrt(n) * math.ulp(1.0) * abs_head
+    return (nums, dens, series_sigma(nums, dens), n, t_n), head, floor
+
+
+def _tail_terms_reference(nums, dens, sigma, n, t_n):
+    # all _TAIL_TERMS terms t_n n c_k n^-k of the tail's expansion, with
+    # S(x) - u(x) S(x / (1 + x)) = x solved order by order at 50 digits:
+    # order m is linear in c_(m-1), the one coefficient it leaves open
+    mp = pytest.importorskip("mpmath")
+    K = hypnum._TAIL_TERMS
+
+    def times(p, q):
+        return [sum(p[i] * q[j - i] for i in range(j + 1)) for j in range(K + 1)]
+
+    with mp.workdps(50):
+        u = [1] + [0] * K
+        for a in nums:
+            u = times(u, [1, mp.mpc(a)] + [0] * (K - 1))
+        for b in dens:
+            u = times(u, [(-mp.mpc(b)) ** j for j in range(K + 1)])
+        # the powers of x / (1 + x) = x - x^2 + x^3 - ...
+        y = [0] + [(-1) ** (j - 1) for j in range(1, K + 1)]
+        ys = [[1] + [0] * K]
+        for _ in range(K):
+            ys.append(times(ys[-1], y))
+        c = [mp.mpc(0)] * K
+
+        def order(m):
+            sy = [sum(cl * yl[j] for cl, yl in zip(c, ys)) for j in range(m + 1)]
+            return (c[m] if m < K else 0) - sum(u[i] * sy[m - i] for i in range(m + 1)) - (m == 1)
+
+        for m in range(1, K + 1):
+            c[m - 1] = 0
+            r0 = order(m)
+            c[m - 1] = 1
+            c[m - 1] = -r0 / (order(m) - r0)
+        return [complex(t_n * n * ck / mp.mpf(n) ** k) for k, ck in enumerate(c)]
+
+
+@pytest.mark.parametrize("shape", ["4F3", "7F6", "9F8", "shifted 9F8"])
+def test_tail_without_a_floor_runs_every_term(shape):
+    args, _, _ = _tail_inputs(shape)
+    terms = _tail_terms_reference(*args)
+    tail, truncation = hypnum._tail(*args, 0.0)
+    assert abs(tail - sum(terms)) <= 1e-14 * abs(tail)
+    assert truncation == pytest.approx(abs(terms[-2]) + abs(terms[-1]), rel=1e-9)
+
+
+@pytest.mark.parametrize("shape", ["4F3", "7F6", "9F8", "shifted 9F8"])
+def test_tail_stops_within_its_floor(shape):
+    # the expansion stopped at the direct sum's rounding floor agrees with
+    # the full one within that floor, and stopped there, before the cap
+    args, _, floor = _tail_inputs(shape)
+    full, full_truncation = hypnum._tail(*args, 0.0)
+    tail, truncation = hypnum._tail(*args, floor)
+    assert abs(tail - full) <= floor
+    assert full_truncation < truncation < 2 * floor
+
+
 @pytest.mark.parametrize("shape", ["4F3", "7F6", "shifted 9F8"])
 def test_tail_expansion_matches_the_direct_sum(shape):
     # independent of mpmath: the expansion of the tail at N equals the
     # terms from N to 2N - 1 summed directly plus the expansion at 2N
-    nums, dens = _series_shapes()[shape]
-    nums = [complex(z) for z in nums]
-    dens = [complex(z) for z in dens]
-    all_dens = dens + [1.0 + 0j]
-    sigma = series_sigma(nums, dens)
-    n = sum_pfq(nums, dens).terms_used
-    head, _, t_n = hypnum._direct_sum(nums, all_dens, n)
-    head2, _, t_2n = hypnum._direct_sum(nums, all_dens, 2 * n)
-    tail, _ = hypnum._tail(nums, dens, sigma, n, t_n)
-    tail2, _ = hypnum._tail(nums, dens, sigma, 2 * n, t_2n)
+    args, head, floor = _tail_inputs(shape)
+    n = args[3]
+    args2, head2, floor2 = _tail_inputs(shape, 2 * n)
+    tail, _ = hypnum._tail(*args, floor)
+    tail2, _ = hypnum._tail(*args2, floor2)
     value = head2 + tail2
     assert abs(tail - (head2 - head + tail2)) <= 1e-14 * abs(value)
 
@@ -714,39 +791,21 @@ def test_evaluators_warn_on_unconverged_series(monkeypatch):
             fn(x)
 
 
+# J and L at the pinned point and M with b shifted by 32i, each written
+# from its defining formula (gamma prefactors, sine/gamma denominator,
+# mpmath.hyper for the series) and computed once at 20 digits; 25 digits
+# give the same values
+FORMULA_J = complex(0.3823983256708842465, 0.065238519690118891842)
+FORMULA_L = complex(0.20340401175767403476, 0.28248904849360752328)
+FORMULA_M_SHIFTED = complex(-5.0405932892894458051e104, -1.2709521683922365113e105)
+
+
 def test_evaluators_match_mpmath_formulas():
-    # J and L at the pinned point and M with b shifted by 32i, each written
-    # from its defining formula (gamma prefactors, sine/gamma denominator,
-    # mpmath.hyper for the series) at 20 digits
-    mp = pytest.importorskip("mpmath")
-
-    def gammas(zs):
-        return mp.fprod(mp.gamma(z) for z in zs)
-
-    def star(nums, dens):
-        return gammas(nums) / gammas(dens) * mp.hyper(nums, dens, 1)
-
-    def vwp_half(head, params):
-        dens = [1 + head - t for t in params]
-        series = mp.hyper([head, 1 + head / 2] + params, [head / 2] + dens, 1)
-        return mp.pi / 2 * mp.gamma(1 + head) * gammas(params) / gammas(dens) * series
-
     p = W_POINT
     shifted = PointW(p.a, p.b + 32j, p.c, p.d, p.e, p.f, p.g)
-    with mp.workdps(20):
-        A, B, C, D, E, F, G = (mp.mpc(z) for z in V_POINT.args())
-        first = star([A, B, C, D], [E, F, G])
-        j_ref = (first + star([A, 1 + A - E, 1 + A - F, 1 + A - G], [1 + A - B, 1 + A - C, 1 + A - D])) / (
-            mp.sinpi(A) * gammas([A, B, C, D, A, 1 + A - E, 1 + A - F, 1 + A - G]))
-        l_ref = (first - star([1 + A - E, 1 + B - E, 1 + C - E, 1 + D - E], [2 - E, 1 + F - E, 1 + G - E])) / (
-            mp.sinpi(E) * gammas([A, B, C, D, 1 - E + A, 1 - E + B, 1 - E + C, 1 - E + D]))
-        a, b, *rest = (mp.mpc(z) for z in shifted.args())
-        moved = [b - a + t for t in rest]
-        m_ref = (vwp_half(a, [b] + rest) - vwp_half(2 * b - a, [b] + moved)) / (
-            mp.sinpi(b - a) * gammas([b] + rest + moved))
-    assert rel(eval_J_log(V_POINT).to_complex(), complex(j_ref)) <= 1e-12
-    assert rel(eval_L_log(V_POINT).to_complex(), complex(l_ref)) <= 1e-12
-    assert rel(eval_M_log(shifted).to_complex(), complex(m_ref)) <= 1e-12
+    assert rel(eval_J_log(V_POINT).to_complex(), FORMULA_J) <= 1e-12
+    assert rel(eval_L_log(V_POINT).to_complex(), FORMULA_L) <= 1e-12
+    assert rel(eval_M_log(shifted).to_complex(), FORMULA_M_SHIFTED) <= 1e-12
 
 
 def test_eval_rejects_degenerate_point():
