@@ -57,12 +57,11 @@ from .hypnum import (
     eval_J_log,
     eval_L_log,
     eval_M_log,
-    j_probe_args,
-    l_probe_args,
     lgamma,
     log_sin_pi,
     m_probe_args,
     margins_ok,
+    _families,
     _near_nonpos_int,
 )
 
@@ -246,9 +245,6 @@ class GammaSinExpr:
 # function terms and relations
 # ---------------------------------------------------------------------------
 
-_ARITY = {"M": 8, "J": 7, "L": 7}
-
-
 @dataclass(frozen=True)
 class FunTerm:
     """One of the three functions with symbolic argument slots.
@@ -261,16 +257,12 @@ class FunTerm:
     args: tuple
 
     def __post_init__(self):
-        if self.kind not in _ARITY:
+        if self.kind not in ("M", "J", "L"):
             raise ValueError(f"unknown function kind {self.kind!r}")
-        if len(self.args) != _ARITY[self.kind]:
-            raise ValueError(f"{self.kind} takes {_ARITY[self.kind]} arguments")
-        if self.kind == "M":
-            combo = sum(self.args[1:], -self.args[0] * 3) - 2
-        else:
-            combo = sum(self.args[4:7], LinForm.const_form(self.args[0].alphabet, -1))
-            combo = combo - sum(self.args[0:4], LinForm.const_form(self.args[0].alphabet, 0))
-        if not combo.reduced().is_zero():
+        family = _families()[self.kind]
+        if len(self.args) != family.arity:
+            raise ValueError(f"{self.kind} takes {family.arity} arguments")
+        if not family.desc.plane.substitute(self.args).reduced().is_zero():
             raise ValueError(f"{self.kind} arguments leave the defining hyperplane")
 
     @property
@@ -293,12 +285,7 @@ class FunTerm:
 
     def probe_args(self, values):
         """The evaluator's (gamma, sine) arguments; only bench/ calls it."""
-        nums = self.numeric_args(values)
-        if self.kind == "M":
-            return m_probe_args(nums)
-        if self.kind == "J":
-            return j_probe_args(nums)
-        return l_probe_args(nums)
+        return _families()[self.kind].probe_args(self.numeric_args(values))
 
     def classify(self):
         """Coset label of the argument arrangement (group images only)."""

@@ -17,10 +17,12 @@ to a few hundred terms.  The evaluators for the three special functions of
 interest sit on the engine: the 44-label pair (a sum and a difference of two
 Saalschutzian 4F3(1) series, with a very-well-poised 7F6(1) as a second route
 to the difference) and the eight-parameter function built from two
-very-well-poised 9F8(1) series.  Gamma factors that a series' prefactor shares
-with the function's denominator are cancelled before any is computed.  Each
-evaluator issues a PrecisionWarning when one of its series misses its
-tolerance, or when its two halves cancel to fewer than nine digits.
+very-well-poised 9F8(1) series.  Each family is written once, as its
+formula over linear forms (_descriptions), and one generic evaluator reads
+it: the margin lists, the cancelled gamma quotients and the series all come
+from that one description.  Each evaluation issues a PrecisionWarning when
+one of its series misses its tolerance, or when its two halves cancel to
+fewer than nine digits.
 """
 
 from __future__ import annotations
@@ -29,10 +31,15 @@ import cmath
 import math
 import operator
 import warnings
+from collections import Counter, namedtuple
 from dataclasses import dataclass
+from fractions import Fraction
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
+
+from .exactalg import HYPERPLANES, V_SYMBOLS, W_SYMBOLS, symbol_forms
 
 __all__ = [
     "GAMMA_MARGIN",
@@ -278,13 +285,6 @@ def lgamma(z: complex) -> LogC:
     return _logc_from_log(_lgamma_c(complex(z)))
 
 
-def _lgamma_sum(args) -> LogC:
-    total = 0j
-    for z in args:
-        total += _lgamma_c(complex(z))
-    return _logc_from_log(total)
-
-
 # ---------------------------------------------------------------------------
 # the convergence exponent
 # ---------------------------------------------------------------------------
@@ -366,17 +366,21 @@ def _tail(nums, dens, sigma: complex, n: int, t_n: complex, floor: float):
     u = 1 - sigma x + ..., order m fixes c_(m-1) through sigma + m - 1.
     The terms stop after two in a row below `floor`, or at _TAIL_TERMS.
     """
-    u = [1.0 + 0j] + [0j] * _TAIL_TERMS
-    for j, a in enumerate(nums, start=1):
-        for i in range(min(j, _TAIL_TERMS), 0, -1):
-            u[i] += a * u[i - 1]
-    for b in dens:
-        for i in range(1, _TAIL_TERMS + 1):
-            u[i] -= b * u[i - 1]
+    # p, q: the coefficients of the two products; u's orders follow from
+    # them as the expansion reaches each, u_i = p_i - sum_(j>=1) q_j u_(i-j)
+    p, q = [1.0 + 0j], [1.0 + 0j]
+    for poly, params in ((p, nums), (q, dens)):
+        for a in params:
+            poly.append(0j)
+            for i in range(len(poly) - 1, 0, -1):
+                poly[i] += a * poly[i - 1]
+    p += [0j] * (_TAIL_TERMS + 1 - len(p))
+    u, q = [p[0]], q[1:]
     x = 1.0 / n
     # cs: the c_l found so far; v: the coefficients of S(x / (1 + x)) they fix
     cs, v, terms = [], [], []
     for k in range(_TAIL_TERMS):
+        u.append(p[k + 1] - sum(map(operator.mul, q, reversed(u))))
         # order k + 1 of the identity, whose right side x counts at k = 0
         # only; rows k and k + 1 are read without c_k and c_(k+1)
         rows = [sum(map(operator.mul, _COMPOSE_ROWS[m], cs[1:])) for m in (k, k + 1)]
@@ -444,14 +448,8 @@ def sum_pfq(nums: Sequence[complex], dens: Sequence[complex]) -> SeriesResult:
 
 
 # ---------------------------------------------------------------------------
-# the unit-shift hyperplane and the point types
+# the point types
 # ---------------------------------------------------------------------------
-
-
-def _check_saalschutz_args(args7):
-    A, B, C, D, E, F, G = args7
-    if abs((E + F + G) - (A + B + C + D) - 1.0) > 1e-9:
-        raise EvaluationDomainError("parameters leave the unit-shift hyperplane")
 
 
 def _coords_from_mapping(data, keys, derived):
@@ -515,73 +513,9 @@ class PointV:
         return cls(**_coords_from_mapping(data, "ABCDEF", "G"))
 
 
-def _seven(x):
-    if isinstance(x, PointV):
-        return x.args()
-    args = tuple(complex(z) for z in x)
-    if len(args) != 7:
-        raise ValueError("need seven parameter values")
-    return args
-
-
-def _eight(w):
-    if isinstance(w, PointW):
-        return w.args()
-    args = tuple(complex(z) for z in w)
-    if len(args) != 8:
-        raise ValueError("need eight parameter values")
-    return args
-
-
 # ---------------------------------------------------------------------------
 # the arguments each evaluation holds to its margins
 # ---------------------------------------------------------------------------
-
-
-def j_probe_args(args7):
-    """(gamma arguments, sine arguments) whose margins the J evaluation needs."""
-    A, B, C, D, E, F, G = args7
-    gammas = (
-        A, B, C, D, E, F, G,
-        1 + A - E, 1 + A - F, 1 + A - G,
-        1 + A - B, 1 + A - C, 1 + A - D,
-    )
-    return gammas, (A,)
-
-
-def l_probe_args(args7):
-    A, B, C, D, E, F, G = args7
-    gammas = (
-        A, B, C, D, E, F, G,
-        1 - E + A, 1 - E + B, 1 - E + C, 1 - E + D,
-        2 - E, 1 + F - E, 1 + G - E,
-    )
-    return gammas, (E,)
-
-
-def l7f6_probe_args(args7):
-    A, B, C, D, E, F, G = args7
-    a = D + G - E
-    b, c, d, e, f = G - A, G - B, G - C, D, 1 + D - E
-    gammas = (
-        1 + a, 0.5 * a,
-        1 + a - b, 1 + a - c, 1 + a - d, 1 + a - e, 1 + a - f,
-        2 + 2 * a - b - c - d - e - f,
-    )
-    return gammas, ()
-
-
-def m_probe_args(args8):
-    a, b, c, d, e, f, g, h = args8
-    rest = (c, d, e, f, g, h)
-    gammas = [b, *rest]
-    gammas += [b - a + t for t in rest]
-    gammas += [1 + a, 0.5 * a]
-    gammas += [1 + a - t for t in (b, *rest)]
-    ap = 2 * b - a
-    gammas += [1 + ap, 0.5 * ap, 1 + b - a]
-    gammas += [1 + b - t for t in rest]
-    return tuple(gammas), (b - a,)
 
 
 def require_margins(gammas, sins):
@@ -614,141 +548,200 @@ def margins_ok(gammas, sins) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# the three function families
+# the three function families, each written once as its formula
 # ---------------------------------------------------------------------------
 
 
-def _warn_if_unconverged(res: SeriesResult, what: str, stacklevel: int):
-    if not res.converged:
-        warnings.warn(
-            f"{what}: series summed {res.terms_used} terms and its tail with "
-            f"error estimate {res.err_estimate:.1e}, short of its tolerance",
-            PrecisionWarning,
-            stacklevel=stacklevel,
-        )
+# coef (+-1) * const * Gamma[gamma_num / gamma_den] * pFq(nums; dens) at unit
+# argument, every argument a LinForm over the family's letters
+_Half = namedtuple("_Half", "coef const gamma_num gamma_den nums dens")
+# a family as the paper writes it: the sum of its halves over sin(pi sine)
+# (1 where sine is None) and the product of Gamma at denominator, on the
+# hyperplane plane = 0
+_Description = namedtuple("_Description", "name plane sine denominator halves")
 
 
-# the prefactor of a half that has none
-_NO_PREFACTOR = LogC(0.0, 0.0)
+def _very_well_poised(head, params):
+    """(numerators, denominators) of the very-well-poised series
+    (head, 1 + head/2, params; head/2, 1 + head - params)."""
+    half = head * Fraction(1, 2)
+    return (head, 1 + half, *params), (half, *(1 + head - t for t in params))
 
 
-def _two_series_log(what: str, sine_arg: complex, halves, coefs) -> LogC:
-    """Log of (coefs[0] half0 + coefs[1] half1) / sin(pi sine_arg).
+def _descriptions() -> dict:
+    A, B, C, D, E, F, G = symbol_forms("v")
+    v_plane = HYPERPLANES[V_SYMBOLS]
+    shifted = tuple(1 + A - t for t in (E, F, G))
+    poised = tuple(1 + A - t for t in (B, C, D))
+    moved = tuple(1 + t - E for t in (A, B, C, D))
+    tops = (2 - E, 1 + F - E, 1 + G - E)
+    first = _Half(1, 1.0, (A, B, C, D), (E, F, G), (A, B, C, D), (E, F, G))
+    # the 7F6 route: 1/pi Gamma[1+a / 1+a-b..f, 2+2a-b-c-d-e-f] 7F6 with
+    # a = D+G-E and b..f = G-A, G-B, G-C, D, 1+D-E
+    head = D + G - E
+    nums, dens = _very_well_poised(head, (G - A, G - B, G - C, D, 1 + D - E))
+    route = _Half(1, 1 / math.pi, (1 + head,), (*dens[1:], 2 + 2 * head - sum(nums[2:])), nums, dens)
 
-    Each half is (prefactor, numerators, denominators, gamma denominators):
-    the log prefactor times the unit-argument series over the product of
-    Gamma at the gamma denominators.  Warns when a series misses its
-    tolerance or the two halves cancel to fewer than nine digits.
+    a, b, c, d, e, f, g, h = symbol_forms("w")
+    rest = (c, d, e, f, g, h)
+    rest_moved = tuple(b - a + t for t in rest)
+    m_halves = []
+    # V(head; params) = pi/2 Gamma[1+head, params / 1+head-params] 9F8
+    for coef, head, params in ((1, a, (b, *rest)), (-1, 2 * b - a, (b, *rest_moved))):
+        nums, dens = _very_well_poised(head, params)
+        m_halves.append(_Half(coef, math.pi / 2, (1 + head, *params), dens[1:], nums, dens))
+    return {
+        "J": _Description("J", v_plane, A, (A, B, C, D, A, *shifted), (
+            first, _Half(1, 1.0, (A, *shifted), poised, (A, *shifted), poised))),
+        "L": _Description("L", v_plane, E, (A, B, C, D, *moved), (
+            first, _Half(-1, 1.0, moved, tops, moved, tops))),
+        "L7F6": _Description("L (7F6 route)", v_plane, None, (), (route,)),
+        "M": _Description("M", HYPERPLANES[W_SYMBOLS], b - a, (b, *rest, *rest_moved), tuple(m_halves)),
+    }
+
+
+# the name of the hyperplane each alphabet's points live on
+_PLANE_NAMES = {V_SYMBOLS: "unit-shift", W_SYMBOLS: "defining"}
+
+
+class _Family:
+    """A description turned into an evaluator.
+
+    Every distinct form is one row of a matrix, constant first; each
+    coefficient is a multiple of 1/2, so the rows are exact in floating
+    point and a point's arguments are one matrix product.  The gamma
+    factors a half shares with the denominator are cancelled here, once.
+    The margins are held at every gamma argument of the formula as written
+    and at every series denominator, cancelled or not, and at the sine.
     """
-    results = [sum_pfq(nums, dens) for _, nums, dens, _ in halves]
-    for which, res, (_, nums, dens, _) in zip(("first", "second"), results, halves):
-        _warn_if_unconverged(res, f"{what} evaluation, {which} {len(nums)}F{len(dens)}", 4)
-    sin = log_sin_pi(sine_arg)
-    terms = [
-        pref + LogC.from_complex(res.value) - sin - _lgamma_sum(gamma_dens)
-        for (pref, _, _, gamma_dens), res in zip(halves, results)
-    ]
-    combo, ratio = combine_exponentials(terms, coefs)
-    if ratio < 1e-9:
-        warnings.warn(
-            f"{what} evaluation: terms cancel to {ratio:.1e} of their size; "
-            "fewer than 9 significant digits remain",
-            PrecisionWarning,
-            stacklevel=3,
-        )
-    return combo
+
+    def __init__(self, desc: _Description):
+        self.desc = desc
+        self.arity = len(desc.plane.alphabet)
+        rows = {}
+
+        def index(forms):
+            return tuple(rows.setdefault(form, len(rows)) for form in forms)
+
+        self._plane = index([desc.plane])[0]
+        self._sine = index([desc.sine] if desc.sine is not None else [])
+        gammas = list(desc.denominator)
+        for half in desc.halves:
+            gammas += [*half.gamma_num, *half.gamma_den, *half.dens]
+        self._gammas = index(dict.fromkeys(gammas))
+        self._halves = []
+        for half in desc.halves:
+            num, den = Counter(half.gamma_num), Counter(half.gamma_den + desc.denominator)
+            shared = num & den
+            num, den = index((num - shared).elements()), index((den - shared).elements())
+            self._halves.append((half.coef, complex(math.log(half.const)), num, den,
+                                 index(half.nums), index(half.dens)))
+        self.forms = tuple(rows)
+        self._matrix = np.array([[f.const, *f.coefs] for f in self.forms], dtype=complex)
+
+    def point(self, x) -> tuple:
+        """The coordinates of x, a point or a sequence of numbers."""
+        x = x.args() if isinstance(x, (PointV, PointW)) else tuple(x)
+        if len(x) != self.arity:
+            raise ValueError(f"need {self.arity} parameter values")
+        return x
+
+    def values(self, x) -> list:
+        """Every row's value at x, as complex numbers."""
+        return (self._matrix @ np.array((1, *self.point(x)), dtype=complex)).tolist()
+
+    def probe_args(self, x):
+        """(gamma arguments, sine arguments) whose margins the evaluation holds."""
+        z = self.values(x)
+        return tuple(z[i] for i in self._gammas), tuple(z[i] for i in self._sine)
+
+    def evaluate(self, x) -> LogC:
+        """Log of the family at x: its arguments, then their margins, then the
+        hyperplane, then the series.  Each half is assembled as one complex
+        log and the halves meet in one rescaled sum, with a warning if more
+        than nine digits cancel or a series misses its tolerance."""
+        z = self.values(x)
+        require_margins([z[i] for i in self._gammas], [z[i] for i in self._sine])
+        if abs(z[self._plane]) > 1e-9:
+            raise EvaluationDomainError(
+                f"parameters leave the {_PLANE_NAMES[self.desc.plane.alphabet]} hyperplane"
+            )
+        sine = sum(_log_sin_pi_c(z[i]) for i in self._sine)
+        logs, coefs = [], []
+        for which, (coef, const, num, den, nums, dens) in enumerate(self._halves, start=1):
+            res = sum_pfq([z[i] for i in nums], [z[i] for i in dens])
+            if not res.converged:
+                warnings.warn(
+                    f"{self.desc.name} evaluation, {len(nums)}F{len(dens)} of half {which}: "
+                    f"series summed {res.terms_used} terms and its tail with error estimate "
+                    f"{res.err_estimate:.1e}, short of its tolerance",
+                    PrecisionWarning,
+                    stacklevel=3,
+                )
+            w = const + cmath.log(res.value) - sine
+            for i in num:
+                w += _lgamma_c(z[i])
+            for i in den:
+                w -= _lgamma_c(z[i])
+            logs.append(_logc_from_log(w))
+            coefs.append(coef)
+        combo, ratio = combine_exponentials(logs, coefs)
+        if ratio < 1e-9:
+            warnings.warn(
+                f"{self.desc.name} evaluation: terms cancel to {ratio:.1e} of their size; "
+                "fewer than 9 significant digits remain",
+                PrecisionWarning,
+                stacklevel=3,
+            )
+        return combo
+
+
+@lru_cache(maxsize=1)
+def _families() -> dict:
+    """Each family's evaluator, built on first use."""
+    return {kind: _Family(desc) for kind, desc in _descriptions().items()}
+
+
+def j_probe_args(args7):
+    """(gamma arguments, sine arguments) whose margins the J evaluation holds."""
+    return _families()["J"].probe_args(args7)
+
+
+def l_probe_args(args7):
+    return _families()["L"].probe_args(args7)
+
+
+def l7f6_probe_args(args7):
+    return _families()["L7F6"].probe_args(args7)
+
+
+def m_probe_args(args8):
+    return _families()["M"].probe_args(args8)
 
 
 def eval_J_log(x) -> LogC:
-    """Log of the sum-of-complementary-series function J(A;B,C,D;E,F,G).
-
-    J = (Gamma[A,B,C,D / E,F,G] 4F3(A,B,C,D; E,F,G)
-         + Gamma[A,1+A-E,1+A-F,1+A-G / 1+A-B,1+A-C,1+A-D]
-           4F3(A,1+A-E,1+A-F,1+A-G; 1+A-B,1+A-C,1+A-D))
-        / (sin(pi A) Gamma[A,B,C,D,A,1+A-E,1+A-F,1+A-G]);
-    each term is assembled with the gamma factors it shares with the
-    denominator already cancelled.
-    """
-    A, B, C, D, E, F, G = _seven(x)
-    require_margins(*j_probe_args((A, B, C, D, E, F, G)))
-    _check_saalschutz_args((A, B, C, D, E, F, G))
-    shifted = (1 + A - E, 1 + A - F, 1 + A - G)
-    poised = (1 + A - B, 1 + A - C, 1 + A - D)
-    return _two_series_log("J", A, (
-        (_NO_PREFACTOR, (A, B, C, D), (E, F, G), (E, F, G, A) + shifted),
-        (_NO_PREFACTOR, (A,) + shifted, poised, poised + (A, B, C, D)),
-    ), (1.0, 1.0))
+    """Log of the sum-of-complementary-series function J(A;B,C,D;E,F,G), two
+    Saalschutzian 4F3(1) over sin(pi A) and eight gamma factors."""
+    return _families()["J"].evaluate(x)
 
 
 def eval_L_log(args) -> LogC:
-    """Log of the difference-of-supplementary-series function L(A,B,C,D;E;F,G)."""
-    A, B, C, D, E, F, G = _seven(args)
-    require_margins(*l_probe_args((A, B, C, D, E, F, G)))
-    _check_saalschutz_args((A, B, C, D, E, F, G))
-    shifted = (1 + A - E, 1 + B - E, 1 + C - E, 1 + D - E)
-    dens = (2 - E, 1 + F - E, 1 + G - E)
-    return _two_series_log("L", E, (
-        (_NO_PREFACTOR, (A, B, C, D), (E, F, G), (E, F, G) + shifted),
-        (_NO_PREFACTOR, shifted, dens, dens + (A, B, C, D)),
-    ), (1.0, -1.0))
+    """Log of the difference-of-supplementary-series function L(A,B,C,D;E;F,G),
+    two Saalschutzian 4F3(1) over sin(pi E) and eight gamma factors."""
+    return _families()["L"].evaluate(args)
 
 
 def eval_L_7f6_log(args) -> LogC:
-    """Log of the very-well-poised 7F6 route to the same function."""
-    A, B, C, D, E, F, G = _seven(args)
+    """Log of the very-well-poised 7F6 route to the same function, whose
+    series converges for Re(F - D) > 0 only."""
+    family = _families()["L7F6"]
+    _, _, _, D, _, F, _ = family.point(args)
     if (F - D).real <= 0:
-        raise DegeneratePointError(
-            "the 7F6 route needs Re(F - D) > 0; "
-            f"got {(F - D).real}"
-        )
-    a = D + G - E
-    b, c, d, e, f = G - A, G - B, G - C, D, 1 + D - E
-    require_margins(*l7f6_probe_args((A, B, C, D, E, F, G)))
-    _check_saalschutz_args((A, B, C, D, E, F, G))
-    nums = (a, 1 + 0.5 * a, b, c, d, e, f)
-    dens = (0.5 * a, 1 + a - b, 1 + a - c, 1 + a - d, 1 + a - e, 1 + a - f)
-    res = sum_pfq(nums, dens)
-    _warn_if_unconverged(res, "L evaluation by the 7F6 route", 3)
-    pref = (
-        lgamma(1 + a)
-        - LogC.from_real(math.pi)
-        - _lgamma_sum(
-            (1 + a - b, 1 + a - c, 1 + a - d, 1 + a - e, 1 + a - f,
-             2 + 2 * a - b - c - d - e - f)
-        )
-    )
-    return pref + LogC.from_complex(res.value)
-
-
-def _vwp_half(head: complex, params, gamma_dens):
-    # (pi/2) Gamma[1+head / 1+head-params] times a very-well-poised 9F8(1);
-    # the Gamma[params] of the full half cancel against the denominator of M
-    nums = (head, 1 + 0.5 * head) + params
-    dens = (0.5 * head,) + tuple(1 + head - p for p in params)
-    pref = LogC.from_real(0.5 * math.pi) + lgamma(1 + head) - _lgamma_sum(dens[1:])
-    return pref, nums, dens, gamma_dens
+        raise DegeneratePointError(f"the 7F6 route needs Re(F - D) > 0; got {(F - D).real}")
+    return family.evaluate(args)
 
 
 def eval_M_log(w) -> LogC:
-    """Log of the eight-parameter function M(a;b;c,d,e,f,g,h).
-
-    M = (V(a; b, c..h) - V(2b-a; b, b-a+c..b-a+h))
-        / (sin(pi(b-a)) Gamma[b, c..h, b-a+c..b-a+h]),
-    with V(head; params) = (pi/2) Gamma[1+head, params / 1+head-params]
-    times a very-well-poised 9F8(1).  Each half is assembled in log space
-    with the Gamma[params] it shares with the denominator cancelled, so it
-    divides only by the sine and the other half's six gamma factors; the two
-    halves meet in one rescaled subtraction, with a warning if more than
-    nine digits cancel or a series misses its tolerance.
-    """
-    a, b, c, d, e, f, g, h = _eight(w)
-    if abs((2 + 3 * a) - (b + c + d + e + f + g + h)) > 1e-9:
-        raise EvaluationDomainError("parameters leave the defining hyperplane")
-    require_margins(*m_probe_args((a, b, c, d, e, f, g, h)))
-    rest = (c, d, e, f, g, h)
-    moved = tuple(b - a + t for t in rest)
-    return _two_series_log("M", b - a, (
-        _vwp_half(a, (b,) + rest, moved),
-        _vwp_half(2 * b - a, (b,) + moved, rest),
-    ), (1.0, -1.0))
-
+    """Log of the eight-parameter function M(a;b;c,d,e,f,g,h), two
+    very-well-poised 9F8(1) over sin(pi(b-a)) and thirteen gamma factors."""
+    return _families()["M"].evaluate(w)

@@ -758,19 +758,75 @@ def test_margin_checks():
         assert not margins_ok((0.5,), (bad,))
 
 
-def test_probe_lists_cover_shifted_arguments():
-    args = V_POINT.args()
-    A, E = args[0], args[4]
-    gammas, sins = j_probe_args(args)
-    assert any(abs(g - (1 + A - E)) < 1e-15 for g in gammas)
-    assert sins == (A,)
-    gammas, sins = l_probe_args(args)
-    assert any(abs(g - (2 - E)) < 1e-15 for g in gammas)
-    assert sins == (E,)
-    wargs = W_POINT.args()
-    gammas, sins = m_probe_args(wargs)
-    assert any(abs(g - (wargs[1] - wargs[0] + wargs[2])) < 1e-15 for g in gammas)
-    assert abs(sins[0] - (wargs[1] - wargs[0])) < 1e-15
+# the arguments each evaluation holds to its margins, as the hand-kept lists
+# that preceded the descriptions wrote them: (gamma arguments, sine arguments)
+MARGIN_TEXTS = {
+    "J": ("A B C D E F G 1+A-E 1+A-F 1+A-G 1+A-B 1+A-C 1+A-D", "A"),
+    "L": ("A B C D E F G 1-E+A 1-E+B 1-E+C 1-E+D 2-E 1+F-E 1+G-E", "E"),
+    # a = D+G-E; b..f = G-A, G-B, G-C, D, 1+D-E: 1+a, a/2, 1+a-b..f and
+    # 2+2a-b-c-d-e-f
+    "L7F6": ("1+D+G-E 1/2D+1/2G-1/2E 1+A+D-E 1+B+D-E 1+C+D-E 1+G-E G 1+A+B+C-E-G", ""),
+    "M": (
+        "b c d e f g h b-a+c b-a+d b-a+e b-a+f b-a+g b-a+h 1+a 1/2a "
+        "1+a-b 1+a-c 1+a-d 1+a-e 1+a-f 1+a-g 1+a-h 1+2b-a b-1/2a 1+b-a "
+        "1+b-c 1+b-d 1+b-e 1+b-f 1+b-g 1+b-h",
+        "b-a",
+    ),
+}
+PROBES = {"J": j_probe_args, "L": l_probe_args, "L7F6": l7f6_probe_args, "M": m_probe_args}
+
+
+def _paper_violations(kind, desc):
+    """The halves of a family description that are not what the paper says:
+    a J or L half is a Saalschutzian 4F3 (sum of denominators minus sum of
+    numerators is 1 on the hyperplane); an M or 7F6 half is very-well-poised
+    (1 + head/2 over head/2, and each other numerator plus its denominator
+    is 1 + head)."""
+    bad = []
+    for i, half in enumerate(desc.halves):
+        if kind in ("J", "L"):
+            ok = (sum(half.dens) - sum(half.nums) - 1).reduced().is_zero()
+        else:
+            head = half.nums[0]
+            ok = half.nums[1] == 1 + head * Fraction(1, 2) and half.dens[0] == head * Fraction(1, 2)
+            ok = ok and all((n + d - 1 - head).reduced().is_zero() for n, d in zip(half.nums[1:], half.dens))
+        if not ok:
+            bad.append(i)
+    return bad
+
+
+def test_descriptions_say_what_the_paper_says():
+    descriptions = hypnum._descriptions()
+    assert set(descriptions) == set(MARGIN_TEXTS)
+    args = {"J": V_POINT.args(), "L": V_POINT.args(), "L7F6": V_POINT.args(), "M": W_POINT.args()}
+    for kind, desc in descriptions.items():
+        assert _paper_violations(kind, desc) == [], kind
+        letters = desc.plane.alphabet
+        gamma_texts, sine_texts = (t.split() for t in MARGIN_TEXTS[kind])
+        gamma_forms = {LinForm.parse(t, letters) for t in gamma_texts}
+        assert len(gamma_forms) == len(gamma_texts)
+        family = hypnum._families()[kind]
+        assert {family.forms[i] for i in family._gammas} == gamma_forms, kind
+        sine_forms = [LinForm.parse(t, letters) for t in sine_texts]
+        assert [f for f in (desc.sine,) if f is not None] == sine_forms, kind
+        # the public probe lists read those forms at the point
+        gammas, sins = PROBES[kind](args[kind])
+        assert len(gammas) == len(gamma_forms) and len(sins) == len(sine_forms)
+        assert all(any(abs(g - f.evaluate(args[kind])) < 1e-15 for g in gammas) for f in gamma_forms)
+        assert all(abs(s - f.evaluate(args[kind])) < 1e-15 for s, f in zip(sins, sine_forms))
+
+
+def test_a_numerator_swapped_between_the_halves_of_j_is_caught():
+    # B and 1 + A - E trade places: neither half is Saalschutzian, and the
+    # value misses the one written from the formula
+    desc = hypnum._descriptions()["J"]
+    first, second = desc.halves
+    swapped = desc._replace(halves=(
+        first._replace(nums=(first.nums[0], second.nums[1], *first.nums[2:])),
+        second._replace(nums=(second.nums[0], first.nums[1], *second.nums[2:])),
+    ))
+    assert _paper_violations("J", swapped) == [0, 1]
+    assert rel(hypnum._Family(swapped).evaluate(V_POINT).to_complex(), FORMULA_J) > 1e-3
 
 
 def test_evaluators_warn_on_unconverged_series(monkeypatch):
@@ -782,13 +838,31 @@ def test_evaluators_warn_on_unconverged_series(monkeypatch):
     ):
         with monkeypatch.context() as m, pytest.warns(
             PrecisionWarning, match="short of its tolerance"
-        ):
+        ) as record:
             m.setattr(hypnum, "REL_TOL", 1e-30)
             fn(x)
+        # each warning points at the line that called the evaluator
+        assert {w.filename for w in record} == {__file__}
         # with the default budget the same evaluations are silent
         with warnings.catch_warnings():
             warnings.simplefilter("error", PrecisionWarning)
             fn(x)
+
+
+def test_evaluators_warn_when_their_halves_cancel(monkeypatch):
+    # a cancellation ratio below 1e-9, planted in the one rescaled sum every
+    # evaluation ends in, warns at the line that called the evaluator
+    combine = hypnum.combine_exponentials
+    monkeypatch.setattr(hypnum, "combine_exponentials", lambda *a: (combine(*a)[0], 1e-12))
+    for fn, x in (
+        (eval_J_log, V_POINT),
+        (eval_L_log, V_POINT),
+        (eval_L_7f6_log, V_POINT),
+        (eval_M_log, W_POINT),
+    ):
+        with pytest.warns(PrecisionWarning, match="cancel to 1.0e-12") as record:
+            fn(x)
+        assert [w.filename for w in record] == [__file__]
 
 
 # J and L at the pinned point and M with b shifted by 32i, each written
