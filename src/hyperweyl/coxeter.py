@@ -19,8 +19,11 @@ named by its classifying form, and the generator's matrix carries every
 classifying form to another one (_space).  Words, orbits, group
 orders, distances and triple censuses share one core, built on first use:
 each generator as an index array of label images read off its matrix, one
-breadth-first orbit walk that records words, Schreier-Sims, and one table
-of the 56x56 discrete distances that every other space's distances gather.
+breadth-first orbit walk that records words, Schreier-Sims, one table of
+the 56x56 discrete distances that every other space's distances gather,
+and each space's action on its three-element label sets (_triples): the
+sets as rows in combinations() order, an n x n rank table that finds the
+row of a sorted set, and each generator's image of every row.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, reduce
-from itertools import combinations, permutations
+from itertools import combinations
 from types import MappingProxyType
 from typing import Sequence
 
@@ -527,12 +530,15 @@ def perm_group_order(gens: Sequence) -> int:
     identity through the levels below it.  One that does not becomes a
     strong generator, and the check restarts at the level where its sifting
     stopped.  The order is the product of the orbit lengths.  Permutations
-    are index arrays: g then h is h[g], and the inverse of u is argsort(u).
+    are intp index arrays: g then h is h[g], the inverse of u is argsort(u),
+    and g is the identity when its bytes are the identity's.  Transversals
+    are keyed, and looked up, by Python ints.
     """
     gens = [np.asarray(g) for g in gens]
     if not gens:
         raise ValueError("need at least one generator")
-    ident = np.arange(gens[0].size)
+    ident = np.arange(gens[0].size, dtype=np.intp)
+    one = ident.tobytes()
     base, strong, chain = [], [], []
 
     def add(g):
@@ -543,7 +549,7 @@ def perm_group_order(gens: Sequence) -> int:
 
     def sift(g, i):
         for j in range(i, len(base)):
-            u_inv = chain[j].get(g[base[j]])
+            u_inv = chain[j].get(g.item(base[j]))
             if u_inv is None:
                 return g, j
             g = u_inv[g]
@@ -552,16 +558,17 @@ def perm_group_order(gens: Sequence) -> int:
     for g in gens:
         if g.shape != ident.shape or not np.array_equal(np.sort(g), ident):
             raise ValueError(f"{g.tolist()} is not a permutation of 0..{len(ident) - 1}")
-        if not np.array_equal(g, ident):
-            add(g.astype(np.intp))
+        g = g.astype(np.intp)
+        if g.tobytes() != one:
+            add(g)
     i = len(base) - 1
     while i >= 0:
         level = [g for g in strong if np.array_equal(g[base[:i]], base[:i])]
         words = _orbit_words(dict(enumerate(level)), base[i])
         trans = {p: reduce(lambda u, k: level[k][u], w, ident) for p, w in words.items()}
         chain[i] = {p: np.argsort(u) for p, u in trans.items()}
-        sifted = (sift(chain[i][s[p]][s[u]], i + 1) for p, u in trans.items() for s in level)
-        h, j = next(((h, j) for h, j in sifted if not np.array_equal(h, ident)), (None, i - 1))
+        sifted = (sift(chain[i][s.item(p)][s[u]], i + 1) for p, u in trans.items() for s in level)
+        h, j = next(((h, j) for h, j in sifted if h.tobytes() != one), (None, i - 1))
         if h is not None:
             add(h)
         i = j
@@ -751,19 +758,36 @@ def _type_tag(space: str, key) -> str:
     return f"{mixture}{digits:03d}"
 
 
+@lru_cache(maxsize=None)
 def _triples(space: str):
-    """All three-element label sets as rows of label indices i < j < k in the
-    order of combinations(), the row position of every ordered index triple,
-    and each generator's image of every row as a row position."""
+    """The action on three-element label sets, as read-only tables built
+    once per space: the sets as rows of label indices i < j < k in the order
+    of combinations(), an n x n rank table in which the row of {i < j < k}
+    is rank[i, j] + k, and each generator's image of every row as a row.
+
+    The rows that share i and j are consecutive, with k counting up from
+    j + 1, so a row's own index minus its k is the same for all of them.
+    """
     labels, _, perms = _space(space)
     n = len(labels)
-    a, b, c = np.ogrid[:n, :n, :n]
-    tri = np.argwhere((a < b) & (b < c))
-    # every ordering of a set points at its row, so an image needs no sort
-    position = np.zeros((n, n, n), dtype=np.intp)
-    for order in permutations(range(3)):
-        position[tuple(tri[:, order].T)] = np.arange(len(tri))
-    return tri, position, {g: position[tuple(p[tri].T)] for g, p in perms.items()}
+    i, j = np.triu_indices(n, 1)
+    count = n - 1 - j
+    offset = np.cumsum(count) - count - j - 1
+    rank = np.zeros((n, n), dtype=np.intp)
+    rank[i, j] = offset
+    k = np.arange(count.sum()) - np.repeat(offset, count)
+    columns = np.stack([np.repeat(i, count), np.repeat(j, count), k])
+    images = {}
+    for g, p in perms.items():
+        # sort each image set: with lo <= hi the first two, the middle of
+        # three is max(lo, min(hi, c))
+        a, b, c = p[columns]
+        lo, hi = np.minimum(a, b), np.maximum(a, b)
+        mid = np.maximum(lo, np.minimum(hi, c))
+        images[g] = rank.take(np.minimum(lo, c) * n + mid) + np.maximum(hi, c)
+    for table in (columns, rank, *images.values()):
+        table.setflags(write=False)
+    return columns.T, rank, MappingProxyType(images)
 
 
 def triple_orbits(space: str):
@@ -776,12 +800,14 @@ def triple_orbits(space: str):
     """
     labels = _space(space)[0]
     tri, _, images = _triples(space)
-    # every set takes the smallest position in its orbit
+    # every set takes the smallest row in its orbit; orbit[x] is always a
+    # row of x's orbit, so each sweep ends by pointer jumping, orbit[orbit]
     orbit, last = np.arange(len(tri)), None
     while not np.array_equal(orbit, last):
         last = orbit
         for img in images.values():
             orbit = np.minimum(orbit, orbit[img])
+        orbit = orbit[orbit]
     keys = _type_keys(space, tri)
     assert np.array_equal(keys, keys[orbit]), f"{space}: type tag not orbit-constant"
     out = []
@@ -800,8 +826,12 @@ def triple_orbits(space: str):
 def triple_words(space: str, triple) -> dict:
     """Each set in the orbit of a three-element label set, as a frozenset in
     breadth-first order, with the first minimal-length word (letters applied
-    in order) that carries the given set to it."""
+    in order) that carries the given set to it.  A repeated label raises
+    ValueError."""
     labels, index, _ = _space(space)
-    tri, position, images = _triples(space)
-    words = _orbit_words(images, int(position[tuple(index[lab] for lab in triple)]))
+    tri, rank, images = _triples(space)
+    i, j, k = sorted(index[lab] for lab in triple)
+    if not i < j < k:
+        raise ValueError("need three different labels")
+    words = _orbit_words(images, int(rank[i, j] + k))
     return {frozenset(labels[k] for k in tri[row]): word for row, word in words.items()}

@@ -51,11 +51,12 @@ def test_group_orders_check_fails_past_its_memory_ceiling(monkeypatch):
 
 @pytest.fixture
 def fresh_tables():
-    """Clear the cached label permutations, distance tables and words on
-    both sides of a test, so that a planted fault is read and does not leak."""
+    """Clear the cached label permutations, triple actions, distance tables
+    and words on both sides of a test, so that a planted fault is read and
+    does not leak."""
     from hyperweyl import coxeter
 
-    caches = (coxeter._space, coxeter.distance_table, coxeter.representative_words)
+    caches = (coxeter._space, coxeter._triples, coxeter.distance_table, coxeter.representative_words)
     for cached in caches:
         cached.cache_clear()
     yield
@@ -330,6 +331,19 @@ def test_triple_census_check_fails_on_a_wrong_distance(monkeypatch, fresh_tables
         return d
 
     monkeypatch.setattr(coxeter, "distance_table", wrong)
+    result = run_check("08-triple-censuses")
+    assert not result.passed
+    assert result.detail == "AssertionError: M: type tag not orbit-constant"
+
+
+def test_triple_census_check_fails_on_swapped_images(planted_images):
+    # s1 with the images of +v(0,1) and +v(0,6) exchanged (the metric-suite
+    # fault) is no isometry, so the triple action built from it carries
+    # sets to sets of another type
+    from hyperweyl.coxeter import MLabel
+
+    a, b = MLabel(1, 0, 1), MLabel(1, 0, 6)
+    planted_images("M", "s1", {a: b, b: a})
     result = run_check("08-triple-censuses")
     assert not result.passed
     assert result.detail == "AssertionError: M: type tag not orbit-constant"

@@ -36,6 +36,7 @@ from hyperweyl.coxeter import (
     representative_words,
     t_distance,
     triple_orbits,
+    triple_words,
 )
 from hyperweyl.exactalg import (
     SUBGROUP_WORDS,
@@ -397,32 +398,62 @@ def reference_type(space, triple):
 
 @pytest.mark.parametrize("space", sorted(SPACE_LABELS))
 def test_triple_orbits_match_a_walk_over_label_triples(space):
-    # reference: walk each orbit of sorted label triples, label by label
+    # reference: walk each orbit of label triples, with each generator's
+    # images of the acting labels read once, as a list of label indices
     gens, acting = (W_GENS, "M") if space == "M" else (V_GENS, "T")
+    labels = SPACE_LABELS[acting]()
+    index = {lab: k for k, lab in enumerate(labels)}
+    images = [[index[act(acting, g, lab)] for lab in labels] for g in gens]
     key = lambda lab: (isinstance(lab, JLabel), lab.sort_key())
-    canon = lambda tri: tuple(sorted(tri, key=key))
     seen, want = set(), []
-    for start in map(canon, itertools.combinations(SPACE_LABELS[space](), 3)):
+    for triple in itertools.combinations(SPACE_LABELS[space](), 3):
+        start = tuple(sorted(index[x] for x in triple))
         if start in seen:
             continue
         members, frontier = {start}, [start]
         while frontier:
             nxt = []
-            for tri in frontier:
-                for g in gens:
-                    out = canon(act(acting, g, x) for x in tri)
+            for a, b, c in frontier:
+                for image in images:
+                    out = tuple(sorted((image[a], image[b], image[c])))
                     if out not in members:
                         members.add(out)
                         nxt.append(out)
             frontier = nxt
         seen |= members
+        triple = tuple(sorted(triple, key=key))
         want.append({
             "space": space,
             "size": len(members),
-            "type": reference_type(space, start),
-            "representative": tuple(str(x) for x in start),
+            "type": reference_type(space, triple),
+            "representative": tuple(str(x) for x in triple),
         })
     assert triple_orbits(space) == want
+
+
+@pytest.mark.parametrize("space", ["M", "J", "L", "T"])
+def test_the_cached_triple_action_is_read_only_and_indexed_by_rank(space):
+    from hyperweyl.coxeter import _space, _triples
+
+    labels, _, perms = _space(space)
+    tri, rank, images = _triples(space)
+    rows = list(itertools.combinations(range(len(labels)), 3))
+    assert tri.tolist() == [list(row) for row in rows]
+    assert [rank[i, j] + k for i, j, k in rows] == list(range(len(rows)))
+    row_of = {row: r for r, row in enumerate(rows)}
+    for g, perm in perms.items():
+        p = perm.tolist()
+        want = [row_of[tuple(sorted((p[i], p[j], p[k])))] for i, j, k in rows]
+        assert images[g].tolist() == want, g
+    for table in (tri, rank, *images.values()):
+        with pytest.raises(ValueError):
+            table[0] = 0
+
+
+def test_triple_words_refuses_a_repeated_label():
+    label = MLabel(1, 0, 7)
+    with pytest.raises(ValueError, match="three different labels"):
+        triple_words("M", (label, label, -label))
 
 
 # ---------------------------------------------------------------------------
@@ -496,12 +527,14 @@ def test_perm_group_order_small_groups(gens, order):
 
 
 def test_perm_group_order_reads_tuples_lists_and_arrays_alike():
-    gens = [(1, 0, 2, 3, 4, 5), (1, 2, 3, 4, 5, 0)]
+    # the identity among the generators is dropped, whatever its dtype
+    gens = [(1, 0, 2, 3, 4, 5), (0, 1, 2, 3, 4, 5), (1, 2, 3, 4, 5, 0)]
     orders = {
         perm_group_order(gens),
         perm_group_order([list(g) for g in gens]),
         perm_group_order([np.array(g) for g in gens]),
         perm_group_order(np.array(gens)),
+        *(perm_group_order(np.array(gens, dtype=t)) for t in (np.int8, np.int32, np.uint16)),
     }
     assert orders == {720}
 

@@ -77,20 +77,20 @@ def test_every_export_is_defined(path):
 
 
 def test_importing_the_cli_builds_no_table():
-    # the classify tables, the label permutations, the representative
-    # words, the jl_label inverse, the distance tables, the 56-row table and
-    # the function families are built on first use, so no command pays for
-    # them at import
+    # the classify tables, the label permutations, the triple actions, the
+    # representative words, the jl_label inverse, the distance tables, the
+    # 56-row table and the function families are built on first use, so no
+    # command pays for them at import
     code = (
         "import hyperweyl.cli\n"
         "from hyperweyl import correspond, coxeter as c, hypnum\n"
         "cached = (c._m_classify_table, c._j_classify_table, c._l_classify_table, c._space,\n"
-        "          c.representative_words, c._jl_inverse, c.distance_table, correspond.appendix_table,\n"
-        "          hypnum._families)\n"
+        "          c._triples, c.representative_words, c._jl_inverse, c.distance_table,\n"
+        "          correspond.appendix_table, hypnum._families)\n"
         "print(*(f.cache_info().currsize for f in cached))"
     )
     src = str(Path(hyperweyl.__file__).parent.parent)
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60)
     assert run.returncode == 0, run.stderr
-    assert run.stdout.split() == ["0"] * 9
+    assert run.stdout.split() == ["0"] * 10
