@@ -57,7 +57,7 @@ from .hypnum import (
     eval_J_log,
     eval_L_log,
     eval_M_log,
-    lgamma,
+    lgamma_array,
     log_sin_pi,
     m_probe_args,
     margins_ok,
@@ -164,23 +164,26 @@ class GammaSinExpr:
         return cls(Fraction(prefactor), tuple(num), tuple(den))
 
     def eval_log(self, values) -> LogC:
+        """Log of the expression at values: each factor's margin held in
+        factor order, numerator first, and every gamma factor's log from
+        one lgamma_array call."""
         if self.prefactor == 0:
             raise ZeroDivisionError("zero prefactor has no logarithm")
-        total = LogC.from_complex(complex(float(self.prefactor)))
-        for kind, form in self.numerator:
-            total = total + self._factor_log(kind, form, values)
-        for kind, form in self.denominator:
-            total = total - self._factor_log(kind, form, values)
-        return total
-
-    @staticmethod
-    def _factor_log(kind, form, values) -> LogC:
-        z = form.evaluate(values)
-        if kind != FACTOR_GAMMA:
-            return log_sin_pi(z)
-        if _near_nonpos_int(z, GAMMA_MARGIN):
-            raise DegeneratePointError(f"gamma argument {z} within {GAMMA_MARGIN} of a pole")
-        return lgamma(z)
+        total = cmath.log(float(self.prefactor))
+        gammas, signs = [], []
+        for sign, factors in ((1, self.numerator), (-1, self.denominator)):
+            for kind, form in factors:
+                z = form.evaluate(values)
+                if kind != FACTOR_GAMMA:
+                    total += sign * log_sin_pi(z).as_log()
+                elif _near_nonpos_int(z, GAMMA_MARGIN):
+                    raise DegeneratePointError(f"gamma argument {z} within {GAMMA_MARGIN} of a pole")
+                else:
+                    gammas.append(z)
+                    signs.append(sign)
+        if gammas:
+            total += complex(lgamma_array(gammas) @ signs)
+        return LogC(total.real, total.imag)
 
     def growth(self, values) -> tuple:
         """(Growth, D) with log expr(p + it·e_b) = A·it·log t + B·t + C·log t

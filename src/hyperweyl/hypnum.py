@@ -4,8 +4,11 @@ Everything downstream needs quotients of many gamma and sine factors whose
 individual magnitudes overflow doubles long before the quotient does, so the
 building blocks here work in log space: a value is carried as log-magnitude
 plus an unnormalized phase, products are additions, and a single
-exponentiation happens at the end.  Log-gamma recurses upward only to
-|z| > 10, where twelve Stirling terms already reach double precision.
+exponentiation happens at the end.  Log-gamma takes a whole array of
+arguments at once, each evaluation's gamma factors in one call: it
+reflects those below Re z = 1/2, steps every argument up six times, and
+sums twelve Stirling terms, which at |z| > 6 already reach double
+precision.
 
 On top of that sits the summation engine for one-more-numerator
 hypergeometric series at unit argument.  It sums the first N terms directly,
@@ -54,6 +57,7 @@ __all__ = [
     "LogC",
     "combine_exponentials",
     "lgamma",
+    "lgamma_array",
     "log_sin_pi",
     "series_sigma",
     "SeriesResult",
@@ -102,6 +106,9 @@ class PrecisionWarning(RuntimeWarning):
 
 
 def _near_nonpos_int(z: complex, margin: float) -> bool:
+    """Whether z lies within margin, at most 1/2, of a non-positive integer."""
+    if z.real >= 0.5:
+        return False
     n = round(z.real)
     return n <= 0 and abs(z - n) < margin
 
@@ -212,9 +219,9 @@ _STIRLING = (
     -236364091 / 1506960,
 )
 
-# at |z| > 10 the twelve-term series above truncates at about 2e-22; a
-# larger radius only adds rounding, one log per recursion step
-_SHIFT_RADIUS = 10.0
+# six unit steps take every argument, reflected to Re z >= 1/2, past
+# |z| = 6, where the twelve-term series above truncates below 1e-17
+_STEPS = np.arange(6.0)
 
 
 def _expm1_2pii(z: complex) -> complex:
@@ -241,11 +248,13 @@ def _log_sin_pi_c(z: complex) -> complex:
 def log_sin_pi(z: complex, margin: float = SIN_MARGIN) -> LogC:
     """log sin(pi z) with the dominant exponential factored out.
 
-    Safe for |Im z| up to 1e4 and beyond.  Rejects z closer than `margin`
-    to an integer (callers that have already margin-checked may pass the
-    hard pole margin explicitly).
+    Safe for |Im z| up to 1e4 and beyond.  Rejects a non-finite z, and z
+    closer than `margin` to an integer (callers that have already
+    margin-checked may pass the hard pole margin explicitly).
     """
     z = complex(z)
+    if not cmath.isfinite(z):
+        raise EvaluationDomainError(f"non-finite sine argument {z}")
     d = _dist_to_int(z)
     if d < _POLE_MARGIN:
         raise DegeneratePointError(f"sin(pi z) vanishes at z = {z}")
@@ -256,33 +265,48 @@ def log_sin_pi(z: complex, margin: float = SIN_MARGIN) -> LogC:
     return _logc_from_log(_log_sin_pi_c(z))
 
 
-def _stirling_log_gamma(z: complex) -> complex:
-    w = (z - 0.5) * cmath.log(z) - z + _HALF_LOG_TWO_PI
-    zi = 1.0 / z
-    z2 = zi * zi
-    p = zi
-    for c in _STIRLING:
-        w += c * p
-        p *= z2
-    return w
+def lgamma_array(zs) -> np.ndarray:
+    """log Gamma at every entry of zs, as a complex array of its shape.
 
-
-def _lgamma_c(z: complex) -> complex:
-    if _near_nonpos_int(z, _POLE_MARGIN):
-        raise GammaPoleError(f"gamma pole at z = {z}")
-    if z.real < 0.5:
-        return _LOG_PI - _log_sin_pi_c(z) - _lgamma_c(1.0 - z)
-    shift = 0j
-    while abs(z) <= _SHIFT_RADIUS:
-        shift += cmath.log(z)
-        z = z + 1.0
-    return _stirling_log_gamma(z) - shift
+    Entries below Re z = 1/2 are reflected through log sin(pi z); every
+    entry then takes six unit steps up, one log over an (entries x 6) grid,
+    and the twelve-term Stirling series at |z| > 6.  The branch is
+    the principal one on Re z >= 1/2, continued through the reflection.
+    A non-finite entry raises EvaluationDomainError, and an entry within
+    the hard pole margin of a non-positive integer GammaPoleError, each
+    naming the first such entry.
+    """
+    z = np.asarray(zs, dtype=complex)
+    flat = z.ravel()
+    finite = np.isfinite(flat)
+    if not finite.all():
+        raise EvaluationDomainError(f"non-finite gamma argument {flat[finite.argmin()]}")
+    # only an entry below Re z = 1/2 can lie at a pole
+    reflect = np.flatnonzero(flat.real < 0.5)
+    low = flat[reflect].tolist()
+    for v in low:
+        if _near_nonpos_int(v, _POLE_MARGIN):
+            raise GammaPoleError(f"gamma pole at z = {v}")
+    w = flat.copy()
+    w[reflect] = 1.0 - w[reflect]
+    # each entry's logs and Stirling terms sit in one contiguous row, which
+    # is summed the same way whatever the array's length
+    steps = np.log(w[:, None] + _STEPS).sum(axis=1)
+    w += len(_STEPS)
+    # 1/w, 1/w^3, ..., 1/w^23 in each row, as one sequential product
+    powers = np.empty((len(w), len(_STIRLING)), dtype=complex)
+    powers[:, 0] = 1.0 / w
+    powers[:, 1:] = (powers[:, 0] * powers[:, 0])[:, None]
+    series = (powers.cumprod(axis=1) * _STIRLING).sum(axis=1)
+    out = (w - 0.5) * np.log(w) - w + _HALF_LOG_TWO_PI + series - steps
+    if low:
+        out[reflect] = _LOG_PI - np.array([_log_sin_pi_c(v) for v in low]) - out[reflect]
+    return out.reshape(z.shape)
 
 
 def lgamma(z: complex) -> LogC:
-    """log Gamma(z) by upward recursion into |z| > 10 plus the asymptotic
-    series, with reflection through log_sin_pi for Re z < 1/2."""
-    return _logc_from_log(_lgamma_c(complex(z)))
+    """log Gamma(z), lgamma_array's batch of one."""
+    return _logc_from_log(complex(lgamma_array([z])[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -292,7 +316,7 @@ def lgamma(z: complex) -> LogC:
 
 def series_sigma(nums: Sequence[complex], dens: Sequence[complex]) -> complex:
     """Parameter-sum difference controlling unit-argument convergence."""
-    return sum(complex(b) for b in dens) - sum(complex(a) for a in nums)
+    return sum(map(complex, dens)) - sum(map(complex, nums))
 
 
 # ---------------------------------------------------------------------------
@@ -324,32 +348,33 @@ class SeriesResult:
     converged: bool
 
 
+# the most terms _direct_sum takes in one block: a 9F8's (18 x block) grid
+# of parameter-plus-index sums then holds 2.4 MB
+_BLOCK = 1 << 13
+
+
 def _direct_sum(nums, all_dens, n: int):
     """(t_0 + ... + t_(n-1), |t_0| + ... + |t_(n-1)|, t_n) with t_0 = 1, from
     the term ratios, one complex division per term.
 
-    The terms are taken in vectorized blocks of at most 2^16, each block's
-    first ratio multiplied by the running product, so every term is the
-    same sequential product as in one pass.  A sum or t_n that overflows
-    raises EvaluationDomainError.
+    The terms are taken in vectorized blocks of at most 2^13, each block's
+    ratios from one (parameters x block) grid of sums and its first ratio
+    multiplied by the running product, so every term is the same
+    sequential product as in one pass.  A sum or t_n that overflows raises
+    EvaluationDomainError.
     """
+    params = np.array([*nums, *all_dens])[:, None]
     head, abs_head, t_n = 1.0, 1.0, 1.0
     with np.errstate(over="ignore", invalid="ignore"):
-        for start in range(0, n, 1 << 16):
-            ks = np.arange(start, min(n, start + (1 << 16)), dtype=complex)
-            num = ks + nums[0]
-            den = ks + all_dens[0]
-            tmp = np.empty_like(ks)
-            for a in nums[1:]:
-                num *= np.add(ks, a, out=tmp)
-            for b in all_dens[1:]:
-                den *= np.add(ks, b, out=tmp)
-            num /= den
-            num[0] *= t_n
-            terms = np.cumprod(num, out=num)
+        for start in range(0, n, _BLOCK):
+            grid = params + np.arange(start, min(n, start + _BLOCK), dtype=float)
+            ratios = grid[: len(nums)].prod(axis=0)
+            ratios /= grid[len(nums):].prod(axis=0)
+            ratios[0] *= t_n
+            terms = ratios.cumprod(out=ratios)
             t_n = complex(terms[-1])
             # t_n itself is summed only when a later block follows
-            body = terms[:-1] if start + len(ks) == n else terms
+            body = terms[:-1] if start + len(terms) == n else terms
             head += complex(body.sum())
             abs_head += float(np.abs(body).sum())
     if not (cmath.isfinite(head) and cmath.isfinite(t_n)):
@@ -376,21 +401,29 @@ def _tail(nums, dens, sigma: complex, n: int, t_n: complex, floor: float):
                 poly[i] += a * poly[i - 1]
     p += [0j] * (_TAIL_TERMS + 1 - len(p))
     u, q = [p[0]], q[1:]
-    x = 1.0 / n
-    # cs: the c_l found so far; v: the coefficients of S(x / (1 + x)) they fix
-    cs, v, terms = [], [], []
+    x, scale = 1.0 / n, t_n * n
+    # cs: c_1, c_2, ... as found; v: the coefficients of S(x / (1 + x))
+    # they fix, newest first; x_k = x^k, exact as n is a power of two
+    cs, v = [], []
+    tail, x_k, before, last, row_k = 0, 1.0, 0.0, 0.0, 0
     for k in range(_TAIL_TERMS):
         u.append(p[k + 1] - sum(map(operator.mul, q, reversed(u))))
         # order k + 1 of the identity, whose right side x counts at k = 0
-        # only; rows k and k + 1 are read without c_k and c_(k+1)
-        rows = [sum(map(operator.mul, _COMPOSE_ROWS[m], cs[1:])) for m in (k, k + 1)]
-        c = (sum(map(operator.mul, u[: k + 2], reversed(v + rows))) + (k == 0)) / (sigma + k)
-        cs.append(c)
-        v.append(rows[0] + c)
-        terms.append(t_n * n * c * x**k)
-        if k > 0 and max(map(abs, terms[-2:])) < floor:
+        # only; rows k and k + 1 are read without c_k and c_(k+1), and u_0 = 1
+        row_next = sum(map(operator.mul, _COMPOSE_ROWS[k + 1], cs))
+        c = (sum(map(operator.mul, u[2:], v), row_next + u[1] * row_k) + (k == 0)) / (sigma + k)
+        if k:
+            cs.append(c)
+        v.insert(0, row_k + c)
+        # row k + 1 without c_(k+1): row_next and its c_k term, -k c_k
+        row_k = row_next - k * c
+        term = scale * c * x_k
+        tail += term
+        before, last = last, abs(term)
+        if k and before < floor and last < floor:
             break
-    return sum(terms), abs(terms[-2]) + abs(terms[-1])
+        x_k *= x
+    return tail, before + last
 
 
 def sum_pfq(nums: Sequence[complex], dens: Sequence[complex]) -> SeriesResult:
@@ -435,7 +468,7 @@ def sum_pfq(nums: Sequence[complex], dens: Sequence[complex]) -> SeriesResult:
             raise DivergentSeriesError(
                 f"parameter sums give convergence exponent {sigma}; series diverges"
             )
-        want = max(32, 4 * max(abs(p) for p in nums + dens))
+        want = max(32, 4 * max(map(abs, nums + dens)))
         if want > N_MAX:
             raise EvaluationDomainError(f"a parameter is too large to sum within {N_MAX} terms")
         n = 1 << math.ceil(math.log2(want))
@@ -629,13 +662,21 @@ class _Family:
         for half in desc.halves:
             gammas += [*half.gamma_num, *half.gamma_den, *half.dens]
         self._gammas = index(dict.fromkeys(gammas))
-        self._halves = []
+        self._halves, counts = [], []
         for half in desc.halves:
             num, den = Counter(half.gamma_num), Counter(half.gamma_den + desc.denominator)
             shared = num & den
-            num, den = index((num - shared).elements()), index((den - shared).elements())
-            self._halves.append((half.coef, complex(math.log(half.const)), num, den,
+            count = num - shared
+            count.subtract(den - shared)
+            counts.append(count)
+            self._halves.append((half.coef, complex(math.log(half.const)),
                                  index(half.nums), index(half.dens)))
+        # the rows whose log-gamma some half takes, and each half's signed
+        # count of each (a half's row of the incidence matrix), so that J's
+        # repeated A counts twice
+        lgamma_forms = list(dict.fromkeys(f for count in counts for f in count))
+        self._lgamma_rows = np.array(index(lgamma_forms), dtype=np.intp)
+        self._incidence = np.array([[count[f] for f in lgamma_forms] for count in counts], dtype=complex)
         self.forms = tuple(rows)
         self._matrix = np.array([[f.const, *f.coefs] for f in self.forms], dtype=complex)
 
@@ -646,29 +687,33 @@ class _Family:
             raise ValueError(f"need {self.arity} parameter values")
         return x
 
-    def values(self, x) -> list:
-        """Every row's value at x, as complex numbers."""
-        return (self._matrix @ np.array((1, *self.point(x)), dtype=complex)).tolist()
+    def values(self, x) -> np.ndarray:
+        """Every row's value at x, as a complex array."""
+        return self._matrix @ np.array((1, *self.point(x)), dtype=complex)
 
     def probe_args(self, x):
         """(gamma arguments, sine arguments) whose margins the evaluation holds."""
-        z = self.values(x)
+        z = self.values(x).tolist()
         return tuple(z[i] for i in self._gammas), tuple(z[i] for i in self._sine)
 
     def evaluate(self, x) -> LogC:
         """Log of the family at x: its arguments, then their margins, then the
         hyperplane, then the series.  Each half is assembled as one complex
-        log and the halves meet in one rescaled sum, with a warning if more
-        than nine digits cancel or a series misses its tolerance."""
-        z = self.values(x)
+        log, its gamma quotient one row of the incidence matrix times the
+        log-gammas of one lgamma_array call, and the halves meet in one
+        rescaled sum, with a warning if more than nine digits cancel or a
+        series misses its tolerance."""
+        values = self.values(x)
+        z = values.tolist()
         require_margins([z[i] for i in self._gammas], [z[i] for i in self._sine])
         if abs(z[self._plane]) > 1e-9:
             raise EvaluationDomainError(
                 f"parameters leave the {_PLANE_NAMES[self.desc.plane.alphabet]} hyperplane"
             )
         sine = sum(_log_sin_pi_c(z[i]) for i in self._sine)
+        gammas = (self._incidence @ lgamma_array(values[self._lgamma_rows])).tolist()
         logs, coefs = [], []
-        for which, (coef, const, num, den, nums, dens) in enumerate(self._halves, start=1):
+        for which, (coef, const, nums, dens) in enumerate(self._halves, start=1):
             res = sum_pfq([z[i] for i in nums], [z[i] for i in dens])
             if not res.converged:
                 warnings.warn(
@@ -678,12 +723,7 @@ class _Family:
                     PrecisionWarning,
                     stacklevel=3,
                 )
-            w = const + cmath.log(res.value) - sine
-            for i in num:
-                w += _lgamma_c(z[i])
-            for i in den:
-                w -= _lgamma_c(z[i])
-            logs.append(_logc_from_log(w))
+            logs.append(_logc_from_log(const + cmath.log(res.value) - sine + gammas[which - 1]))
             coefs.append(coef)
         combo, ratio = combine_exponentials(logs, coefs)
         if ratio < 1e-9:

@@ -57,7 +57,7 @@ from .hypnum import (
     eval_L_7f6_log,
     eval_L_log,
     eval_M_log,
-    lgamma,
+    lgamma_array,
     log_sin_pi,
 )
 from . import correspond
@@ -284,30 +284,30 @@ def _stirling_log(z: complex) -> complex:
 
 def _gamma_layer(seed):
     rng = random.Random(seed)
-    worst_ref = worst_rec = 0.0
-    count = 0
-    while count < 1000:
+    draws = []
+    while len(draws) < 1000:
         z = complex(rng.uniform(-20, 20), rng.uniform(-20, 20))
-        if abs(z - round(z.real)) < 0.1 or abs(z) < 0.1:
-            continue
-        count += 1
-        lhs = lgamma(z).as_log() + lgamma(1 - z).as_log()
+        if abs(z - round(z.real)) >= 0.1 and abs(z) >= 0.1:
+            draws.append(z)
+    zs = np.array(draws)
+    at_z, at_reflected, at_next = (lgamma_array(v).tolist() for v in (zs, 1 - zs, zs + 1))
+    worst_ref = worst_rec = 0.0
+    for z, lg, lg_reflected, lg_next in zip(draws, at_z, at_reflected, at_next):
+        lhs = lg + lg_reflected
         rhs = math.log(math.pi) - log_sin_pi(z, margin=1e-9).as_log()
         ref = _mod_2pi(lhs - rhs) / max(1.0, abs(lhs))
-        rec = _mod_2pi(
-            lgamma(z + 1).as_log() - lgamma(z).as_log() - cmath.log(z)
-        ) / max(1.0, abs(lgamma(z + 1).as_log()))
+        rec = _mod_2pi(lg_next - lg - cmath.log(z)) / max(1.0, abs(lg_next))
         worst_ref = max(worst_ref, ref)
         worst_rec = max(worst_rec, rec)
         if ref > 1e-12 or rec > 1e-12:
             return False, f"reflection {ref:.2e}, recursion {rec:.2e} at {z}", {
                 "reflection": ref, "recursion": rec, "bound": 1e-12,
             }
+    far = [cmath.rect(1000.0, rng.uniform(-1.4, 1.4)) for _ in range(100)]
     worst_st = 0.0
-    for _ in range(100):
-        z = cmath.rect(1000.0, rng.uniform(-1.4, 1.4))
+    for z, lg in zip(far, lgamma_array(far).tolist()):
         st = _stirling_log(z)
-        err = _mod_2pi(lgamma(z).as_log() - st) / abs(st)
+        err = _mod_2pi(lg - st) / abs(st)
         worst_st = max(worst_st, err)
         if err > 1e-10:
             return False, f"asymptotic mismatch {err:.2e} at {z}", {

@@ -11,6 +11,7 @@ import cmath
 import json
 import math
 import random
+import re
 from dataclasses import replace
 from fractions import Fraction
 
@@ -520,6 +521,20 @@ def test_gamma_factors_refuse_a_point_near_a_pole():
         gamma_a.eval_log([-1 + 0.05] + rest)
     near = gamma_a.eval_log([-1 + 0.11] + rest)
     assert abs(near.to_complex() - math.gamma(-1 + 0.11)) <= 1e-12 * abs(math.gamma(-1 + 0.11))
+
+
+def test_gamma_sine_factors_hold_their_margins_in_factor_order():
+    # the numerator's sine is read before the denominator's gamma, and the
+    # gamma's margin is held before its log is taken in one batch
+    expr = GammaSinExpr.build(W_SYMBOLS, -2, gamma_den=("a",), sin_num=("b",))
+    rest = [0.3 + 0.1j] * 6
+    with pytest.raises(DegeneratePointError, match=re.escape("gamma argument (-0.95+0j) within 0.1 of a pole")):
+        expr.eval_log([-0.95, 0.3 + 0.1j] + rest)
+    with pytest.raises(DegeneratePointError, match="sine margin violated"):
+        expr.eval_log([-0.95, 1.01] + rest)
+    got = expr.eval_log([-0.85, 0.3 + 0.1j] + rest).to_complex()
+    want = -2 * cmath.sin(math.pi * (0.3 + 0.1j)) / math.gamma(-0.85)
+    assert abs(got - want) <= 1e-13 * abs(want)
 
 
 def _admitted(work, q):

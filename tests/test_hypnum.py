@@ -10,6 +10,7 @@ a 50-digit re-run) and pasted here as literals.
 import cmath
 import math
 import random
+import re
 import tracemalloc
 import warnings
 from fractions import Fraction
@@ -43,6 +44,7 @@ from hyperweyl.hypnum import (
     l7f6_probe_args,
     l_probe_args,
     lgamma,
+    lgamma_array,
     log_sin_pi,
     m_probe_args,
     margins_ok,
@@ -206,24 +208,58 @@ def test_lgamma_reflection_residual():
         assert residual <= 1e-12 * max(1.0, abs(lhs))
 
 
-def test_lgamma_mpmath_oracle():
-    # Gamma itself, not one branch of its log, on |z| <= 13 outside 0.1 of
-    # the poles: recursing to |z| > 10 keeps the error near 1.4e-14 here,
-    # against 6.5e-14 when recursing to |z| > 40 (rounding over 40 logs) and
-    # 1.1e-12 when stopping at |z| > 4 (the Stirling series truncates)
-    mp = pytest.importorskip("mpmath")
+def _oracle_points():
+    """400 points of |z| <= 13 outside 0.1 of the poles, from seed 2024."""
     rng = random.Random(2024)
-    worst = 0.0
-    count = 0
-    while count < 400:
+    points = []
+    while len(points) < 400:
         z = complex(rng.uniform(-13, 13), rng.uniform(-13, 13))
-        if abs(z) > 13 or (round(z.real) <= 0 and abs(z - round(z.real)) < 0.1):
-            continue
-        count += 1
+        if abs(z) <= 13 and not (round(z.real) <= 0 and abs(z - round(z.real)) < 0.1):
+            points.append(z)
+    return points
+
+
+def test_lgamma_mpmath_oracle():
+    # Gamma itself, not one branch of its log: six unit steps and twelve
+    # Stirling terms at |z| > 6 keep the error near 1.5e-14 here (the
+    # series truncates below 1e-17; the rest is rounding)
+    mp = pytest.importorskip("mpmath")
+    worst = 0.0
+    for z in _oracle_points():
         with mp.workdps(30):
             d = complex(mp.mpc(lgamma(z).as_log()) - mp.loggamma(mp.mpc(z)))
         worst = max(worst, abs(cmath.exp(d) - 1))
     assert worst <= 3e-14
+
+
+def test_lgamma_is_the_array_log_gamma_of_one():
+    points = _oracle_points()
+    batch = lgamma_array(points)
+    assert batch.shape == (400,)
+    assert [lgamma(z).as_log() for z in points] == batch.tolist()
+    assert lgamma_array(np.array(points).reshape(20, 20)).tolist() == batch.reshape(20, 20).tolist()
+
+
+def test_lgamma_array_names_the_first_pole():
+    for zs, first in (([1.5, -3 + 1e-13j, 2.5, -17.0], -3 + 1e-13j), ([0.25j, 0.3, -2.0, -1.0], -2.0)):
+        with pytest.raises(GammaPoleError, match=re.escape(f"gamma pole at z = {complex(first)}")):
+            lgamma_array(zs)
+
+
+def test_lgamma_array_of_nothing_is_empty():
+    out = lgamma_array([])
+    assert out.shape == (0,) and out.dtype == complex
+
+
+def test_non_finite_arguments_are_out_of_the_domain():
+    # not a bare ValueError from round(), an OverflowError or a silent NaN
+    for z in (complex(math.nan, 0), complex(math.inf, 0), complex(1, math.inf)):
+        with pytest.raises(EvaluationDomainError, match=re.escape(str(z))):
+            lgamma(z)
+        with pytest.raises(EvaluationDomainError, match=re.escape(str(z))):
+            lgamma_array([2.5, z])
+        with pytest.raises(EvaluationDomainError, match=re.escape(str(z))):
+            log_sin_pi(z)
 
 
 def test_lgamma_recursion_residual():
