@@ -20,7 +20,6 @@ import json
 import math
 import warnings
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence
 
@@ -46,9 +45,9 @@ from .exactalg import (
     word_to_matrix,
 )
 from .hypnum import (
-    _HALF_LOG_TWO_PI,
-    GAMMA_MARGIN,
     DegeneratePointError,
+    GammaSinExpr,
+    Growth,
     LogC,
     PointV,
     PointW,
@@ -57,12 +56,9 @@ from .hypnum import (
     eval_J_log,
     eval_L_log,
     eval_M_log,
-    lgamma_array,
-    log_sin_pi,
     m_probe_args,
     margins_ok,
     _families,
-    _near_nonpos_int,
 )
 
 __all__ = [
@@ -96,9 +92,6 @@ __all__ = [
     "table_text",
 ]
 
-FACTOR_GAMMA = "Gamma"
-FACTOR_SIN = "SinPi"
-
 ROY463_TOL = 1e-5
 ORBIT1JLL_TOL = 1e-7
 ROY463B_SHIFTED_TOL = 1e-4
@@ -107,141 +100,6 @@ LIMIT_DECAY = 0.6
 POINT_BUDGET = 10_000
 # imaginary shifts of b for check_limit and for roy463b in check 12
 SHIFTS = (8.0, 16.0, 32.0)
-
-
-# ---------------------------------------------------------------------------
-# coefficient expressions
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class Growth:
-    """Exact growth A·it·log t + B·t + C·log t of a log under b -> b + it:
-    A = a and B = pi·b_re + i(b_im + log b_pow) with a, b_re, b_im and b_pow
-    rational, and C = c, a reduced LinForm read at the point."""
-
-    a: Fraction
-    b_re: Fraction
-    b_im: Fraction
-    b_pow: Fraction
-    c: LinForm
-
-    def at(self, t: float, values) -> complex:
-        b = complex(math.pi * self.b_re, self.b_im + math.log(self.b_pow))
-        return (1j * float(self.a) * math.log(t) + b) * t + self.c.evaluate(values) * math.log(t)
-
-    def to_dict(self) -> dict:
-        return {"A": str(self.a), "B": f"{self.b_re}*pi + ({self.b_im} + log({self.b_pow}))*i", "C": str(self.c)}
-
-
-@dataclass(frozen=True)
-class GammaSinExpr:
-    """Rational multiple of a product/quotient of Gamma and sin(pi .) factors.
-
-    Everything multiplicative is kept symbolic: factors are (kind, form)
-    pairs evaluated in log space and exponentiated once by the caller.
-    A factor of pi itself is expressed as Gamma(1/2)^2.  Like the hypnum
-    evaluators, evaluation holds every gamma argument GAMMA_MARGIN from a
-    pole and every sine argument SIN_MARGIN from an integer.
-    """
-
-    prefactor: Fraction
-    numerator: tuple
-    denominator: tuple
-
-    @classmethod
-    def build(cls, alphabet, prefactor=1, gamma_num=(), gamma_den=(),
-              sin_num=(), sin_den=()) -> "GammaSinExpr":
-        def forms(items, kind):
-            out = []
-            for it in items:
-                form = LinForm.parse(it, alphabet) if isinstance(it, str) else it
-                out.append((kind, form))
-            return out
-
-        num = forms(gamma_num, FACTOR_GAMMA) + forms(sin_num, FACTOR_SIN)
-        den = forms(gamma_den, FACTOR_GAMMA) + forms(sin_den, FACTOR_SIN)
-        return cls(Fraction(prefactor), tuple(num), tuple(den))
-
-    def eval_log(self, values) -> LogC:
-        """Log of the expression at values: each factor's margin held in
-        factor order, numerator first, and every gamma factor's log from
-        one lgamma_array call."""
-        if self.prefactor == 0:
-            raise ZeroDivisionError("zero prefactor has no logarithm")
-        total = cmath.log(float(self.prefactor))
-        gammas, signs = [], []
-        for sign, factors in ((1, self.numerator), (-1, self.denominator)):
-            for kind, form in factors:
-                z = form.evaluate(values)
-                if kind != FACTOR_GAMMA:
-                    total += sign * log_sin_pi(z).as_log()
-                elif _near_nonpos_int(z, GAMMA_MARGIN):
-                    raise DegeneratePointError(f"gamma argument {z} within {GAMMA_MARGIN} of a pole")
-                else:
-                    gammas.append(z)
-                    signs.append(sign)
-        if gammas:
-            total += complex(lgamma_array(gammas) @ signs)
-        return LogC(total.real, total.imag)
-
-    def growth(self, values) -> tuple:
-        """(Growth, D) with log expr(p + it·e_b) = A·it·log t + B·t + C·log t
-        + D + o(1), p the point of values and D a LogC.  Each factor whose
-        reduced form has b-coefficient beta != 0, with value x at p, tends by
-        Stirling's formula (up to O(1/t)) and the sine's exponential (up to
-        O(exp(-2 pi |beta| t))) to
-          log Gamma: (x + i beta t - 1/2)(log |beta| t + i pi sgn(beta)/2) - i beta t + log(2 pi)/2,
-          log sin pi: pi |beta| t + log(i sgn(beta)/2) - i pi sgn(beta) x;
-        the factors with beta = 0 go into D whole."""
-        def moves(factor):
-            return factor[1].reduced().coef("b") != 0
-
-        still = GammaSinExpr(self.prefactor, *(tuple(f for f in fs if not moves(f))
-                                               for fs in (self.numerator, self.denominator)))
-        d = still.eval_log(values).as_log()
-        a, b_re, b_pow, c = Fraction(0), Fraction(0), Fraction(1), LinForm.const_form(W_SYMBOLS, 0)
-        for sign, factors in ((1, self.numerator), (-1, self.denominator)):
-            for kind, form in filter(moves, factors):
-                form = form.reduced()
-                beta = form.coef("b")
-                x, s = form.evaluate(values), 1 if beta > 0 else -1
-                if kind == FACTOR_GAMMA:
-                    a += sign * beta
-                    b_re -= sign * abs(beta) / 2
-                    b_pow *= abs(beta) ** (sign * beta)
-                    c += sign * (form - Fraction(1, 2))
-                    d += sign * ((x - 0.5) * complex(math.log(abs(beta)), s * math.pi / 2) + _HALF_LOG_TWO_PI)
-                else:
-                    b_re += sign * abs(beta)
-                    d += sign * (1j * s * math.pi * (0.5 - x) - math.log(2))
-        return Growth(a, b_re, -a, b_pow, c), LogC(d.real, d.imag)
-
-    def substitute(self, forms: Sequence[LinForm]) -> "GammaSinExpr":
-        num = tuple((k, f.substitute(forms)) for k, f in self.numerator)
-        den = tuple((k, f.substitute(forms)) for k, f in self.denominator)
-        return GammaSinExpr(self.prefactor, num, den)
-
-    def probe_args(self, values):
-        """(gamma arguments, sine arguments) at values; only bench/ calls it."""
-        gammas, sins = [], []
-        for kind, form in self.numerator + self.denominator:
-            (gammas if kind == FACTOR_GAMMA else sins).append(form.evaluate(values))
-        return tuple(gammas), tuple(sins)
-
-    def __mul__(self, other: "GammaSinExpr") -> "GammaSinExpr":
-        return GammaSinExpr(
-            self.prefactor * other.prefactor,
-            self.numerator + other.numerator,
-            self.denominator + other.denominator,
-        )
-
-    def __truediv__(self, other: "GammaSinExpr") -> "GammaSinExpr":
-        return GammaSinExpr(
-            self.prefactor / other.prefactor,
-            self.numerator + other.denominator,
-            self.denominator + other.numerator,
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -644,7 +502,8 @@ def _roy463b() -> Relation:
     t2 = (c2, _m_term(("a", "c", "g", "d", "e", "f", "b", "h")))
     # numerators 1-4 over denominators 1-4 are the Pochhammer bracket
     # (b)_{c-a}(h)_{c-a}/((1+a-b)_{c-a}(1+a-h)_{c-a}); numerators 5-6 cancel
-    # its Gamma(b) and Gamma(1+c-h) exactly, though not in rounding
+    # its Gamma(b) and Gamma(1+c-h) exactly: the evaluation takes neither
+    # log, though it holds both margins
     c3 = GammaSinExpr.build(
         W_SYMBOLS, -2, sin_num=("g",),
         gamma_den=(_HALF, _HALF, "1+a-c-g", "d", "e", "f"),

@@ -21,28 +21,29 @@ interest sit on the engine: the 44-label pair (a sum and a difference of two
 Saalschutzian 4F3(1) series, with a very-well-poised 7F6(1) as a second route
 to the difference) and the eight-parameter function built from two
 very-well-poised 9F8(1) series.  Each family is written once, as its
-formula over linear forms (_descriptions), and one generic evaluator reads
-it: the margin lists, the cancelled gamma quotients and the series all come
-from that one description.  Each evaluation issues a PrecisionWarning when
-one of its series misses its tolerance, or when its two halves cancel to
-fewer than nine digits.
+formula over linear forms (_descriptions): halves, each a GammaSinExpr
+coefficient times a series.  One generic evaluator reads it, and evaluates
+every GammaSinExpr too, as one half without a series: the margins, the
+cancelled gamma/sine quotients and the series all come from that one
+description.  Each evaluation issues a PrecisionWarning when one of its
+series misses its tolerance, or when its two halves cancel to fewer than
+nine digits.
 """
-
 from __future__ import annotations
 
 import cmath
 import math
 import operator
 import warnings
-from collections import Counter, namedtuple
+from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache, partial
 from typing import Sequence
 
 import numpy as np
 
-from .exactalg import HYPERPLANES, V_SYMBOLS, W_SYMBOLS, symbol_forms
+from .exactalg import HYPERPLANES, V_SYMBOLS, W_SYMBOLS, LinForm, symbol_forms
 
 __all__ = [
     "GAMMA_MARGIN",
@@ -55,6 +56,8 @@ __all__ = [
     "DivergentSeriesError",
     "PrecisionWarning",
     "LogC",
+    "Growth",
+    "GammaSinExpr",
     "combine_exponentials",
     "lgamma",
     "lgamma_array",
@@ -79,6 +82,11 @@ __all__ = [
 GAMMA_MARGIN = 0.1
 SIN_MARGIN = 0.05
 _POLE_MARGIN = 1e-12
+
+# the two kinds of factor a GammaSinExpr holds
+FACTOR_GAMMA = "Gamma"
+FACTOR_SIN = "SinPi"
+_SINE_MARGIN_TEXT = "sine argument {} within {} of an integer: sine margin violated"
 
 _LOG_PI = math.log(math.pi)
 _HALF_LOG_TWO_PI = 0.5 * math.log(2.0 * math.pi)
@@ -115,6 +123,20 @@ def _near_nonpos_int(z: complex, margin: float) -> bool:
 
 def _dist_to_int(z: complex) -> float:
     return abs(z - round(z.real))
+
+
+def _hold_margins(kinds, args) -> None:
+    """Raise at the first of args, each a gamma or a sine argument as kinds
+    says, that is not finite, or that lies within GAMMA_MARGIN of a pole or
+    SIN_MARGIN of an integer."""
+    for kind, z in zip(kinds, args):
+        if not cmath.isfinite(z):
+            raise EvaluationDomainError(f"non-finite argument {z}")
+        if kind == FACTOR_GAMMA:
+            if _near_nonpos_int(z, GAMMA_MARGIN):
+                raise DegeneratePointError(f"gamma argument {z} within {GAMMA_MARGIN} of a pole")
+        elif _dist_to_int(z) < SIN_MARGIN:
+            raise DegeneratePointError(_SINE_MARGIN_TEXT.format(z, SIN_MARGIN))
 
 
 # ---------------------------------------------------------------------------
@@ -170,27 +192,17 @@ def _logc_from_log(w: complex) -> LogC:
     return LogC(w.real, w.imag)
 
 
-def combine_exponentials(terms: Sequence[LogC], coefs: Sequence[complex] = None):
-    """Log of sum(coef_i * exp(term_i)), rescaled by the largest magnitude.
+def combine_exponentials(terms: Sequence[LogC]):
+    """Log of sum(exp(term_i)), rescaled by the largest magnitude.
 
     Returns (LogC of the combination, cancellation ratio), where the ratio is
     |combination| / max |contribution| after rescaling.  A tiny ratio means
     the combination lost that many digits to cancellation.
     """
-    if coefs is None:
-        coefs = [1.0] * len(terms)
-    if len(coefs) != len(terms) or not terms:
-        raise ValueError("need one coefficient per term")
-    mags = [
-        t.log_mag + (math.log(abs(c)) if c != 0 else -math.inf)
-        for t, c in zip(terms, coefs)
-    ]
-    r = max(mags)
+    r = max(t.log_mag for t in terms)
     if r == -math.inf:
         return LogC(-math.inf, 0.0), 1.0
-    contribs = [
-        c * cmath.exp(complex(t.log_mag - r, t.phase)) for t, c in zip(terms, coefs)
-    ]
+    contribs = [cmath.exp(complex(t.log_mag - r, t.phase)) for t in terms]
     s = sum(contribs)
     biggest = max(abs(v) for v in contribs)
     ratio = abs(s) / biggest if biggest > 0 else 1.0
@@ -259,9 +271,7 @@ def log_sin_pi(z: complex, margin: float = SIN_MARGIN) -> LogC:
     if d < _POLE_MARGIN:
         raise DegeneratePointError(f"sin(pi z) vanishes at z = {z}")
     if d < margin:
-        raise DegeneratePointError(
-            f"z = {z} within {margin} of an integer; sine margin violated"
-        )
+        raise DegeneratePointError(_SINE_MARGIN_TEXT.format(z, margin))
     return _logc_from_log(_log_sin_pi_c(z))
 
 
@@ -554,20 +564,9 @@ class PointV:
 def require_margins(gammas, sins):
     """Raise unless every argument is finite, every gamma argument clears
     GAMMA_MARGIN from a pole and every sine argument clears SIN_MARGIN from
-    an integer."""
-    for z in (*gammas, *sins):
-        if not cmath.isfinite(z):
-            raise EvaluationDomainError(f"non-finite argument {complex(z)}")
-    for z in gammas:
-        if _near_nonpos_int(complex(z), GAMMA_MARGIN):
-            raise DegeneratePointError(
-                f"gamma argument {complex(z)} within {GAMMA_MARGIN} of a pole"
-            )
-    for z in sins:
-        if _dist_to_int(complex(z)) < SIN_MARGIN:
-            raise DegeneratePointError(
-                f"sine argument {complex(z)} within {SIN_MARGIN} of an integer"
-            )
+    an integer, the gamma arguments checked first, each list in order."""
+    args = [complex(z) for z in (*gammas, *sins)]
+    _hold_margins([FACTOR_GAMMA] * len(gammas) + [FACTOR_SIN] * len(sins), args)
 
 
 def margins_ok(gammas, sins) -> bool:
@@ -581,17 +580,128 @@ def margins_ok(gammas, sins) -> bool:
 
 
 # ---------------------------------------------------------------------------
+# gamma-sine products
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Growth:
+    """Exact growth A·it·log t + B·t + C·log t of a log under b -> b + it:
+    A = a and B = pi·b_re + i(b_im + log b_pow) with a, b_re, b_im and b_pow
+    rational, and C = c, a reduced LinForm read at the point."""
+
+    a: Fraction
+    b_re: Fraction
+    b_im: Fraction
+    b_pow: Fraction
+    c: LinForm
+
+    def at(self, t: float, values) -> complex:
+        b = complex(math.pi * self.b_re, self.b_im + math.log(self.b_pow))
+        return (1j * float(self.a) * math.log(t) + b) * t + self.c.evaluate(values) * math.log(t)
+
+    def to_dict(self) -> dict:
+        return {"A": str(self.a), "B": f"{self.b_re}*pi + ({self.b_im} + log({self.b_pow}))*i", "C": str(self.c)}
+
+
+@dataclass(frozen=True)
+class GammaSinExpr:
+    """Rational multiple of a product/quotient of Gamma and sin(pi .) factors.
+
+    Everything multiplicative is kept symbolic: factors are (kind, form)
+    pairs, and a factor of pi itself is expressed as Gamma(1/2)^2.  An
+    expression is evaluated by the family evaluator, as one half without a
+    series, built once per distinct expression: it holds the families'
+    margins at every factor that is not constant, in written order
+    (numerator, then denominator), and a factor repeated above and below
+    cancels exactly.
+    """
+
+    prefactor: Fraction
+    numerator: tuple
+    denominator: tuple
+
+    @classmethod
+    def build(cls, alphabet, prefactor=1, gamma_num=(), gamma_den=(),
+              sin_num=(), sin_den=()) -> "GammaSinExpr":
+        def forms(items, kind):
+            return [(kind, LinForm.parse(it, alphabet) if isinstance(it, str) else it) for it in items]
+
+        num = forms(gamma_num, FACTOR_GAMMA) + forms(sin_num, FACTOR_SIN)
+        den = forms(gamma_den, FACTOR_GAMMA) + forms(sin_den, FACTOR_SIN)
+        return cls(Fraction(prefactor), tuple(num), tuple(den))
+
+    @cached_property
+    def _family(self) -> "_Family":
+        return _product_family(self)
+
+    def eval_log(self, values) -> LogC:
+        """Log of the expression at values; a zero prefactor raises
+        ZeroDivisionError."""
+        return self._family.evaluate(values)
+
+    def growth(self, values) -> tuple:
+        """(Growth, D) with log expr(p + it·e_b) = A·it·log t + B·t + C·log t
+        + D + o(1), p the point of values and D a LogC.  Each factor whose
+        reduced form has b-coefficient beta != 0, with value x at p, tends by
+        Stirling's formula (up to O(1/t)) and the sine's exponential (up to
+        O(exp(-2 pi |beta| t))) to
+          log Gamma: (x + i beta t - 1/2)(log |beta| t + i pi sgn(beta)/2) - i beta t + log(2 pi)/2,
+          log sin pi: pi |beta| t + log(i sgn(beta)/2) - i pi sgn(beta) x;
+        the factors with beta = 0 go into D whole."""
+        def moves(factor):
+            return factor[1].reduced().coef("b") != 0
+
+        still = GammaSinExpr(self.prefactor, *(tuple(f for f in fs if not moves(f))
+                                               for fs in (self.numerator, self.denominator)))
+        d = still.eval_log(values).as_log()
+        a, b_re, b_pow, c = Fraction(0), Fraction(0), Fraction(1), LinForm.const_form(W_SYMBOLS, 0)
+        for sign, factors in ((1, self.numerator), (-1, self.denominator)):
+            for kind, form in filter(moves, factors):
+                form = form.reduced()
+                beta = form.coef("b")
+                x, s = form.evaluate(values), 1 if beta > 0 else -1
+                if kind == FACTOR_GAMMA:
+                    a += sign * beta
+                    b_re -= sign * abs(beta) / 2
+                    b_pow *= abs(beta) ** (sign * beta)
+                    c += sign * (form - Fraction(1, 2))
+                    d += sign * ((x - 0.5) * complex(math.log(abs(beta)), s * math.pi / 2) + _HALF_LOG_TWO_PI)
+                else:
+                    b_re += sign * abs(beta)
+                    d += sign * (1j * s * math.pi * (0.5 - x) - math.log(2))
+        return Growth(a, b_re, -a, b_pow, c), LogC(d.real, d.imag)
+
+    def substitute(self, forms: Sequence[LinForm]) -> "GammaSinExpr":
+        num = tuple((k, f.substitute(forms)) for k, f in self.numerator)
+        den = tuple((k, f.substitute(forms)) for k, f in self.denominator)
+        return GammaSinExpr(self.prefactor, num, den)
+
+    def probe_args(self, values):
+        """(gamma arguments, sine arguments) whose margins eval_log holds;
+        only bench/ calls it."""
+        return self._family.probe_args(values)
+
+    def __mul__(self, other: "GammaSinExpr") -> "GammaSinExpr":
+        return GammaSinExpr(self.prefactor * other.prefactor, self.numerator + other.numerator,
+                            self.denominator + other.denominator)
+
+    def __truediv__(self, other: "GammaSinExpr") -> "GammaSinExpr":
+        return GammaSinExpr(self.prefactor / other.prefactor, self.numerator + other.denominator,
+                            self.denominator + other.numerator)
+
+
+# ---------------------------------------------------------------------------
 # the three function families, each written once as its formula
 # ---------------------------------------------------------------------------
 
 
-# coef (+-1) * const * Gamma[gamma_num / gamma_den] * pFq(nums; dens) at unit
-# argument, every argument a LinForm over the family's letters
-_Half = namedtuple("_Half", "coef const gamma_num gamma_den nums dens")
-# a family as the paper writes it: the sum of its halves over sin(pi sine)
-# (1 where sine is None) and the product of Gamma at denominator, on the
-# hyperplane plane = 0
-_Description = namedtuple("_Description", "name plane sine denominator halves")
+# coef * pFq(nums; dens) at unit argument, coef a GammaSinExpr and every
+# series parameter a LinForm over the family's letters; no nums, no series
+_Half = namedtuple("_Half", "coef nums dens")
+# a family as the paper writes it: the sum of its halves, on the hyperplane
+# plane = 0 (None: anywhere)
+_Description = namedtuple("_Description", "name plane halves")
 
 
 def _very_well_poised(head, params):
@@ -608,28 +718,34 @@ def _descriptions() -> dict:
     poised = tuple(1 + A - t for t in (B, C, D))
     moved = tuple(1 + t - E for t in (A, B, C, D))
     tops = (2 - E, 1 + F - E, 1 + G - E)
-    first = _Half(1, 1.0, (A, B, C, D), (E, F, G), (A, B, C, D), (E, F, G))
+    v, w = partial(GammaSinExpr.build, V_SYMBOLS), partial(GammaSinExpr.build, W_SYMBOLS)
+    # J and L: each half over sin(pi A) or sin(pi E) and eight gamma factors
+    j_den = v(1, (), (A, B, C, D, A, *shifted), sin_den=(A,))
+    l_den = v(1, (), (A, B, C, D, *moved), sin_den=(E,))
+    first = (A, B, C, D), (E, F, G)
     # the 7F6 route: 1/pi Gamma[1+a / 1+a-b..f, 2+2a-b-c-d-e-f] 7F6 with
     # a = D+G-E and b..f = G-A, G-B, G-C, D, 1+D-E
     head = D + G - E
     nums, dens = _very_well_poised(head, (G - A, G - B, G - C, D, 1 + D - E))
-    route = _Half(1, 1 / math.pi, (1 + head,), (*dens[1:], 2 + 2 * head - sum(nums[2:])), nums, dens)
+    route = _Half(v(1, (1 + head,), (*dens[1:], 2 + 2 * head - sum(nums[2:]), "1/2", "1/2")), nums, dens)
 
     a, b, c, d, e, f, g, h = symbol_forms("w")
     rest = (c, d, e, f, g, h)
     rest_moved = tuple(b - a + t for t in rest)
+    m_den = w(1, (), (b, *rest, *rest_moved), sin_den=(b - a,))
     m_halves = []
     # V(head; params) = pi/2 Gamma[1+head, params / 1+head-params] 9F8
-    for coef, head, params in ((1, a, (b, *rest)), (-1, 2 * b - a, (b, *rest_moved))):
+    for sign, head, params in ((1, a, (b, *rest)), (-1, 2 * b - a, (b, *rest_moved))):
         nums, dens = _very_well_poised(head, params)
-        m_halves.append(_Half(coef, math.pi / 2, (1 + head, *params), dens[1:], nums, dens))
+        coef = w(Fraction(sign, 2), ("1/2", "1/2", 1 + head, *params), dens[1:]) * m_den
+        m_halves.append(_Half(coef, nums, dens))
     return {
-        "J": _Description("J", v_plane, A, (A, B, C, D, A, *shifted), (
-            first, _Half(1, 1.0, (A, *shifted), poised, (A, *shifted), poised))),
-        "L": _Description("L", v_plane, E, (A, B, C, D, *moved), (
-            first, _Half(-1, 1.0, moved, tops, moved, tops))),
-        "L7F6": _Description("L (7F6 route)", v_plane, None, (), (route,)),
-        "M": _Description("M", HYPERPLANES[W_SYMBOLS], b - a, (b, *rest, *rest_moved), tuple(m_halves)),
+        "J": _Description("J", v_plane, (_Half(v(1, *first) * j_den, *first),
+                                         _Half(v(1, (A, *shifted), poised) * j_den, (A, *shifted), poised))),
+        "L": _Description("L", v_plane, (
+            _Half(v(1, *first) * l_den, *first), _Half(v(-1, moved, tops) * l_den, moved, tops))),
+        "L7F6": _Description("L (7F6 route)", v_plane, (route,)),
+        "M": _Description("M", HYPERPLANES[W_SYMBOLS], tuple(m_halves)),
     }
 
 
@@ -642,50 +758,61 @@ class _Family:
 
     Every distinct form is one row of a matrix, constant first; each
     coefficient is a multiple of 1/2, so the rows are exact in floating
-    point and a point's arguments are one matrix product.  The gamma
-    factors a half shares with the denominator are cancelled here, once.
-    The margins are held at every gamma argument of the formula as written
-    and at every series denominator, cancelled or not, and at the sine.
+    point and a point's arguments are one matrix product.  Each half's
+    coefficient is one row of a signed incidence matrix over the distinct
+    gamma and sine factors, so a factor a half has above and below cancels
+    here, exactly and once.  The margins are held in written order: each
+    half's numerator factors, its denominator factors, then its series
+    denominators, cancelled or not; a constant factor holds none.
     """
 
     def __init__(self, desc: _Description):
         self.desc = desc
-        self.arity = len(desc.plane.alphabet)
         rows = {}
 
-        def index(forms):
-            return tuple(rows.setdefault(form, len(rows)) for form in forms)
+        def index(form):
+            return rows.setdefault(form, len(rows))
 
-        self._plane = index([desc.plane])[0]
-        self._sine = index([desc.sine] if desc.sine is not None else [])
-        gammas = list(desc.denominator)
+        self._plane = () if desc.plane is None else (index(desc.plane),)
+        margins, counts, self._halves = [], [], []
         for half in desc.halves:
-            gammas += [*half.gamma_num, *half.gamma_den, *half.dens]
-        self._gammas = index(dict.fromkeys(gammas))
-        self._halves, counts = [], []
-        for half in desc.halves:
-            num, den = Counter(half.gamma_num), Counter(half.gamma_den + desc.denominator)
-            shared = num & den
-            count = num - shared
-            count.subtract(den - shared)
+            coef = half.coef
+            if not coef.prefactor:
+                raise ZeroDivisionError("zero prefactor has no logarithm")
+            count = {}
+            for sign, factors in ((1, coef.numerator), (-1, coef.denominator)):
+                for kind, form in factors:
+                    key = kind, index(form)
+                    count[key] = count.get(key, 0) + sign
+                    if any(form.coefs):
+                        margins.append(key)
+            dens = [index(form) for form in half.dens]
+            margins += [(FACTOR_GAMMA, i) for i in dens]
             counts.append(count)
-            self._halves.append((half.coef, complex(math.log(half.const)),
-                                 index(half.nums), index(half.dens)))
-        # the rows whose log-gamma some half takes, and each half's signed
-        # count of each (a half's row of the incidence matrix), so that J's
-        # repeated A counts twice
-        lgamma_forms = list(dict.fromkeys(f for count in counts for f in count))
-        self._lgamma_rows = np.array(index(lgamma_forms), dtype=np.intp)
-        self._incidence = np.array([[count[f] for f in lgamma_forms] for count in counts], dtype=complex)
+            self._halves.append((cmath.log(coef.prefactor), [index(form) for form in half.nums], dens))
+        margins = tuple(dict.fromkeys(margins))
+        self._margin_kinds, self._margin_rows = tuple(k for k, _ in margins), tuple(i for _, i in margins)
+        self._gammas = tuple(i for kind, i in margins if kind == FACTOR_GAMMA)
+        self._sines = tuple(i for kind, i in margins if kind == FACTOR_SIN)
+        # the factors whose log some half takes, gammas first, and each half's
+        # signed count of each (J's repeated A counts twice)
+        logged = [key for key in dict.fromkeys(k for count in counts for k in count)
+                  if any(count.get(key) for count in counts)]
+        logged.sort(key=lambda key: key[0] != FACTOR_GAMMA)
+        self._lgamma_rows = np.array([i for kind, i in logged if kind == FACTOR_GAMMA], dtype=np.intp)
+        self._sine_rows = [i for kind, i in logged if kind == FACTOR_SIN]
+        self._incidence = np.array([[count.get(key, 0) for key in logged] for count in counts], dtype=complex)
         self.forms = tuple(rows)
-        self._matrix = np.array([[f.const, *f.coefs] for f in self.forms], dtype=complex)
+        # a constant product has no forms, arity 0, and reads no coordinates
+        self.arity = len(self.forms[0].alphabet) if self.forms else 0
+        self._matrix = np.array([[f.const, *f.coefs] for f in self.forms], dtype=complex).reshape(-1, 1 + self.arity)
 
     def point(self, x) -> tuple:
         """The coordinates of x, a point or a sequence of numbers."""
         x = x.args() if isinstance(x, (PointV, PointW)) else tuple(x)
-        if len(x) != self.arity:
+        if len(x) != self.arity and self.forms:
             raise ValueError(f"need {self.arity} parameter values")
-        return x
+        return x[: self.arity]
 
     def values(self, x) -> np.ndarray:
         """Every row's value at x, as a complex array."""
@@ -694,38 +821,41 @@ class _Family:
     def probe_args(self, x):
         """(gamma arguments, sine arguments) whose margins the evaluation holds."""
         z = self.values(x).tolist()
-        return tuple(z[i] for i in self._gammas), tuple(z[i] for i in self._sine)
+        return tuple(z[i] for i in self._gammas), tuple(z[i] for i in self._sines)
 
     def evaluate(self, x) -> LogC:
         """Log of the family at x: its arguments, then their margins, then the
         hyperplane, then the series.  Each half is assembled as one complex
-        log, its gamma quotient one row of the incidence matrix times the
-        log-gammas of one lgamma_array call, and the halves meet in one
-        rescaled sum, with a warning if more than nine digits cancel or a
-        series misses its tolerance."""
+        log, its gamma/sine quotient one row of the incidence matrix times
+        the logs of its factors, all log-gammas from one lgamma_array call,
+        and the halves meet in one rescaled sum, with a warning if more than
+        nine digits cancel or a series misses its tolerance."""
         values = self.values(x)
         z = values.tolist()
-        require_margins([z[i] for i in self._gammas], [z[i] for i in self._sine])
-        if abs(z[self._plane]) > 1e-9:
-            raise EvaluationDomainError(
-                f"parameters leave the {_PLANE_NAMES[self.desc.plane.alphabet]} hyperplane"
-            )
-        sine = sum(_log_sin_pi_c(z[i]) for i in self._sine)
-        gammas = (self._incidence @ lgamma_array(values[self._lgamma_rows])).tolist()
-        logs, coefs = [], []
-        for which, (coef, const, nums, dens) in enumerate(self._halves, start=1):
-            res = sum_pfq([z[i] for i in nums], [z[i] for i in dens])
-            if not res.converged:
-                warnings.warn(
-                    f"{self.desc.name} evaluation, {len(nums)}F{len(dens)} of half {which}: "
-                    f"series summed {res.terms_used} terms and its tail with error estimate "
-                    f"{res.err_estimate:.1e}, short of its tolerance",
-                    PrecisionWarning,
-                    stacklevel=3,
+        _hold_margins(self._margin_kinds, [z[i] for i in self._margin_rows])
+        for i in self._plane:
+            if abs(z[i]) > 1e-9:
+                raise EvaluationDomainError(
+                    f"parameters leave the {_PLANE_NAMES[self.desc.plane.alphabet]} hyperplane"
                 )
-            logs.append(_logc_from_log(const + cmath.log(res.value) - sine + gammas[which - 1]))
-            coefs.append(coef)
-        combo, ratio = combine_exponentials(logs, coefs)
+        sines = [_log_sin_pi_c(z[i]) for i in self._sine_rows]
+        quotients = (self._incidence @ np.concatenate((lgamma_array(values[self._lgamma_rows]), sines))).tolist()
+        terms = []
+        for which, (const, nums, dens) in enumerate(self._halves, start=1):
+            log = const + quotients[which - 1]
+            if nums:
+                res = sum_pfq([z[i] for i in nums], [z[i] for i in dens])
+                if not res.converged:
+                    warnings.warn(
+                        f"{self.desc.name} evaluation, {len(nums)}F{len(dens)} of half {which}: "
+                        f"series summed {res.terms_used} terms and its tail with error estimate "
+                        f"{res.err_estimate:.1e}, short of its tolerance",
+                        PrecisionWarning,
+                        stacklevel=3,
+                    )
+                log += cmath.log(res.value)
+            terms.append(_logc_from_log(log))
+        combo, ratio = combine_exponentials(terms)
         if ratio < 1e-9:
             warnings.warn(
                 f"{self.desc.name} evaluation: terms cancel to {ratio:.1e} of their size; "
@@ -740,6 +870,14 @@ class _Family:
 def _families() -> dict:
     """Each family's evaluator, built on first use."""
     return {kind: _Family(desc) for kind, desc in _descriptions().items()}
+
+
+@lru_cache(maxsize=4096)
+def _product_family(expr: GammaSinExpr) -> _Family:
+    """The evaluator of a gamma-sine product, built once per distinct
+    expression (of the last 4096 seen): a family of one half without a
+    series or a hyperplane."""
+    return _Family(_Description("gamma-sine product", None, (_Half(expr, (), ()),)))
 
 
 def j_probe_args(args7):

@@ -25,9 +25,11 @@ from hyperweyl.exactalg import LinForm, V_SYMBOLS, W_SYMBOLS
 from hyperweyl.hypnum import (
     DegeneratePointError,
     DivergentSeriesError,
+    PointV,
     PointW,
     PrecisionWarning,
     combine_exponentials,
+    eval_J_log,
     eval_M_log,
     lgamma,
     log_sin_pi,
@@ -535,6 +537,35 @@ def test_gamma_sine_factors_hold_their_margins_in_factor_order():
     got = expr.eval_log([-0.85, 0.3 + 0.1j] + rest).to_complex()
     want = -2 * cmath.sin(math.pi * (0.3 + 0.1j)) / math.gamma(-0.85)
     assert abs(got - want) <= 1e-13 * abs(want)
+
+
+def test_repeated_factors_cancel_exactly_and_keep_their_margins():
+    # Gamma(a) Gamma(b) / Gamma(b) is Gamma(a) bit for bit, yet the point
+    # must still clear Gamma(b)'s margin
+    both = GammaSinExpr.build(W_SYMBOLS, 1, gamma_num=("a", "b"), gamma_den=("b",))
+    alone = GammaSinExpr.build(W_SYMBOLS, 1, gamma_num=("a",))
+    rng = random.Random(1)
+    for _ in range(200):
+        vals = [complex(rng.uniform(0.5, 30), rng.uniform(-20, 20)) for _ in range(8)]
+        assert both.eval_log(vals) == alone.eval_log(vals)
+    near = [0.3 + 0.1j, -2 + 0.05] + [0.4] * 6
+    alone.eval_log(near)
+    with pytest.raises(DegeneratePointError, match="within 0.1 of a pole"):
+        both.eval_log(near)
+
+
+def test_one_message_per_violation():
+    # a family and a product say the same of the same gamma argument, and
+    # M's sine argument b - a says which margin it missed
+    p = PointV(-1 + 0.07, 0.4, 0.5, 0.6, 0.3, 0.2)
+    with pytest.raises(DegeneratePointError, match="within 0.1 of a pole") as family:
+        eval_J_log(p)
+    with pytest.raises(DegeneratePointError) as product:
+        GammaSinExpr.build(V_SYMBOLS, 1, gamma_num=("A",)).eval_log(p.args())
+    assert str(family.value) == str(product.value)
+    q = PointW(0.3 + 0.1j, 0.32 + 0.1j, 0.6, 0.2, 0.7 + 0.05j, 0.35, 0.55)
+    with pytest.raises(DegeneratePointError, match="sine margin violated"):
+        eval_M_log(q)
 
 
 def _admitted(work, q):

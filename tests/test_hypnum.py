@@ -154,13 +154,14 @@ def test_logc_overflow_guard():
 
 def test_combine_exponentials():
     a, b = LogC.from_complex(3 + 0.5j), LogC.from_complex(-1 + 2j)
-    out, ratio = combine_exponentials([a, b], [2.0, -1.0])
+    # the weights 2 and -1 go into the logs, as log 2 and i pi
+    out, ratio = combine_exponentials([a + LogC(math.log(2.0), 0.0), b + LogC(0.0, math.pi)])
     assert abs(out.to_complex() - (2 * (3 + 0.5j) - (-1 + 2j))) < 1e-13
     assert 0 < ratio <= 2
     # near-total cancellation reported through the ratio
     c = LogC.from_complex(1.0)
     d = LogC.from_complex(-(1.0 + 1e-11))
-    _, ratio = combine_exponentials([c, d], [1.0, 1.0])
+    _, ratio = combine_exponentials([c, d])
     assert ratio < 1e-9
 
 
@@ -844,7 +845,7 @@ def test_descriptions_say_what_the_paper_says():
         family = hypnum._families()[kind]
         assert {family.forms[i] for i in family._gammas} == gamma_forms, kind
         sine_forms = [LinForm.parse(t, letters) for t in sine_texts]
-        assert [f for f in (desc.sine,) if f is not None] == sine_forms, kind
+        assert [family.forms[i] for i in family._sines] == sine_forms, kind
         # the public probe lists read those forms at the point
         gammas, sins = PROBES[kind](args[kind])
         assert len(gammas) == len(gamma_forms) and len(sins) == len(sine_forms)

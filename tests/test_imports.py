@@ -79,18 +79,33 @@ def test_every_export_is_defined(path):
 def test_importing_the_cli_builds_no_table():
     # the classify tables, the label permutations, the triple actions, the
     # representative words, the jl_label inverse, the distance tables, the
-    # 56-row table and the function families are built on first use, so no
-    # command pays for them at import
+    # 56-row table, the function families and the compiled gamma-sine
+    # products are built on first use, so no command pays for them at import
     code = (
         "import hyperweyl.cli\n"
         "from hyperweyl import correspond, coxeter as c, hypnum\n"
         "cached = (c._m_classify_table, c._j_classify_table, c._l_classify_table, c._space,\n"
         "          c._triples, c.representative_words, c._jl_inverse, c.distance_table,\n"
-        "          correspond.appendix_table, hypnum._families)\n"
+        "          correspond.appendix_table, hypnum._families, hypnum._product_family)\n"
         "print(*(f.cache_info().currsize for f in cached))"
     )
     src = str(Path(hyperweyl.__file__).parent.parent)
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60)
     assert run.returncode == 0, run.stderr
-    assert run.stdout.split() == ["0"] * 10
+    assert run.stdout.split() == ["0"] * 11
+
+
+def test_only_hypnum_names_the_margins():
+    # one margin rule: no other package module reads the margins or the
+    # helpers that measure them
+    names = {"GAMMA_MARGIN", "SIN_MARGIN", "_near_nonpos_int", "_dist_to_int"}
+    found = []
+    for path in MODULES:
+        if path.name != "hypnum.py":
+            tree = ast.parse(path.read_text(), filename=str(path))
+            seen = {name for name, _ in _imported(tree)}
+            seen |= {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+            seen |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+            found += [f"{path.name}: {name}" for name in sorted(seen & names)]
+    assert not found, "margin names outside hypnum: " + ", ".join(found)
