@@ -14,12 +14,14 @@ red copies of the 12 L labels, plus the 32 J labels), it intertwines the two
 generator actions through matching_generator, and it compresses the
 discrete distance in a controlled way (t_distance).
 
-Each generator acts on the labels through its matrix: a label is a coset,
-named by its classifying form, and the generator's matrix carries every
-classifying form to another one (_space).  Words, orbits, group
-orders, distances and triple censuses share one core, built on first use:
-each generator as an index array of label images read off its matrix, one
-breadth-first orbit walk that records words, Schreier-Sims, one table of
+Each space is one ordered table (_table) of its labels, keyed by their
+classifying forms: it gives the label list, the classifier, and the action,
+since a generator's matrix carries every classifying form to another
+(_space).  Words, orbits, group orders, distances and triple censuses share
+one core, built on first use: each generator of a side, in the order of
+W_GENERATOR_NAMES or V_GENERATOR_NAMES, as an index array of label images,
+one breadth-first orbit walk that records words, one pointer-jumping sweep
+that finds orbits without them (_orbit_minima), Schreier-Sims, one table of
 the 56x56 discrete distances that every other space's distances gather,
 and each space's action on its three-element label sets (_triples): the
 sets as rows in combinations() order, an n x n rank table that finds the
@@ -41,7 +43,9 @@ import numpy as np
 from .exactalg import (
     HYPERPLANES,
     LinForm,
+    Q_GENERATOR_NAMES,
     SUBGROUP_WORDS,
+    V_GENERATOR_NAMES,
     V_SYMBOLS,
     W_GENERATOR_NAMES,
     W_SYMBOLS,
@@ -79,8 +83,6 @@ __all__ = [
     "d6_certificate",
     "perm_group_order",
     "representative_words",
-    "M_BFS_GENERATOR_ORDER",
-    "J_BFS_GENERATOR_ORDER",
 ]
 
 
@@ -158,11 +160,7 @@ def j_label_from_name(name: str) -> JLabel:
     kind, num = name[0], int(name[1:])
     if kind not in "pn" or not (0 <= num <= 15):
         raise ValueError(f"bad J label {name!r}")
-    q, r = divmod(num, 4)
-    signs = _BLOCKS[r] + _BLOCKS[q]
-    if kind == "n":
-        signs = tuple(-s for s in signs)
-    return JLabel(tuple(signs))
+    return all_j_labels()[16 * "pn".index(kind) + num]
 
 
 @dataclass(frozen=True)
@@ -193,23 +191,19 @@ class Color:
 
 
 def all_m_labels():
-    out = []
-    for i, j in combinations(range(8), 2):
-        out.append(MLabel(1, i, j))
-        out.append(MLabel(-1, i, j))
-    return out
+    return list(_table("M").values())
 
 
 def all_j_labels():
-    return [j_label_from_name(f"{k}{n}") for k in "pn" for n in range(16)]
+    return list(_table("J").values())
 
 
 def all_l_labels():
-    return [LLabel(i, b) for i in range(1, 7) for b in (False, True)]
+    return list(_table("L").values())
 
 
 def all_t_labels():
-    return all_l_labels() + all_j_labels()
+    return list(_table("T").values())
 
 
 def parse_label(text: str):
@@ -236,70 +230,28 @@ def parse_label(text: str):
 
 
 # ---------------------------------------------------------------------------
-# classification of symbolic vectors
+# the label spaces: one ordered table of classifying forms each
 # ---------------------------------------------------------------------------
 
 
-def _x_forms():
-    # x_0..x_7 = b, h, g, f, e, d, c, a as forms
-    order = ["b", "h", "g", "f", "e", "d", "c", "a"]
-    return [LinForm.symbol(W_SYMBOLS, s) for s in order]
-
-
-@lru_cache(maxsize=1)
-def _m_classify_table():
-    x = _x_forms()
-    table = {}
+def _m_rows():
+    # +-v(i,j) in combinations() order, + first: x_i + x_j - x_7 and its
+    # complement 1 - (x_i + x_j - x_7), with x_0..x_7 = b, h, g, f, e, d, c, a
+    x = [LinForm.symbol(W_SYMBOLS, s) for s in "bhgfedca"]
     for i, j in combinations(range(8), 2):
-        plus = (x[i] + x[j] - x[7]).reduced()
-        minus = (LinForm.const_form(W_SYMBOLS, 1) + x[7] - x[i] - x[j]).reduced()
-        table[plus] = MLabel(1, i, j)
-        table[minus] = MLabel(-1, i, j)
-    assert len(table) == 56, "coset-defining forms must be pairwise distinct"
-    return table
+        plus = x[i] + x[j] - x[7]
+        yield plus, MLabel(1, i, j)
+        yield 1 - plus, MLabel(-1, i, j)
 
 
-def classify_m(forms: Sequence[LinForm]) -> MLabel:
-    """Label of the coset containing the group element that produced the
-    eight forms (its image of the symbol forms).
-
-    The second slot determines the coset; it must match one of the 56
-    defining forms modulo the hyperplane.
-    """
-    f = forms[1].reduced()
-    table = _m_classify_table()
-    if f not in table:
-        raise ValueError(f"second slot {f} matches no coset form")
-    return table[f]
-
-
-@lru_cache(maxsize=1)
-def _j_classify_table():
-    a_forms = [LinForm.symbol(V_SYMBOLS, s) for s in ("A", "B", "C", "D")]
-    e_forms = [
-        LinForm.const_form(V_SYMBOLS, 1),
-        LinForm.symbol(V_SYMBOLS, "E"),
-        LinForm.symbol(V_SYMBOLS, "F"),
-        LinForm.symbol(V_SYMBOLS, "G"),
-    ]
-    table = {}
-    for q in range(4):
-        for r in range(4):
-            p_form = (LinForm.const_form(V_SYMBOLS, 1) + a_forms[r] - e_forms[q]).reduced()
-            n_form = (e_forms[q] - a_forms[r]).reduced()
-            table[p_form] = j_label_from_name(f"p{4 * q + r}")
-            table[n_form] = j_label_from_name(f"n{4 * q + r}")
-    assert len(table) == 32, "coset-defining forms must be pairwise distinct"
-    return table
-
-
-def classify_j(forms: Sequence[LinForm]) -> JLabel:
-    """J label determined by the first of seven forms, modulo the hyperplane."""
-    f = forms[0].reduced()
-    table = _j_classify_table()
-    if f not in table:
-        raise ValueError(f"first slot {f} matches no J coset form")
-    return table[f]
+def _j_rows():
+    # p0..p15, then n0..n15: p(4q + r) has the signs _BLOCKS[r] + _BLOCKS[q] and
+    # the form 1 + A_r - E_q (A_r in A..D, E_q in 1, E, F, G); n(4q + r) negates
+    a = [LinForm.symbol(V_SYMBOLS, s) for s in "ABCD"]
+    e = [LinForm.const_form(V_SYMBOLS, 1)] + [LinForm.symbol(V_SYMBOLS, s) for s in "EFG"]
+    p = [(1 + a[n % 4] - e[n // 4], JLabel(_BLOCKS[n % 4] + _BLOCKS[n // 4])) for n in range(16)]
+    yield from p
+    yield from ((1 - form, -label) for form, label in p)
 
 
 # The six free coordinates of the seven-slot side: label k is the coordinate
@@ -313,51 +265,70 @@ _L_INVARIANT_FORMS = {
 }
 
 
-@lru_cache(maxsize=1)
-def _l_classify_table():
-    table = {}
+def _l_rows():
+    # 1, 1bar, ..., 6, 6bar
     for k, text in _L_INVARIANT_FORMS.items():
         form = LinForm.parse(text, V_SYMBOLS) * Fraction(1, 4)
-        table[form.reduced()] = LLabel(k)
-        table[(-form).reduced()] = LLabel(k, True)
-    assert len(table) == 12, "coset-defining forms must be pairwise distinct"
-    return table
+        yield form, LLabel(k)
+        yield -form, LLabel(k, True)
+
+
+# each space's rows (classifying form, label) in label order, its side, and
+# its classifying quantity (see _classify); T is L followed by J
+_SPACES = {
+    "M": (_m_rows, "w", lambda f: f[1]),
+    "J": (_j_rows, "v", lambda f: f[0]),
+    "L": (_l_rows, "v", lambda f: (f[5] + f[6] - f[4] - 1) * Fraction(1, 4)),
+    "T": (lambda: (*_l_rows(), *_j_rows()), "v", None),
+}
+
+
+@lru_cache(maxsize=None)
+def _table(space: str):
+    """Each label of a space keyed by its classifying form, reduced modulo
+    the hyperplane, as a read-only mapping in label order."""
+    rows = [(form.reduced(), label) for form, label in _SPACES[space][0]()]
+    table = dict(rows)
+    assert len(table) == len(rows), "coset-defining forms must be pairwise distinct"
+    return MappingProxyType(table)
+
+
+def _classify(space: str, forms: Sequence[LinForm]):
+    """Label of the coset containing the group element that produced the
+    forms (its image of the symbol forms): the space's classifying quantity,
+    reduced modulo the hyperplane, must match one of its labels' forms.
+
+    The quantity is the second slot for M and the first for J.  For L it is
+    (slot6 + slot7 - slot5 - 1)/4, which the arrangement-fixing subgroup
+    leaves unchanged; the identity classifies as label 4.  (The raw fifth
+    slot is *not* a coset invariant: within one coset different
+    representatives show different fifth-slot forms.)
+    """
+    f = _SPACES[space][2](forms).reduced()
+    table = _table(space)
+    if f not in table:
+        raise ValueError(f"{space}: classifying form {f} matches no coset form")
+    return table[f]
+
+
+def classify_m(forms: Sequence[LinForm]) -> MLabel:
+    """M label of eight forms, by _classify."""
+    return _classify("M", forms)
+
+
+def classify_j(forms: Sequence[LinForm]) -> JLabel:
+    """J label of seven forms, by _classify."""
+    return _classify("J", forms)
 
 
 def classify_l(forms: Sequence[LinForm]) -> LLabel:
-    """L label of seven forms: a group image of the symbol forms.
-
-    The classifying quantity is (slot6 + slot7 - slot5 - 1)/4 modulo the
-    hyperplane, which the arrangement-fixing subgroup leaves unchanged; the
-    identity classifies as label 4.  (The raw fifth slot is *not* a coset
-    invariant: within one coset different representatives show different
-    fifth-slot forms.)
-    """
-    r = ((forms[5] + forms[6] - forms[4] - 1) * Fraction(1, 4)).reduced()
-    table = _l_classify_table()
-    if r not in table:
-        raise ValueError(f"arrangement invariant {r} matches no L coset form")
-    return table[r]
+    """L label of seven forms, by _classify."""
+    return _classify("L", forms)
 
 
 # ---------------------------------------------------------------------------
 # generator actions on labels
 # ---------------------------------------------------------------------------
-
-# fixed expansion order: reproducible minimal-length lexicographically-first words
-M_BFS_GENERATOR_ORDER = ("s1", "s2", "s3", "s4", "s5", "s3'", "s6")
-J_BFS_GENERATOR_ORDER = ("a1", "a2", "a3", "a4", "a5", "a1'")
-
-
-# label list, generators in expansion order, side, classifier and table of
-# classifying forms of each space; T is L followed by J
-_SPACES = {
-    "M": (all_m_labels, M_BFS_GENERATOR_ORDER, "w", classify_m, _m_classify_table),
-    "J": (all_j_labels, J_BFS_GENERATOR_ORDER, "v", classify_j, _j_classify_table),
-    "L": (all_l_labels, J_BFS_GENERATOR_ORDER, "v", classify_l, _l_classify_table),
-    "T": (all_t_labels, J_BFS_GENERATOR_ORDER, "v", None,
-          lambda: {**_l_classify_table(), **_j_classify_table()}),
-}
 
 
 @lru_cache(maxsize=None)
@@ -366,7 +337,7 @@ def _space(space: str):
     index array of images (label k goes to label perms[g][k]), read off the
     generator's matrix.
 
-    A label's classifying form, its key in the classify table, is an affine
+    A label's classifying form, its key in the space's table, is an affine
     form in the rows of any coset representative r, and the representative
     r g substitutes g's images of the symbols into it.  So the forms, in
     label order, are stacked as integer rows (constant first) over one even
@@ -376,17 +347,16 @@ def _space(space: str):
     the hyperplane, leaves the denominator or reaches no key raises
     ValueError.
     """
-    labels_fn, gens, side, _, table = _SPACES[space]
-    labels = tuple(labels_fn())
-    form_of = {lab: form for form, lab in table().items()}
-    coefs = [(form_of[lab].const, *form_of[lab].coefs) for lab in labels]
+    table, side = _table(space), _SPACES[space][1]
+    labels = tuple(table.values())
+    coefs = [(form.const, *form.coefs) for form in table]
     den = math.lcm(2, *(q.denominator for row in coefs for q in row))
     rows = np.array([[int(q * den) for q in row] for row in coefs])
     keys = {row: k for k, row in enumerate(map(tuple, rows.tolist()))}
     plane = HYPERPLANES[W_SYMBOLS if side == "w" else V_SYMBOLS]
     plane = np.array([int(q) for q in (plane.const, *plane.coefs)])
     perms = {}
-    for g in gens:
+    for g in W_GENERATOR_NAMES if side == "w" else V_GENERATOR_NAMES:
         doubled = np.zeros((len(plane),) * 2, dtype=np.int64)
         doubled[0, 0], doubled[1:, 1:] = 2, generator(side, g).twice
         if not np.array_equal(plane @ doubled, 2 * plane):
@@ -467,14 +437,7 @@ def jl_preimage(t_label, color: str = None) -> MLabel:
     return _jl_inverse()[color, t_label]
 
 
-_GENERATOR_BRIDGE = {
-    "s1": "a5",
-    "s2": "a4",
-    "s3": "a3",
-    "s4": "a2",
-    "s5": "a1",
-    "s3'": "a1'",
-}
+_GENERATOR_BRIDGE = dict(zip(Q_GENERATOR_NAMES, ("a5", "a4", "a3", "a2", "a1", "a1'")))
 
 
 def matching_generator(gen: str) -> str:
@@ -587,25 +550,30 @@ def representative_words(space: str = "M"):
     """
     if space not in ("M", "J", "L"):
         raise ValueError("space must be M, J or L")
-    _, _, side, classify, _ = _SPACES[space]
     labels, index, perms = _space(space)
-    words = _orbit_words(perms, index[classify(symbol_forms(side))])
+    words = _orbit_words(perms, index[_classify(space, symbol_forms(_SPACES[space][1]))])
     return MappingProxyType({labels[k]: word for k, word in words.items()})
 
 
+def _orbit_minima(images, n: int) -> np.ndarray:
+    """The smallest point of each point's orbit under index arrays of images
+    of 0..n-1.  orbit[x] is always a point of x's orbit, so each sweep of
+    the images ends by pointer jumping, orbit[orbit]."""
+    orbit, last = np.arange(n), None
+    while not np.array_equal(orbit, last):
+        last = orbit
+        for img in images:
+            orbit = np.minimum(orbit, orbit[img])
+        orbit = orbit[orbit]
+    return orbit
+
+
 def color_orbits():
-    """The three orbits of the 56 labels under the six index-action generators."""
-    labels, index, perms = _space("M")
-    gens = {g: perms[g] for g in _GENERATOR_BRIDGE}
-    seen = set()
-    orbits = []
-    for start in sorted(labels, key=MLabel.sort_key):
-        if index[start] in seen:
-            continue
-        members = _orbit_words(gens, index[start])
-        seen.update(members)
-        orbits.append(sorted((labels[k] for k in members), key=MLabel.sort_key))
-    return orbits
+    """The three orbits of the 56 labels under the six index-action
+    generators, each in label order, ordered by their first labels."""
+    labels, _, perms = _space("M")
+    orbit = _orbit_minima([perms[g] for g in Q_GENERATOR_NAMES], len(labels)).tolist()
+    return [[lab for lab, o in zip(labels, orbit) if o == first] for first in sorted(set(orbit))]
 
 
 def group_order(name: str) -> int:
@@ -800,14 +768,7 @@ def triple_orbits(space: str):
     """
     labels = _space(space)[0]
     tri, _, images = _triples(space)
-    # every set takes the smallest row in its orbit; orbit[x] is always a
-    # row of x's orbit, so each sweep ends by pointer jumping, orbit[orbit]
-    orbit, last = np.arange(len(tri)), None
-    while not np.array_equal(orbit, last):
-        last = orbit
-        for img in images.values():
-            orbit = np.minimum(orbit, orbit[img])
-        orbit = orbit[orbit]
+    orbit = _orbit_minima(images.values(), len(tri))
     keys = _type_keys(space, tri)
     assert np.array_equal(keys, keys[orbit]), f"{space}: type tag not orbit-constant"
     out = []

@@ -458,6 +458,8 @@ def _x1_matrix() -> RatMatrix:
 
 W_GENERATOR_NAMES = ("s1", "s2", "s3", "s4", "s5", "s3'", "s6")
 V_GENERATOR_NAMES = ("a1", "a2", "a3", "a4", "a5", "a1'")
+# the index-action subgroup Q: every eight-slot generator but s6
+Q_GENERATOR_NAMES = tuple(g for g in W_GENERATOR_NAMES if g != "s6")
 
 
 def _build_w_generators():
@@ -518,7 +520,7 @@ SUBGROUP_WORDS = {
     # stabilizer of the two-term family on the eight-slot side
     "G": ("w", (("s2",), ("s3",), ("s4",), ("s5",), ("s6",), ("s3'",))),
     # index-56 action subgroup missing the last simple reflection
-    "Q": ("w", (("s1",), ("s2",), ("s3",), ("s4",), ("s5",), ("s3'",))),
+    "Q": ("w", tuple((n,) for n in Q_GENERATOR_NAMES)),
     # full seven-slot group
     "H1": ("v", tuple((n,) for n in V_GENERATOR_NAMES)),
     # stabilizer of the first coordinate (seven-slot side): (23) (34) (56) (67) X1

@@ -648,7 +648,11 @@ class GammaSinExpr:
         O(exp(-2 pi |beta| t))) to
           log Gamma: (x + i beta t - 1/2)(log |beta| t + i pi sgn(beta)/2) - i beta t + log(2 pi)/2,
           log sin pi: pi |beta| t + log(i sgn(beta)/2) - i pi sgn(beta) x;
-        the factors with beta = 0 go into D whole."""
+        the factors with beta = 0 go into D whole.  Other alphabets raise ValueError."""
+        other = next((f.alphabet for _, f in self.numerator + self.denominator if f.alphabet != W_SYMBOLS), None)
+        if other:
+            raise ValueError(f"growth is defined under b -> b + it on the letters a..h, not on {''.join(other)}")
+
         def moves(factor):
             return factor[1].reduced().coef("b") != 0
 

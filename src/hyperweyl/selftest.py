@@ -26,7 +26,6 @@ import numpy as np
 
 from .coxeter import (
     Color,
-    M_BFS_GENERATOR_ORDER,
     act,
     all_m_labels,
     all_t_labels,
@@ -44,6 +43,7 @@ from .coxeter import (
     triple_words,
 )
 from .exactalg import (
+    Q_GENERATOR_NAMES,
     SUBGROUP_GENERATORS,
     V_GENERATOR_NAMES,
     W_GENERATOR_NAMES,
@@ -126,8 +126,8 @@ def _coset_census(seed):
 
 
 # ceiling on the memory the group orders and the W(D6) certificate allocate,
-# measured by tracemalloc.  The peak reads 0.28 MB as the first call in a
-# process (about 0.12 MB of it the classify tables and label permutations
+# measured by tracemalloc.  The peak reads 0.26 MB as the first call in a
+# process (about 0.12 MB of it the label tables and label permutations
 # built on that call), 0.22 MB after check 01 and in the full catalog, and
 # 0.16 MB on a second call in one process
 GROUP_ORDERS_PEAK_MB = 16.0
@@ -192,11 +192,10 @@ def _index_orbits(seed):
 
 
 def _equivariance(seed):
-    gens = ("s1", "s2", "s3", "s4", "s5", "s3'")
     count = 0
     for lab in all_m_labels():
         c0, t0 = jl_label(lab)
-        for g in gens:
+        for g in Q_GENERATOR_NAMES:
             c1, t1 = jl_label(act("M", g, lab))
             if c1 != c0 or t1 != act("T", matching_generator(g), t0):
                 return False, f"label map does not intertwine {g} at {lab}", {}
@@ -215,7 +214,7 @@ def _metric_suite(seed):
         (d != cases, "case table disagrees at ({},{})"),
         (d + d[:, neg] != 6, "antipode sum fails at ({},{})"),
     ]
-    for g in M_BFS_GENERATOR_ORDER:
+    for g in W_GENERATOR_NAMES:
         p = np.array([index[act("M", g, lab)] for lab in labels])
         faults.append((d[p][:, p] != d, g + " does not preserve dd at ({},{})"))
     for bad, message in faults:
@@ -223,7 +222,7 @@ def _metric_suite(seed):
             i, j = np.argwhere(bad)[0]
             return False, message.format(labels[i], labels[j], d[i, j]), {"dd": int(d[i, j])}
     return True, "value set, case table, antipode sum, 7 isometries on all pairs", {
-        "pairs": len(labels) ** 2, "isometries": len(M_BFS_GENERATOR_ORDER),
+        "pairs": len(labels) ** 2, "isometries": len(W_GENERATOR_NAMES),
     }
 
 
@@ -394,8 +393,8 @@ def _relations(seed):
 
     summary = []
     for name, side, gens, tol in (
-        ("roy463", "W", ("s1", "s2", "s3", "s4", "s5", "s3'"), correspond.ROY463_TOL),
-        ("orbit1jll", "V", ("a1", "a2", "a3", "a4", "a5", "a1'"), correspond.ORBIT1JLL_TOL),
+        ("roy463", "W", Q_GENERATOR_NAMES, correspond.ROY463_TOL),
+        ("orbit1jll", "V", V_GENERATOR_NAMES, correspond.ORBIT1JLL_TOL),
     ):
         base = rels[name]
         worst = max(measure(drawn(base, side), tol) for _ in range(3))

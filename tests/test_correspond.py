@@ -428,6 +428,16 @@ def test_growth_of_one_factor(kind, beta):
         assert max(gaps(correspond.SHIFTS)) < 1e-13
 
 
+def test_growth_refuses_a_seven_slot_expression():
+    # growth shifts b, a letter of the eight-slot alphabet only: a seven-slot
+    # coefficient is refused with a message naming its alphabet
+    coef = builtin_relations()["orbit1jll"].terms[0][0]
+    assert {form.alphabet for _, form in coef.numerator + coef.denominator} == {V_SYMBOLS}
+    message = "growth is defined under b -> b + it on the letters a..h, not on ABCDEFG"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        coef.growth(PointV(-1 + 0.07, 0.4, 0.5, 0.6, 0.3, 0.2).args())
+
+
 # roy463's translates under W(E7), by the colours of their three labels
 ROY463_CLASSES = {
     "J,blue,blue": 480, "J,red,red": 480, "J,J,blue": 960, "J,J,red": 960,

@@ -1,5 +1,7 @@
 import itertools
 import random
+import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -7,10 +9,8 @@ import pytest
 from hyperweyl.coxeter import (
     Color,
     JLabel,
-    J_BFS_GENERATOR_ORDER,
     LLabel,
     MLabel,
-    M_BFS_GENERATOR_ORDER,
     act,
     all_j_labels,
     all_l_labels,
@@ -40,13 +40,15 @@ from hyperweyl.coxeter import (
 )
 from hyperweyl.exactalg import (
     SUBGROUP_WORDS,
+    V_GENERATOR_NAMES,
+    W_GENERATOR_NAMES,
     coxeter_order,
     symbol_forms,
     word_to_matrix,
 )
 
-W_GENS = M_BFS_GENERATOR_ORDER
-V_GENS = J_BFS_GENERATOR_ORDER
+W_GENS = W_GENERATOR_NAMES
+V_GENS = V_GENERATOR_NAMES
 SPACE_LABELS = {"M": all_m_labels, "J": all_j_labels, "L": all_l_labels, "T": all_t_labels}
 
 
@@ -74,6 +76,21 @@ def test_label_counts():
     assert len(all_j_labels()) == 32
     assert len(all_l_labels()) == 12
     assert len(all_t_labels()) == 44
+
+
+def test_label_order():
+    # the order every distance table, triple row and listing indexes by
+    from hyperweyl.coxeter import _space
+
+    pairs = itertools.combinations(range(8), 2)
+    assert all_m_labels() == [MLabel(sign, i, j) for i, j in pairs for sign in (1, -1)]
+    assert [str(lab) for lab in all_j_labels()] == [f"{k}{n}" for k in "pn" for n in range(16)]
+    assert [lab.signs for lab in all_j_labels()[:2]] == [(1,) * 6, (1, -1, -1, 1, 1, 1)]
+    assert all_j_labels()[16].signs == (-1,) * 6
+    assert [str(lab) for lab in all_l_labels()] == [f"{k}{bar}" for k in range(1, 7) for bar in ("", "bar")]
+    assert all_t_labels() == all_l_labels() + all_j_labels()
+    for space, labels in SPACE_LABELS.items():
+        assert list(_space(space)[0]) == labels()
 
 
 def test_parse_roundtrip():
@@ -198,6 +215,20 @@ def test_identity_labels():
     assert classify_m(symbol_forms("w")) == MLabel(1, 0, 7)
     assert classify_j(symbol_forms("v")) == j_label_from_name("p0")
     assert classify_l(symbol_forms("v")) == LLabel(4)
+
+
+@pytest.mark.parametrize("space, side, slot, classify", [
+    ("M", "w", 1, classify_m), ("J", "v", 0, classify_j), ("L", "v", 5, classify_l),
+])
+def test_classify_refuses_a_form_off_every_coset(space, side, slot, classify):
+    # the classifying slot of the symbol forms moved by 1/3 (for L, slot 6
+    # moves the invariant (slot6 + slot7 - slot5 - 1)/4 by 1/12)
+    forms = list(symbol_forms(side))
+    forms[slot] += Fraction(1, 3)
+    quantity = forms[slot] if space != "L" else (forms[5] + forms[6] - forms[4] - 1) * Fraction(1, 4)
+    message = f"{space}: classifying form {quantity.reduced()} matches no coset form"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        classify(forms)
 
 
 def test_classify_matches_action_short_words():
