@@ -21,11 +21,9 @@ from hyperweyl.correspond import (
     relation_report,
     translate_relation,
 )
+from hyperweyl.exactalg import Q_GENERATOR_NAMES
 
 SEED = 7
-
-# the stabilizer generators that leave the relation's hyperplane sensible
-Q_GENERATORS = ("s1", "s2", "s3", "s4", "s5", "s3'")
 
 
 def show(rel, side, rng, also=()):
@@ -49,10 +47,10 @@ def main():
     rng = random.Random(SEED)
     rels = builtin_relations()
 
-    moved_w = [translate_relation(rels["roy463"], (g,), "w") for g in Q_GENERATORS]
+    moved_w = [translate_relation(rels["roy463"], (g,), "w") for g in Q_GENERATOR_NAMES]
     moved_v = [
         translate_relation(rels["orbit1jll"], (matching_generator(g),), "v")
-        for g in Q_GENERATORS
+        for g in Q_GENERATOR_NAMES
     ]
 
     res_w = show(rels["roy463"], "W", rng, also=moved_w)

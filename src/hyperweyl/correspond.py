@@ -40,8 +40,8 @@ from .exactalg import (
     LinForm,
     V_SYMBOLS,
     W_SYMBOLS,
+    apply,
     pretty_str,
-    symbol_forms,
     word_to_matrix,
 )
 from .hypnum import (
@@ -57,7 +57,7 @@ from .hypnum import (
     eval_L_log,
     eval_M_log,
     m_probe_args,
-    margins_ok,
+    require_margins,
     _families,
 )
 
@@ -96,7 +96,7 @@ ROY463_TOL = 1e-5
 ORBIT1JLL_TOL = 1e-7
 ROY463B_SHIFTED_TOL = 1e-4
 LIMIT_DECAY = 0.6
-# rejected draws after which gen_point gives up
+# rejected draws after which draw_point gives up
 POINT_BUDGET = 10_000
 # imaginary shifts of b for check_limit and for roy463b in check 12
 SHIFTS = (8.0, 16.0, 32.0)
@@ -284,7 +284,7 @@ def bfs_m_args(label) -> tuple:
     """
     label = parse_label(label) if isinstance(label, str) else label
     word = representative_words("M")[label]
-    forms = word_to_matrix(word, "w").apply(symbol_forms("w"))
+    forms = word_to_matrix(word, "w")
     if classify_m(forms) != label:
         raise AssertionError(f"word for {label} classifies elsewhere")
     return tuple(e.reduced() for e in forms)
@@ -366,9 +366,9 @@ def gamma2_target(t) -> FunTerm:
     else:
         word = representative_words("J")[t_label]
         beta = word_to_matrix(word, "v")
-        if classify_j(beta.apply(symbol_forms("v"))) != t_label:
+        if classify_j(beta) != t_label:
             raise AssertionError(f"word for {t_label} classifies elsewhere")
-        args = beta.apply(x)
+        args = apply(beta, x)
         kind = "J"
     return FunTerm(kind, tuple(a.reduced() for a in args))
 
@@ -560,7 +560,7 @@ def translate_relation(r: Relation, word, side: str) -> Relation:
     """Exact substitution of a group word into every symbolic form."""
     side = side.lower()
     word = tuple(word)
-    forms = word_to_matrix(word, side).apply(symbol_forms(side))
+    forms = word_to_matrix(word, side)
     terms = tuple(
         (coef.substitute(forms), fun.substitute(forms)) for coef, fun in r.terms
     )
@@ -688,14 +688,15 @@ class PointSearchError(RuntimeError):
     """No admissible point within the draw budget."""
 
 
-def gen_point(rng, side: str = "W", probe=None):
-    """Random point: real parts U(0.1, 0.9), imaginary parts U(-0.3, 0.3).
+def draw_point(rng, side: str, work):
+    """(point, work(point)) at the first random point where the work raises
+    no DegeneratePointError: every evaluation refuses the points within its
+    margins of a pole, so the work screens its own point.  Real parts are
+    U(0.1, 0.9) and imaginary parts U(-0.3, 0.3).  Any other error from the
+    work propagates at once.
 
-    Redrawn while `probe` raises DegeneratePointError or the (gamma args,
-    sine args) it returns miss their margins; None accepts the first draw.
-    Raises PointSearchError after POINT_BUDGET rejected draws, and ValueError
-    for a side other than W or V.  Only bench/ passes its own probes; other
-    callers use draw_point.
+    Raises PointSearchError after POINT_BUDGET rejected draws, and
+    ValueError for a side other than W or V.
     """
     side = side.upper()
     if side not in ("W", "V"):
@@ -703,34 +704,19 @@ def gen_point(rng, side: str = "W", probe=None):
     count = 7 if side == "W" else 6
     cls = PointW if side == "W" else PointV
     for _ in range(POINT_BUDGET):
-        coords = [
-            complex(rng.uniform(0.1, 0.9), rng.uniform(-0.3, 0.3))
-            for _ in range(count)
-        ]
-        p = cls(*coords)
-        if probe is None:
-            return p
+        p = cls(*(complex(rng.uniform(0.1, 0.9), rng.uniform(-0.3, 0.3)) for _ in range(count)))
         try:
-            gammas, sins = probe(p)
+            return p, work(p)
         except DegeneratePointError:
             continue
-        if margins_ok(gammas, sins):
-            return p
     raise PointSearchError(f"no admissible point found in {POINT_BUDGET} draws")
 
 
-def draw_point(rng, side: str, work):
-    """(point, work(point)) at the first of gen_point's draws where the work
-    raises no DegeneratePointError: every evaluation refuses the points
-    within its margins of a pole, so the work screens its own point.  Any
-    other error from the work propagates at once."""
-    done = []
-
-    def probe(p):
-        done.append(work(p))
-        return (), ()
-
-    return gen_point(rng, side, probe), done[-1]
+def gen_point(rng, side: str = "W", probe=None):
+    """draw_point's point, redrawn until the (gamma args, sine args) that
+    `probe` returns clear their margins; None accepts the first draw.  Only
+    bench/ passes its own probes."""
+    return draw_point(rng, side, lambda p: probe and require_margins(*probe(p)))[0]
 
 
 # ---------------------------------------------------------------------------

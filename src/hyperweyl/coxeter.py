@@ -16,7 +16,7 @@ discrete distance in a controlled way (t_distance).
 
 Each space is one ordered table (_table) of its labels, keyed by their
 classifying forms: it gives the label list, the classifier, and the action,
-since a generator's matrix carries every classifying form to another
+since a generator's rows carry every classifying form to another
 (_space).  Words, orbits, group orders, distances and triple censuses share
 one core, built on first use: each generator of a side, in the order of
 W_GENERATOR_NAMES or V_GENERATOR_NAMES, as an index array of label images,
@@ -335,38 +335,24 @@ def classify_l(forms: Sequence[LinForm]) -> LLabel:
 def _space(space: str):
     """Labels of a space, their indices, and each generator as a read-only
     index array of images (label k goes to label perms[g][k]), read off the
-    generator's matrix.
+    generator's rows.
 
     A label's classifying form, its key in the space's table, is an affine
     form in the rows of any coset representative r, and the representative
-    r g substitutes g's images of the symbols into it.  So the forms, in
-    label order, are stacked as integer rows (constant first) over one even
-    denominator and act by one product with g's doubled matrix, the
-    constant column held fixed; the images, reduced modulo the hyperplane
-    (whose last coefficient is 1), are again keys.  A generator that moves
-    the hyperplane, leaves the denominator or reaches no key raises
-    ValueError.
+    r g substitutes g's rows, its images of the symbols, into it; reduced
+    modulo the hyperplane, the image is again a key.  A generator that
+    moves the hyperplane or reaches no key raises ValueError.
     """
     table, side = _table(space), _SPACES[space][1]
     labels = tuple(table.values())
-    coefs = [(form.const, *form.coefs) for form in table]
-    den = math.lcm(2, *(q.denominator for row in coefs for q in row))
-    rows = np.array([[int(q * den) for q in row] for row in coefs])
-    keys = {row: k for k, row in enumerate(map(tuple, rows.tolist()))}
+    keys = {form: k for k, form in enumerate(table)}
     plane = HYPERPLANES[W_SYMBOLS if side == "w" else V_SYMBOLS]
-    plane = np.array([int(q) for q in (plane.const, *plane.coefs)])
     perms = {}
     for g in W_GENERATOR_NAMES if side == "w" else V_GENERATOR_NAMES:
-        doubled = np.zeros((len(plane),) * 2, dtype=np.int64)
-        doubled[0, 0], doubled[1:, 1:] = 2, generator(side, g).twice
-        if not np.array_equal(plane @ doubled, 2 * plane):
+        rows = generator(side, g)
+        if plane.substitute(rows) != plane:
             raise ValueError(f"{g} does not preserve the hyperplane")
-        image = rows @ doubled
-        if (image & 1).any():
-            raise ValueError(f"{g} takes a classifying form off the denominator {den}")
-        image >>= 1
-        image -= np.outer(image[:, -1], plane)
-        found = [keys.get(row) for row in map(tuple, image.tolist())]
+        found = [keys.get(form.substitute(rows).reduced()) for form in table]
         if None in found:
             raise ValueError(f"{g} takes a classifying form to no label")
         perms[g] = np.array(found)

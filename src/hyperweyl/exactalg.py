@@ -10,30 +10,20 @@ denominator in lowest terms; equality is always tested either exactly or
 modulo its own alphabet's hyperplane (by comparing ``reduced()`` forms).
 A vector of forms is a plain tuple of LinForms sharing one alphabet.
 
-Matrices are stored doubled (2x entries) in int64 numpy arrays so that the
-half-integer entries occurring here stay exact.  Every product checks that
-the result is again half-integer and that entries stay small; a violation
-raises ExactArithmeticError instead of silently producing garbage.
+A matrix is the tuple of its rows, each a LinForm: row i is the image of
+symbol i.  ``apply`` substitutes a vector of forms into every row, so one
+exact operation acts on forms, composes two matrices, and (on the symbol
+forms) returns the matrix itself.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from operator import mul
 from typing import Sequence
-
-import numpy as np
 
 W_SYMBOLS = ("a", "b", "c", "d", "e", "f", "g", "h")
 V_SYMBOLS = ("A", "B", "C", "D", "E", "F", "G")
-
-# abort bound for doubled entries; generous, only guards runaway products
-_ENTRY_BOUND = 30000
-
-
-class ExactArithmeticError(ArithmeticError):
-    """Raised when matrix arithmetic leaves the checked half-integer domain."""
 
 
 def _rational(x):
@@ -294,166 +284,62 @@ def symbol_forms(side: str) -> tuple:
     return tuple(LinForm.symbol(syms, s) for s in syms)
 
 
-class RatMatrix:
-    """Square matrix with half-integer entries, stored doubled as int64."""
+def apply(matrix: Sequence[LinForm], forms: Sequence[LinForm]) -> tuple:
+    """Each row of the matrix with the forms substituted for its symbols.
 
-    __slots__ = ("twice",)
-
-    def __init__(self, twice: np.ndarray):
-        t = np.asarray(twice, dtype=np.int64)
-        if t.ndim != 2 or t.shape[0] != t.shape[1]:
-            raise ValueError("matrix must be square")
-        if np.abs(t).max(initial=0) > _ENTRY_BOUND:
-            raise ExactArithmeticError("matrix entry out of checked range")
-        self.twice = t
-        self.twice.setflags(write=False)
-
-    @property
-    def order(self) -> int:
-        return self.twice.shape[0]
-
-    @classmethod
-    def from_rows(cls, rows) -> "RatMatrix":
-        n = len(rows)
-        t = np.zeros((n, n), dtype=np.int64)
-        for i, row in enumerate(rows):
-            if len(row) != n:
-                raise ValueError("ragged matrix rows")
-            for j, x in enumerate(row):
-                q = _rational(x) * 2
-                if q.denominator != 1:
-                    raise ExactArithmeticError(f"entry {x} is not half-integer")
-                t[i, j] = q.numerator
-        return cls(t)
-
-    @classmethod
-    def identity(cls, n: int) -> "RatMatrix":
-        return cls(2 * np.eye(n, dtype=np.int64))
-
-    @classmethod
-    def permutation(cls, cycles, n: int) -> "RatMatrix":
-        """Permutation matrix sending e_i to e_{sigma(i)} for sigma given by cycles.
-
-        Cycles use 1-based positions, e.g. [(1,2,3,4),(5,6,7)].
-        """
-        perm = list(range(n))
-        for cyc in cycles:
-            for k, pos in enumerate(cyc):
-                perm[pos - 1] = cyc[(k + 1) % len(cyc)] - 1
-        t = np.zeros((n, n), dtype=np.int64)
-        for i in range(n):
-            t[perm[i], i] = 2
-        return cls(t)
-
-    def __matmul__(self, other: "RatMatrix") -> "RatMatrix":
-        if not isinstance(other, RatMatrix):
-            return NotImplemented
-        if self.order != other.order:
-            raise ValueError("order mismatch")
-        p = self.twice @ other.twice
-        if (p & 1).any():
-            raise ExactArithmeticError("product left the half-integer domain")
-        p >>= 1
-        if np.abs(p).max(initial=0) > _ENTRY_BOUND:
-            raise ExactArithmeticError("product entry out of checked range")
-        return RatMatrix(p)
-
-    def __pow__(self, k: int) -> "RatMatrix":
-        if k < 0:
-            raise ValueError("negative powers not supported")
-        out = RatMatrix.identity(self.order)
-        base = self
-        while k:
-            if k & 1:
-                out = out @ base
-            base = base @ base if k > 1 else base
-            k >>= 1
-        return out
-
-    def __eq__(self, other):
-        if not isinstance(other, RatMatrix):
-            return NotImplemented
-        return np.array_equal(self.twice, other.twice)
-
-    def is_identity(self) -> bool:
-        return np.array_equal(self.twice, 2 * np.eye(self.order, dtype=np.int64))
-
-    def entry(self, i: int, j: int) -> Fraction:
-        return Fraction(int(self.twice[i, j]), 2)
-
-    def apply(self, forms: Sequence[LinForm]) -> tuple:
-        """Matrix action on a vector of forms (rows dot entries).
-
-        The forms must share one alphabet; the image is a tuple of forms in it.
-        """
-        if self.order != len(forms):
-            raise ValueError("dimension mismatch")
-        alphabet = forms[0].alphabet
-        if any(f.alphabet != alphabet for f in forms):
-            raise ValueError("forms must share one alphabet")
-        den = lcm(*(f._den for f in forms))
-        # slot k of every form over the common denominator
-        slots = tuple(zip(*(tuple(x * (den // f._den) for x in f._num) for f in forms)))
-        return tuple(
-            _form(alphabet, tuple(sum(map(mul, row, slot)) for slot in slots), 2 * den)
-            for row in self.twice.tolist()
-        )
-
-    def apply_values(self, values: Sequence[complex]):
-        v = np.asarray(values, dtype=complex)
-        return tuple((self.twice @ v) / 2.0)
-
-    def __repr__(self):
-        rows = []
-        for i in range(self.order):
-            rows.append("[" + ", ".join(str(self.entry(i, j)) for j in range(self.order)) + "]")
-        return "RatMatrix(" + "; ".join(rows) + ")"
+    On a vector of forms this is the matrix's action; on another matrix's
+    rows it is the product matrix @ other; on the symbol forms it is the
+    matrix itself.
+    """
+    return tuple(row.substitute(forms) for row in matrix)
 
 
 # ---------------------------------------------------------------------------
 # generator catalogs
 # ---------------------------------------------------------------------------
 
-def _x_matrix() -> RatMatrix:
-    h = Fraction(1, 2)
-    rows = [
-        [h, h, -h, -h, -h, h, h, h],
-        [0, 1, 0, 0, 0, 0, 0, 0],
-        [-h, h, h, -h, -h, h, h, h],
-        [-h, h, -h, h, -h, h, h, h],
-        [-h, h, -h, -h, h, h, h, h],
-        [0, 0, 0, 0, 0, 1, 0, 0],
-        [0, 0, 0, 0, 0, 0, 1, 0],
-        [0, 0, 0, 0, 0, 0, 0, 1],
-    ]
-    return RatMatrix.from_rows(rows)
+def _swap(side: str, i: int, j: int) -> tuple:
+    """The transposition (i j) of 1-based slots: the symbol forms with two
+    entries swapped."""
+    rows = list(symbol_forms(side))
+    rows[i - 1], rows[j - 1] = rows[j - 1], rows[i - 1]
+    return tuple(rows)
 
 
-def _y_matrix() -> RatMatrix:
-    rows = [
-        [-1, 2, 0, 0, 0, 0, 0, 0],
-        [-1, 1, 1, 0, 0, 0, 0, 0],
-        [0, 1, 0, 0, 0, 0, 0, 0],
-        [-1, 1, 0, 1, 0, 0, 0, 0],
-        [-1, 1, 0, 0, 1, 0, 0, 0],
-        [-1, 1, 0, 0, 0, 1, 0, 0],
-        [-1, 1, 0, 0, 0, 0, 1, 0],
-        [-1, 1, 0, 0, 0, 0, 0, 1],
-    ]
-    return RatMatrix.from_rows(rows)
+def _matrix(alphabet: tuple, rows) -> tuple:
+    return tuple(LinForm(alphabet, 0, row) for row in rows)
 
 
-def _x1_matrix() -> RatMatrix:
-    rows = [
-        [1, 0, 0, 0, 0, 0, 0],
-        [0, 0, -1, 0, 1, 0, 0],
-        [0, -1, 0, 0, 1, 0, 0],
-        [0, 0, 0, 1, 0, 0, 0],
-        [0, 0, 0, 0, 1, 0, 0],
-        [0, -1, -1, 0, 1, 1, 0],
-        [0, -1, -1, 0, 1, 0, 1],
-    ]
-    return RatMatrix.from_rows(rows)
+_h = Fraction(1, 2)
+_X = _matrix(W_SYMBOLS, [
+    [_h, _h, -_h, -_h, -_h, _h, _h, _h],
+    [0, 1, 0, 0, 0, 0, 0, 0],
+    [-_h, _h, _h, -_h, -_h, _h, _h, _h],
+    [-_h, _h, -_h, _h, -_h, _h, _h, _h],
+    [-_h, _h, -_h, -_h, _h, _h, _h, _h],
+    [0, 0, 0, 0, 0, 1, 0, 0],
+    [0, 0, 0, 0, 0, 0, 1, 0],
+    [0, 0, 0, 0, 0, 0, 0, 1],
+])
+_Y = _matrix(W_SYMBOLS, [
+    [-1, 2, 0, 0, 0, 0, 0, 0],
+    [-1, 1, 1, 0, 0, 0, 0, 0],
+    [0, 1, 0, 0, 0, 0, 0, 0],
+    [-1, 1, 0, 1, 0, 0, 0, 0],
+    [-1, 1, 0, 0, 1, 0, 0, 0],
+    [-1, 1, 0, 0, 0, 1, 0, 0],
+    [-1, 1, 0, 0, 0, 0, 1, 0],
+    [-1, 1, 0, 0, 0, 0, 0, 1],
+])
+_X1 = _matrix(V_SYMBOLS, [
+    [1, 0, 0, 0, 0, 0, 0],
+    [0, 0, -1, 0, 1, 0, 0],
+    [0, -1, 0, 0, 1, 0, 0],
+    [0, 0, 0, 1, 0, 0, 0],
+    [0, 0, 0, 0, 1, 0, 0],
+    [0, -1, -1, 0, 1, 1, 0],
+    [0, -1, -1, 0, 1, 0, 1],
+])
 
 
 W_GENERATOR_NAMES = ("s1", "s2", "s3", "s4", "s5", "s3'", "s6")
@@ -461,56 +347,40 @@ V_GENERATOR_NAMES = ("a1", "a2", "a3", "a4", "a5", "a1'")
 # the index-action subgroup Q: every eight-slot generator but s6
 Q_GENERATOR_NAMES = tuple(g for g in W_GENERATOR_NAMES if g != "s6")
 
-
-def _build_w_generators():
-    p = lambda *cyc: RatMatrix.permutation([cyc], 8)
-    return {
-        "s1": _y_matrix() @ p(2, 3),
-        "s2": p(3, 4),
-        "s3": p(4, 5),
-        "s4": p(5, 6),
-        "s5": p(6, 7),
-        "s6": p(7, 8),
-        "s3'": _x_matrix(),
-    }
-
-
-def _build_v_generators():
-    p = lambda *cyc: RatMatrix.permutation([cyc], 7)
-    return {
-        "a1": p(2, 3),
-        "a2": p(3, 4),
-        "a3": _x1_matrix(),
-        "a4": p(5, 6),
-        "a5": p(6, 7),
-        "a1'": p(1, 4),
-    }
+# each generator as its rows
+W_GENERATORS = {
+    "s1": apply(_Y, _swap("w", 2, 3)),
+    "s2": _swap("w", 3, 4),
+    "s3": _swap("w", 4, 5),
+    "s4": _swap("w", 5, 6),
+    "s5": _swap("w", 6, 7),
+    "s6": _swap("w", 7, 8),
+    "s3'": _X,
+}
+V_GENERATORS = {
+    "a1": _swap("v", 2, 3),
+    "a2": _swap("v", 3, 4),
+    "a3": _X1,
+    "a4": _swap("v", 5, 6),
+    "a5": _swap("v", 6, 7),
+    "a1'": _swap("v", 1, 4),
+}
 
 
-W_GENERATORS = _build_w_generators()
-V_GENERATORS = _build_v_generators()
-
-
-def generator(side: str, name: str) -> RatMatrix:
+def generator(side: str, name: str) -> tuple:
     table = W_GENERATORS if side == "w" else V_GENERATORS
     if name not in table:
         raise KeyError(f"unknown generator {name!r} for side {side!r}")
     return table[name]
 
 
-def word_to_matrix(word: Sequence[str], side: str) -> RatMatrix:
-    """Product of generator matrices along the word (first letter leftmost)."""
-    if side == "w":
-        table, n = W_GENERATORS, 8
-    elif side == "v":
-        table, n = V_GENERATORS, 7
-    else:
-        raise ValueError("side must be 'w' or 'v'")
-    out = RatMatrix.identity(n)
-    for name in word:
-        if name not in table:
-            raise KeyError(f"unknown generator {name!r}")
-        out = out @ table[name]
+def word_to_matrix(word: Sequence[str], side: str) -> tuple:
+    """Rows of the product of the generators along the word (first letter
+    leftmost), applied from the last letter to the symbol forms; the empty
+    word gives the identity."""
+    out = symbol_forms(side)
+    for name in reversed(word):
+        out = apply(generator(side, name), out)
     return out
 
 
@@ -531,7 +401,7 @@ SUBGROUP_WORDS = {
                   ("a4", "a5", "a4", "a3", "a4", "a5", "a4"))),
 }
 
-# the same generators as matrices
+# the same generators as rows
 SUBGROUP_GENERATORS = {
     name: [word_to_matrix(word, side) for word in words]
     for name, (side, words) in SUBGROUP_WORDS.items()

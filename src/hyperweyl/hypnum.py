@@ -570,8 +570,7 @@ def require_margins(gammas, sins):
 
 
 def margins_ok(gammas, sins) -> bool:
-    """require_margins as a verdict; outside the tests only gen_point's probe
-    screening, which bench/ uses, reads it."""
+    """require_margins as a verdict; outside the tests only bench/ reads it."""
     try:
         require_margins(gammas, sins)
     except EvaluationDomainError:

@@ -48,7 +48,8 @@ from .exactalg import (
     V_GENERATOR_NAMES,
     W_GENERATOR_NAMES,
     coxeter_order,
-    generator,
+    symbol_forms,
+    word_to_matrix,
 )
 from .hypnum import (
     DegeneratePointError,
@@ -126,8 +127,8 @@ def _coset_census(seed):
 
 
 # ceiling on the memory the group orders and the W(D6) certificate allocate,
-# measured by tracemalloc.  The peak reads 0.26 MB as the first call in a
-# process (about 0.12 MB of it the label tables and label permutations
+# measured by tracemalloc.  The peak reads 0.31 MB as the first call in a
+# process (about 0.15 MB of it the label tables and label permutations
 # built on that call), 0.22 MB after check 01 and in the full catalog, and
 # 0.16 MB on a second call in one process
 GROUP_ORDERS_PEAK_MB = 16.0
@@ -167,8 +168,7 @@ def _coxeter_presentation(seed):
     for side, names in (("w", W_GENERATOR_NAMES), ("v", V_GENERATOR_NAMES)):
         for g1, g2 in combinations_with_replacement(names, 2):
             m = coxeter_order(side, g1, g2)
-            prod = generator(side, g1) @ generator(side, g2)
-            if not (prod**m).is_identity():
+            if word_to_matrix((g1, g2) * m, side) != symbol_forms(side):
                 return False, f"({g1} {g2})^{m} is not the identity on side {side}", {}
             pairs += 1
     return True, f"{pairs} generator pairs verified exactly on both sides", {"pairs": pairs}
@@ -337,7 +337,8 @@ def _function_invariance(seed):
         worst[kind] = 0.0
 
         def images(p):
-            return evaluator(p.args()), [evaluator(mat.apply_values(p.args())) for mat in mats]
+            args = p.args()
+            return evaluator(args), [evaluator([row.evaluate(args) for row in mat]) for mat in mats]
 
         for _ in range(npts):
             _, (base, moved) = draw_point(rng, side, images)

@@ -21,7 +21,7 @@ from hyperweyl import correspond
 from hyperweyl.coxeter import (
     all_m_labels, jl_label, orbit_color, parse_label, triple_orbits, triple_words,
 )
-from hyperweyl.exactalg import LinForm, V_SYMBOLS, W_SYMBOLS
+from hyperweyl.exactalg import LinForm, Q_GENERATOR_NAMES, V_GENERATOR_NAMES, V_SYMBOLS, W_SYMBOLS
 from hyperweyl.hypnum import (
     DegeneratePointError,
     DivergentSeriesError,
@@ -64,9 +64,6 @@ from hyperweyl.correspond import (
 )
 
 B = W_SYMBOLS.index("b")
-
-Q_GENERATORS_W = ("s1", "s2", "s3", "s4", "s5", "s3'")
-Q_GENERATORS_V = ("a1", "a2", "a3", "a4", "a5", "a1'")
 
 
 def form_key(f):
@@ -283,8 +280,8 @@ def test_translations_stay_sound():
     rng = random.Random(55)
     rels = builtin_relations()
     for gen_names, name, side, bound in (
-        (Q_GENERATORS_W, "roy463", "w", 1e-4),
-        (Q_GENERATORS_V, "orbit1jll", "v", 1e-6),
+        (Q_GENERATOR_NAMES, "roy463", "w", 1e-4),
+        (V_GENERATOR_NAMES, "orbit1jll", "v", 1e-6),
     ):
         base = rels[name]
         for g in gen_names:

@@ -39,6 +39,7 @@ from hyperweyl.coxeter import (
     triple_words,
 )
 from hyperweyl.exactalg import (
+    Q_GENERATOR_NAMES,
     SUBGROUP_WORDS,
     V_GENERATOR_NAMES,
     W_GENERATOR_NAMES,
@@ -166,10 +167,26 @@ def test_a_generator_that_moves_the_hyperplane_is_refused(monkeypatch):
     # s2 as the transposition of a and b takes b+...+h-3a-2 elsewhere
     from hyperweyl import coxeter, exactalg
 
-    monkeypatch.setitem(exactalg.W_GENERATORS, "s2", exactalg.RatMatrix.permutation([(1, 2)], 8))
+    a, b, *rest = symbol_forms("w")
+    monkeypatch.setitem(exactalg.W_GENERATORS, "s2", (b, a, *rest))
     coxeter._space.cache_clear()
     try:
         with pytest.raises(ValueError, match="^s2 does not preserve the hyperplane$"):
+            coxeter._space("M")
+    finally:
+        coxeter._space.cache_clear()
+
+
+def test_a_generator_that_sends_a_label_nowhere_is_refused(monkeypatch):
+    # s2 as b -> b+d-e, c -> c-d+e keeps the hyperplane, but takes the
+    # classifying forms off the coset forms
+    from hyperweyl import coxeter, exactalg
+
+    a, b, c, d, e, *rest = symbol_forms("w")
+    monkeypatch.setitem(exactalg.W_GENERATORS, "s2", (a, b + d - e, c - d + e, d, e, *rest))
+    coxeter._space.cache_clear()
+    try:
+        with pytest.raises(ValueError, match="^s2 takes a classifying form to no label$"):
             coxeter._space("M")
     finally:
         coxeter._space.cache_clear()
@@ -232,29 +249,25 @@ def test_classify_refuses_a_form_off_every_coset(space, side, slot, classify):
 
 
 def test_classify_matches_action_short_words():
-    idw = symbol_forms("w")
     for length in range(4):
         for word in itertools.product(W_GENS, repeat=length):
-            got = classify_m(word_to_matrix(word, "w").apply(idw))
+            got = classify_m(word_to_matrix(word, "w"))
             assert got == fold_m(word), word
-    idv = symbol_forms("v")
     for length in range(4):
         for word in itertools.product(V_GENS, repeat=length):
-            got = classify_j(word_to_matrix(word, "v").apply(idv))
+            got = classify_j(word_to_matrix(word, "v"))
             assert got == fold_j(word), word
 
 
 def test_classify_matches_action_random_words():
     rng = random.Random(11)
-    idw = symbol_forms("w")
     for _ in range(80):
         word = [rng.choice(W_GENS) for _ in range(rng.randint(4, 18))]
-        got = classify_m(word_to_matrix(word, "w").apply(idw))
+        got = classify_m(word_to_matrix(word, "w"))
         assert got == fold_m(word), word
-    idv = symbol_forms("v")
     for _ in range(80):
         word = [rng.choice(V_GENS) for _ in range(rng.randint(4, 18))]
-        got = classify_j(word_to_matrix(word, "v").apply(idv))
+        got = classify_j(word_to_matrix(word, "v"))
         assert got == fold_j(word), word
 
 
@@ -314,7 +327,7 @@ def test_jl_preimage_inverts():
 def test_jl_equivariance():
     for lab in all_m_labels():
         c0, t0 = jl_label(lab)
-        for g in ("s1", "s2", "s3", "s4", "s5", "s3'"):
+        for g in Q_GENERATOR_NAMES:
             c1, t1 = jl_label(act("M", g, lab))
             assert c1 == c0
             assert t1 == act("T", matching_generator(g), t0)
