@@ -4,23 +4,23 @@ Every coset row degenerates, after normalization by an explicit gamma
 quotient and a large imaginary shift of the b coordinate, onto one of the
 seven-slot functions evaluated at a fixed rational-linear change of letters.
 This module holds that table (``appendix_table``), one record per row
-holding the row's transcribed target, its derived target and its
-normalizer, all built once; the numerical limit checks; the three built-in
-contiguous relations and their exact translations; relation_limit, which
-carries any eight-slot relation through the limit onto the seven-slot
-relation among its rows' targets; and draw_point, which draws a random
-point together with the evaluation to be done there, redrawing wherever
-that evaluation refuses the point as too close to a pole.
+holding its targets, its normalizer and its three claims as Relations (sums
+of function terms that vanish, evaluated by eval_relation); the three
+built-in contiguous relations and their exact translations; relation_limit,
+which carries any eight-slot relation through the limit onto the
+seven-slot relation among its rows' targets; and draw_point, which draws a
+random point together with the evaluation to be done there, redrawing
+wherever that evaluation refuses the point as too close to a pole.
 """
 
 from __future__ import annotations
 
 import cmath
 import json
-import math
 import warnings
-from dataclasses import dataclass
-from functools import lru_cache
+from dataclasses import dataclass, replace
+from fractions import Fraction
+from functools import cached_property, lru_cache
 from typing import Sequence
 
 from .appendix_fixture import FIXTURE_TEXT
@@ -54,9 +54,9 @@ from .hypnum import (
     PrecisionWarning,
     combine_exponentials,
     eval_J_log,
+    eval_L_7f6_log,
     eval_L_log,
     eval_M_log,
-    m_probe_args,
     require_margins,
     _families,
 )
@@ -67,7 +67,6 @@ __all__ = [
     "FunTerm",
     "Relation",
     "AppendixRow",
-    "LimitReport",
     "xfromw",
     "l_coset_args",
     "appendix_table",
@@ -76,7 +75,6 @@ __all__ = [
     "gamma2_target",
     "limit_normalizer",
     "contracts",
-    "check_limit",
     "builtin_relations",
     "translate_relation",
     "eval_relation",
@@ -98,7 +96,7 @@ ROY463B_SHIFTED_TOL = 1e-4
 LIMIT_DECAY = 0.6
 # rejected draws after which draw_point gives up
 POINT_BUDGET = 10_000
-# imaginary shifts of b for check_limit and for roy463b in check 12
+# imaginary shifts of b for the rows' limits and for roy463b in check 12
 SHIFTS = (8.0, 16.0, 32.0)
 
 
@@ -108,7 +106,8 @@ SHIFTS = (8.0, 16.0, 32.0)
 
 @dataclass(frozen=True)
 class FunTerm:
-    """One of the three functions with symbolic argument slots.
+    """One of the function families with symbolic argument slots: M, J, L,
+    or L7F6, the 7F6 route to L.
 
     Construction verifies the defining hyperplane identity of the argument
     list symbolically, so off-surface terms are unrepresentable.
@@ -118,9 +117,9 @@ class FunTerm:
     args: tuple
 
     def __post_init__(self):
-        if self.kind not in ("M", "J", "L"):
+        family = _families().get(self.kind)
+        if family is None:
             raise ValueError(f"unknown function kind {self.kind!r}")
-        family = _families()[self.kind]
         if len(self.args) != family.arity:
             raise ValueError(f"{self.kind} takes {family.arity} arguments")
         if not family.desc.plane.substitute(self.args).reduced().is_zero():
@@ -139,7 +138,9 @@ class FunTerm:
             return eval_M_log(nums)
         if self.kind == "J":
             return eval_J_log(nums)
-        return eval_L_log(nums)
+        if self.kind == "L":
+            return eval_L_log(nums)
+        return eval_L_7f6_log(nums)
 
     def substitute(self, forms: Sequence[LinForm]) -> "FunTerm":
         return FunTerm(self.kind, tuple(a.substitute(forms) for a in self.args))
@@ -163,6 +164,12 @@ class Relation:
 
     name: str
     terms: tuple  # of (GammaSinExpr, FunTerm)
+
+    @classmethod
+    def equal(cls, name, first: FunTerm, second: FunTerm) -> "Relation":
+        """first - second = 0, residual |first - second| / max(|first|, |second|)."""
+        plus, minus = (GammaSinExpr(Fraction(k), (), ()) for k in (1, -1))
+        return cls(name, ((plus, first), (minus, second)))
 
     @property
     def alphabet(self):
@@ -260,6 +267,25 @@ class AppendixRow:
             if a.reduced().coef("b") != 0:
                 raise ValueError("target arguments must be free of the shifted letter")
 
+    @cached_property
+    def limit(self) -> Relation:
+        """normalizer·M(m_args) - (pi/2)·target, pi/2 written as Gamma(1/2)^2
+        / 2: its residual at b + it tends to zero as t grows."""
+        half_pi = GammaSinExpr.build(W_SYMBOLS, Fraction(-1, 2), gamma_num=(_HALF, _HALF))
+        m = FunTerm("M", self.m_args)
+        return Relation(f"{self.label} limit", ((self.normalizer, m), (half_pi, self.target)))
+
+    @cached_property
+    def cosets(self) -> Relation:
+        """M(m_args) - M(bfs_m_args): two representatives of one coset."""
+        return Relation.equal(f"{self.label} cosets", FunTerm("M", self.m_args),
+                              FunTerm("M", bfs_m_args(self.label)))
+
+    @cached_property
+    def targets(self) -> Relation:
+        """The derived target minus the transcribed one."""
+        return Relation.equal(f"{self.label} targets", self.target, self.printed)
+
     def to_dict(self):
         color, t_label = jl_label(self.label)
         return {
@@ -279,7 +305,7 @@ def bfs_m_args(label) -> tuple:
 
     Generally a different representative than the table row (the function
     stabilizer mixes all slots under left multiplication), but the same
-    coset: slot 2 agrees symbolically and the eight-slot function values
+    coset: it classifies to the label, and the eight-slot function values
     agree everywhere.
     """
     label = parse_label(label) if isinstance(label, str) else label
@@ -305,10 +331,9 @@ def appendix_table() -> tuple:
     row, cross-checked against group data.
 
     Each row's printed target must carry the kind and label jl_label gives
-    its coset, and an independently computed representative word must land
-    in the same coset as its slot vector (equal classifying slot); the
-    construction invariants of AppendixRow hold.  Targets come from
-    gamma2_target, normalizers from the slot vector.
+    its coset, and the construction invariants of AppendixRow hold: its slot
+    vector classifies to its label.  Targets come from gamma2_target,
+    normalizers from the slot vector.
     """
     rows = []
     for line in FIXTURE_TEXT.splitlines():
@@ -326,10 +351,6 @@ def appendix_table() -> tuple:
             raise AssertionError(f"{label}: target kind mismatch")
         if t_label != parse_label(t_lab):
             raise AssertionError(f"{label}: target label mismatch")
-        if bfs_m_args(label)[1] != m_args[1]:
-            raise AssertionError(
-                f"{label}: representative word lands in a different coset"
-            )
         rows.append(AppendixRow(
             label, m_args, FunTerm(kind, _parse_forms(ta_text)), gamma2_target(label),
             _limit_normalizer(kind, m_args),
@@ -397,54 +418,10 @@ def limit_normalizer(t) -> GammaSinExpr:
     return appendix_row(t).normalizer
 
 
-@dataclass(frozen=True)
-class LimitReport:
-    """Outcome of driving one row through increasing shifts."""
-
-    label: MLabel
-    shifts: tuple
-    errors: tuple
-    verdict: bool
-    target_log: LogC
-    values: tuple
-
-    def to_dict(self):
-        return {
-            "label": str(self.label),
-            "shifts": list(self.shifts),
-            "errors": list(self.errors),
-            "verdict": self.verdict,
-            "target_log_mag": self.target_log.log_mag,
-            "target_phase": self.target_log.phase,
-        }
-
-
-def _shifted_point(p: PointW, t: float) -> PointW:
-    return PointW(p.a, p.b + 1j * t, p.c, p.d, p.e, p.f, p.g)
-
-
 def contracts(errors) -> bool:
     """The verdict on errors at SHIFTS: strictly decreasing, with the last
     at most LIMIT_DECAY times the first."""
     return all(b < a for a, b in zip(errors, errors[1:])) and errors[-1] <= LIMIT_DECAY * errors[0]
-
-
-def check_limit(t, p: PointW) -> LimitReport:
-    """Drive the normalized row at p through SHIFTS and compare against
-    pi/2 times the target value; the verdict is whether the relative errors
-    contract.  The report keeps the normalized shifted values, one per
-    shift."""
-    label = parse_label(t) if isinstance(t, str) else t
-    row = appendix_row(label)
-    norm = limit_normalizer(label)
-    target_log = row.target.eval_log(p.args())
-    ref = LogC.from_real(math.pi / 2) + target_log
-    values = []
-    for t_im in SHIFTS:
-        vals = _shifted_point(p, t_im).args()
-        values.append(norm.eval_log(vals) + eval_M_log([f.evaluate(vals) for f in row.m_args]))
-    errors = [abs((val - ref).to_complex() - 1.0) for val in values]
-    return LimitReport(label, SHIFTS, tuple(errors), contracts(errors), target_log, tuple(values))
 
 
 # ---------------------------------------------------------------------------
@@ -658,7 +635,7 @@ def relation_limit_gaps(r: Relation, p: PointW) -> list:
     vals, gaps = p.args(), []
     for q, _ in _limit_quotients(r):
         growth, rest = q.growth(vals)
-        gaps.append([abs(cmath.exp((q.eval_log(_shifted_point(p, t).args()) - rest).as_log()
+        gaps.append([abs(cmath.exp((q.eval_log(replace(p, b=p.b + 1j * t).args()) - rest).as_log()
                                    - growth.at(t, vals)) - 1) for t in SHIFTS])
     return gaps
 
@@ -669,14 +646,10 @@ def relation_limit_gaps(r: Relation, p: PointW) -> list:
 
 
 def limit_probe_args(t, p: PointW, shifts=SHIFTS):
-    """Gamma/sine arguments check_limit evaluates for this row at p; only
-    bench/ calls it."""
-    row = appendix_row(t)
-    norm = limit_normalizer(t)
-    return _join_probes([row.target.probe_args(p.args())] + [
-        probe for vals in (_shifted_point(p, float(t_im)).args() for t_im in shifts)
-        for probe in (norm.probe_args(vals), m_probe_args([f.evaluate(vals) for f in row.m_args]))
-    ])
+    """Gamma/sine arguments the row's limit relation evaluates at p shifted by
+    each of shifts; only bench/ calls it."""
+    limit = appendix_row(t).limit
+    return _join_probes(relation_probe_args(limit, replace(p, b=p.b + 1j * float(t_im))) for t_im in shifts)
 
 
 def _join_probes(probes) -> tuple:

@@ -5,11 +5,13 @@ never changes, so reports are comparable across runs.  Each check returns
 its verdict, a one-line detail and its evidence: a JSON-ready dict of the
 values it measured, the bounds it held them to and the reports it built.
 Stated time budgets are part of the verdict: a correct answer arriving too
-late fails.  The only setting is the seed.  Every bound is fixed: the
+late fails.  The only setting is the seed.  Checks 10-15 state every
+agreement of function values as a correspond.Relation and read its
+residual with correspond.eval_relation.  Every bound is fixed: the
 residual tolerances correspond.ROY463_TOL (1e-5, eight-slot) and
 ORBIT1JLL_TOL (1e-7, seven-slot), ten times those for translated relations,
 ROY463B_SHIFTED_TOL (1e-4) at shifted points, LIMIT_DECAY (0.6), the
-final/initial error ratio a limit, or the gap to a relation limit's
+final/initial residual ratio a limit, or the gap to a relation limit's
 expansion, must reach, and LIMIT_TOL below, on check 15's t-free limit
 relations.
 """
@@ -53,22 +55,20 @@ from .exactalg import (
 )
 from .hypnum import (
     DegeneratePointError,
+    GammaSinExpr,
     combine_exponentials,
-    eval_J_log,
-    eval_L_7f6_log,
-    eval_L_log,
-    eval_M_log,
     lgamma_array,
-    log_sin_pi,
 )
 from . import correspond
 from .correspond import (
+    FunTerm,
+    Relation,
+    appendix_row,
     appendix_table,
-    bfs_m_args,
     builtin_relations,
-    check_limit,
     contracts,
     draw_point,
+    eval_relation,
     PointSearchError,
     relation_limit,
     relation_limit_gaps,
@@ -286,21 +286,21 @@ def _gamma_layer(seed):
     draws = []
     while len(draws) < 1000:
         z = complex(rng.uniform(-20, 20), rng.uniform(-20, 20))
-        if abs(z - round(z.real)) >= 0.1 and abs(z) >= 0.1:
+        if all(abs(w - round(w.real)) >= 0.1 and abs(w) >= 0.1 for w in (z, 2 * z, z + 0.5)):
             draws.append(z)
     zs = np.array(draws)
-    at_z, at_reflected, at_next = (lgamma_array(v).tolist() for v in (zs, 1 - zs, zs + 1))
-    worst_ref = worst_rec = 0.0
-    for z, lg, lg_reflected, lg_next in zip(draws, at_z, at_reflected, at_next):
-        lhs = lg + lg_reflected
-        rhs = math.log(math.pi) - log_sin_pi(z, margin=1e-9).as_log()
-        ref = _mod_2pi(lhs - rhs) / max(1.0, abs(lhs))
+    at_z, at_half, at_double, at_next = (lgamma_array(v).tolist() for v in (zs, zs + 0.5, 2 * zs, zs + 1))
+    worst_dup = worst_rec = 0.0
+    for z, lg, lg_half, lg_double, lg_next in zip(draws, at_z, at_half, at_double, at_next):
+        # Legendre: log Gamma(2z) = (2z-1) log 2 - log(pi)/2 + log Gamma(z) + log Gamma(z+1/2)
+        rhs = (2 * z - 1) * math.log(2) - 0.5 * math.log(math.pi) + lg + lg_half
+        dup = _mod_2pi(lg_double - rhs) / max(1.0, abs(lg_double))
         rec = _mod_2pi(lg_next - lg - cmath.log(z)) / max(1.0, abs(lg_next))
-        worst_ref = max(worst_ref, ref)
+        worst_dup = max(worst_dup, dup)
         worst_rec = max(worst_rec, rec)
-        if ref > 1e-12 or rec > 1e-12:
-            return False, f"reflection {ref:.2e}, recursion {rec:.2e} at {z}", {
-                "reflection": ref, "recursion": rec, "bound": 1e-12,
+        if dup > 1e-12 or rec > 1e-12:
+            return False, f"duplication {dup:.2e}, recursion {rec:.2e} at {z}", {
+                "duplication": dup, "recursion": rec, "bound": 1e-12,
             }
     far = [cmath.rect(1000.0, rng.uniform(-1.4, 1.4)) for _ in range(100)]
     worst_st = 0.0
@@ -313,11 +313,11 @@ def _gamma_layer(seed):
                 "asymptotics": err, "bound": 1e-10,
             }
     return True, (
-        f"1000 points: reflection {worst_ref:.1e}, recursion {worst_rec:.1e}; "
+        f"1000 points: duplication {worst_dup:.1e}, recursion {worst_rec:.1e}; "
         f"|z|=1000 asymptotics {worst_st:.1e}"
     ), {
-        "reflection": worst_ref, "recursion": worst_rec, "asymptotics": worst_st,
-        "bounds": {"reflection": 1e-12, "recursion": 1e-12, "asymptotics": 1e-10},
+        "duplication": worst_dup, "recursion": worst_rec, "asymptotics": worst_st,
+        "bounds": {"duplication": 1e-12, "recursion": 1e-12, "asymptotics": 1e-10},
     }
 
 
@@ -327,23 +327,14 @@ def _function_invariance(seed):
     bounds = {"J": correspond.ORBIT1JLL_TOL, "L": correspond.ORBIT1JLL_TOL,
               "M": correspond.ROY463_TOL}
     evidence = {"worst": worst, "bounds": bounds}
-    jobs = (
-        ("J", "G_J", eval_J_log, "V", 5),
-        ("L", "G_L", eval_L_log, "V", 5),
-        ("M", "G", eval_M_log, "W", 3),
-    )
-    for kind, gens_key, evaluator, side, npts in jobs:
-        mats = SUBGROUP_GENERATORS[gens_key]
+    for kind, gens_key, side, npts in (("J", "G_J", "v", 5), ("L", "G_L", "v", 5), ("M", "G", "w", 3)):
+        unmoved = FunTerm(kind, symbol_forms(side))
+        rels = [Relation.equal(f"{kind} under a generator", unmoved, FunTerm(kind, rows))
+                for rows in SUBGROUP_GENERATORS[gens_key]]
         worst[kind] = 0.0
-
-        def images(p):
-            args = p.args()
-            return evaluator(args), [evaluator([row.evaluate(args) for row in mat]) for mat in mats]
-
         for _ in range(npts):
-            _, (base, moved) = draw_point(rng, side, images)
-            for value in moved:
-                err = abs((value - base).to_complex() - 1.0)
+            _, residuals = draw_point(rng, side.upper(), lambda p: [eval_relation(r, p) for r in rels])
+            for err in residuals:
                 worst[kind] = max(worst[kind], err)
                 if err > bounds[kind]:
                     return False, f"{kind} moves by {err:.2e} under a generator", evidence
@@ -356,18 +347,16 @@ def _function_invariance(seed):
 def _l_dual_route(seed):
     rng = random.Random(seed)
     tol = correspond.ORBIT1JLL_TOL
+    routes = Relation.equal("L by two routes", *(FunTerm(kind, symbol_forms("v")) for kind in ("L", "L7F6")))
 
-    def routes(p):
-        args = p.args()
-        if (args[5] - args[3]).real <= 0.05:
+    def residual(p):
+        if (p.F - p.D).real <= 0.05:
             raise DegeneratePointError("thin half-plane margin for the 7F6 route")
-        return eval_L_log(args), eval_L_7f6_log(args)
+        return eval_relation(routes, p)
 
     worst = 0.0
     for _ in range(3):
-        _, logs = draw_point(rng, "V", routes)
-        a, b = (lg.to_complex() for lg in logs)
-        err = abs(a - b) / abs(a)
+        _, err = draw_point(rng, "V", residual)
         worst = max(worst, err)
         if err > tol:
             return False, f"routes differ by {err:.2e}", {"worst": worst, "bound": tol}
@@ -429,38 +418,48 @@ LIMIT_LABELS = ("+v(0,7)", "+v(1,7)", "+v(0,1)", "+v(2,7)")
 def _limits(seed):
     rng = random.Random(seed)
     decay = correspond.LIMIT_DECAY
-    rows = []
-    for lab in LIMIT_LABELS:
-        rows.append(draw_point(rng, "W", lambda q: check_limit(lab, q))[1])
+    rows = [appendix_row(lab) for lab in LIMIT_LABELS]
+
+    def residuals(rel, q):
+        return [eval_relation(rel, replace(q, b=q.b + 1j * t)) for t in correspond.SHIFTS]
+
+    def report(row, errors):
+        return {"label": str(row.label), "shifts": list(correspond.SHIFTS), "errors": errors,
+                "verdict": contracts(errors)}
+
+    reports = [report(row, draw_point(rng, "W", lambda q: residuals(row.limit, q))[1]) for row in rows]
 
     # at a common point, the pair's normalized shifted values must agree at
-    # every shift to within the sum of the two final shift errors
-    _, pair = draw_point(rng, "W", lambda q: [check_limit(lab, q) for lab in LIMIT_LABELS[:2]])
-    gaps = [
-        abs((v1 - v2).to_complex() - 1.0)
-        for v1, v2 in zip(pair[0].values, pair[1].values)
-    ]
+    # every shift to within the sum of the two final residuals
+    blue, red = rows[:2]
+    (norm, m_red), _ = red.limit.terms
+    pair = Relation("blue/red pair", (
+        blue.limit.terms[0], (GammaSinExpr(-norm.prefactor, norm.numerator, norm.denominator), m_red),
+    ))
+    _, (*pair_errors, gaps) = draw_point(
+        rng, "W", lambda q: [residuals(rel, q) for rel in (blue.limit, red.limit, pair)])
+    pair_reports = [report(row, errors) for row, errors in zip(rows, pair_errors)]
     gap = max(gaps)
-    combined = sum(rep.errors[-1] for rep in pair)
+    combined = sum(rep["errors"][-1] for rep in pair_reports)
     evidence = {
         "decay": decay,
-        "reports": [rep.to_dict() for rep in rows + pair],
+        "reports": reports + pair_reports,
         "pair_gap": gap,
         "pair_bound": combined,
     }
-    for rep in rows:
-        if not rep.verdict:
-            errs = " -> ".join(f"{e:.1e}" for e in rep.errors)
+    for rep in reports:
+        if not rep["verdict"]:
+            errs = " -> ".join(f"{e:.1e}" for e in rep["errors"])
             return False, (
-                f"{rep.label}: errors {errs} must decrease strictly to at most "
+                f"{rep['label']}: errors {errs} must decrease strictly to at most "
                 f"{decay:g} of the first"
             ), evidence
-    if not all(rep.verdict for rep in pair):
+    if not all(rep["verdict"] for rep in pair_reports):
         return False, "blue/red pair fails to contract at the shared point", evidence
     if gap > combined:
-        t = pair[0].shifts[gaps.index(gap)]
+        t = correspond.SHIFTS[gaps.index(gap)]
         return False, f"pair values differ by {gap:.2e} > {combined:.2e} at shift {t:g}", evidence
-    worst = max(rep.errors[-1] / rep.errors[0] for rep in rows)
+    worst = max(rep["errors"][-1] / rep["errors"][0] for rep in reports)
     return True, (
         f"4 rows contract (worst final/initial {worst:.2f}); "
         f"blue/red value gap {gap:.1e} within {combined:.1e}"
@@ -473,30 +472,20 @@ def _appendix(seed):
     # jl_label's, so here only the fixture's target arguments remain to
     # check.  Each row draws its own two points: one point shared by all 56
     # rows is refused by some row about nine draws in ten
-    def row_values(row, p):
-        vals = p.args()
-        return (
-            eval_M_log([x.evaluate(vals) for x in row.m_args]),
-            eval_M_log([x.evaluate(vals) for x in bfs_m_args(row.label)]),
-            row.target.eval_log(vals),
-            row.printed.eval_log(vals),
-        )
-
     worst_m = worst_t = 0.0
     for row in appendix_table():
         for _ in range(2):
-            _, (a, b, target, printed) = draw_point(rng, "W", lambda q: row_values(row, q))
-            err = abs((a - b).to_complex() - 1.0)
-            worst_m = max(worst_m, err)
-            if err > 1e-8:
-                return False, f"{row.label}: representatives disagree by {err:.2e}", {
-                    "label": str(row.label), "coset_agreement": err, "bound": 1e-8,
+            _, (err_m, err_t) = draw_point(
+                rng, "W", lambda q: [eval_relation(r, q) for r in (row.cosets, row.targets)])
+            worst_m = max(worst_m, err_m)
+            if err_m > 1e-8:
+                return False, f"{row.label}: representatives disagree by {err_m:.2e}", {
+                    "label": str(row.label), "coset_agreement": err_m, "bound": 1e-8,
                 }
-            err = abs((target - printed).to_complex() - 1.0)
-            worst_t = max(worst_t, err)
-            if err > 1e-8:
-                return False, f"{row.label}: target lists disagree by {err:.2e}", {
-                    "label": str(row.label), "target_agreement": err, "bound": 1e-8,
+            worst_t = max(worst_t, err_t)
+            if err_t > 1e-8:
+                return False, f"{row.label}: target lists disagree by {err_t:.2e}", {
+                    "label": str(row.label), "target_agreement": err_t, "bound": 1e-8,
                 }
     return True, (
         f"56 rows structural; coset agreement {worst_m:.1e}, "
@@ -521,20 +510,23 @@ def _class_limit(rng, cls, size, word, jll_words):
     rels = builtin_relations()
     rel = translate_relation(rels["roy463"], word, "w")
     t_labels = [jl_label(lab)[1] for lab in rel.term_labels()]
-    vword, jll = jll_words.get(frozenset(t_labels)), ()
+    vword, jll, agree = jll_words.get(frozenset(t_labels)), None, ()
     if vword is not None:
         moved = translate_relation(rels["orbit1jll"], vword, "v")
         by_label = dict(zip(moved.term_labels(), moved.terms))
-        jll = [(coef.substitute(xfromw()), fun.substitute(xfromw()))
-               for coef, fun in map(by_label.get, t_labels)]
+        jll = Relation(moved.name, tuple((coef.substitute(xfromw()), fun.substitute(xfromw()))
+                                         for coef, fun in map(by_label.get, t_labels)))
+        agree = [Relation.equal(f"{moved.name} onto {lab}", fun, appendix_row(lab).target)
+                 for (_, fun), lab in zip(jll.terms, rel.term_labels())]
 
     def limit_values(q):
         lims = relation_limit(rel, q)
         tlogs = [target.eval_log(q.args()) for *_, target in lims]
-        jll_logs = [(coef.eval_log(q.args()), fun.eval_log(q.args())) for coef, fun in jll]
-        return lims, tlogs, relation_limit_gaps(rel, q), jll_logs
+        jll_values = jll and ([coef.eval_log(q.args()) for coef, _ in jll.terms],
+                              eval_relation(jll, q), [eval_relation(r, q) for r in agree])
+        return lims, tlogs, relation_limit_gaps(rel, q), jll_values
 
-    _, (lims, tlogs, gaps, jll_logs) = draw_point(rng, "W", limit_values)
+    _, (lims, tlogs, gaps, jll_values) = draw_point(rng, "W", limit_values)
     growths, rests, _ = zip(*lims)
     top = max(g.b_re for g in growths)
     live = [k for k, g in enumerate(growths) if g.b_re == top]
@@ -548,11 +540,11 @@ def _class_limit(rng, cls, size, word, jll_words):
         "expansion": all(map(contracts, gaps)),
     }
     if jll:
-        coefs, funs = zip(*jll_logs)
+        coefs, residual, agreement = jll_values
         match = rep["orbit1jll"] = {
             "word": list(vword),
-            "function_agreement": max(abs((f - t).to_complex() - 1) for f, t in zip(funs, tlogs)),
-            "residual": combine_exponentials([c + f for c, f in zip(coefs, funs)])[1],
+            "function_agreement": max(agreement),
+            "residual": residual,
             "ratio_error": max(abs(((d - rests[0]) - (c - coefs[0])).to_complex() - 1)
                                for d, c in zip(rests[1:], coefs[1:])),
         }

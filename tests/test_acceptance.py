@@ -147,6 +147,28 @@ def test_appendix_check_fails_on_an_altered_slot_vector(monkeypatch):
     assert result.detail.startswith("+v(0,7): representatives disagree")
 
 
+def test_appendix_check_fails_on_swapped_target_arguments(monkeypatch):
+    # two slots of +v(0,7)'s printed target swapped: the kind, the label and
+    # the hyperplane still hold, but the function value moves
+    from hyperweyl import correspond
+
+    row = "| L 6 | e; f; g; 1+a-c-d; e+f+g-a; 1+a-c; 1+a-d"
+    assert row in correspond.FIXTURE_TEXT
+    altered = correspond.FIXTURE_TEXT.replace(row, "| L 6 | e; f; g; 1+a-c-d; 1+a-c; e+f+g-a; 1+a-d")
+    caches = (correspond.appendix_table, correspond._rows_by_label)
+    monkeypatch.setattr(correspond, "FIXTURE_TEXT", altered)
+    for cached in caches:
+        cached.cache_clear()
+    try:
+        result = run_check("14-appendix-fidelity")
+    finally:
+        monkeypatch.undo()
+        for cached in caches:
+            cached.cache_clear()
+    assert not result.passed
+    assert result.detail == "+v(0,7): target lists disagree by 9.07e-01"
+
+
 def test_appendix_check_fails_on_an_altered_target_label(monkeypatch):
     # +v(0,7) degenerates onto L 6; a table that names another label, the
     # wrong kind or an unknown kind is refused while the table is built, and
@@ -264,6 +286,22 @@ def test_index_orbits_check_fails_on_a_mislabelled_color(monkeypatch, fresh_tabl
     assert result.detail == "the orbit of +v(0,2) mixes colors blue, red"
 
 
+def test_index_orbits_check_fails_when_red_reads_blue(monkeypatch, fresh_tables):
+    # every red label called blue: no orbit mixes colors, but the orbits
+    # hold 12 blue labels where the classifier names 24
+    from hyperweyl import selftest
+    from hyperweyl.coxeter import Color, orbit_color
+
+    def red_reads_blue(label):
+        color = orbit_color(label)
+        return Color.BLUE if color == Color.RED else color
+
+    monkeypatch.setattr(selftest, "orbit_color", red_reads_blue)
+    result = run_check("04-index-orbits")
+    assert not result.passed
+    assert result.detail == "orbit membership differs from the color classifier"
+
+
 def test_equivariance_check_fails_on_a_wrong_partner(monkeypatch, fresh_tables):
     # s1 matches a5; matched with a4 the label map stops intertwining
     from hyperweyl import selftest
@@ -372,15 +410,16 @@ def test_coxeter_presentation_check_fails_on_a_wrong_generator(monkeypatch):
 
 
 def test_gamma_layer_check_fails_on_a_perturbed_stirling_coefficient(monkeypatch):
-    # the reflection formula holds whatever the asymptotic series gives, but
-    # a relative error of 1e-6 in 1/12 breaks the recursion past 1e-12
+    # a relative error of 1e-6 in 1/12 breaks both the duplication formula
+    # and the recursion past 1e-12
     from hyperweyl import hypnum
 
     first, *rest = hypnum._STIRLING
     monkeypatch.setattr(hypnum, "_STIRLING", (first * (1 + 1e-6), *rest))
     result = run_check("09-gamma-layer")
     assert not result.passed
-    assert result.detail.startswith("reflection 0.00e+00, recursion 5.21e-12 at ")
+    assert result.detail.startswith("duplication 5.99e-11, recursion 5.21e-12 at ")
+    assert result.evidence["duplication"] > result.evidence["bound"]
     assert result.evidence["recursion"] > result.evidence["bound"]
 
 
@@ -395,11 +434,11 @@ def test_function_invariance_check_fails_on_a_foreign_generator(monkeypatch):
 
 
 def test_l_dual_route_check_fails_on_a_scaled_route(monkeypatch):
-    from hyperweyl import selftest
+    from hyperweyl import correspond
     from hyperweyl.hypnum import LogC
 
-    route = selftest.eval_L_7f6_log
-    monkeypatch.setattr(selftest, "eval_L_7f6_log", lambda args: route(args) + LogC.from_real(1 + 1e-6))
+    route = correspond.eval_L_7f6_log
+    monkeypatch.setattr(correspond, "eval_L_7f6_log", lambda args: route(args) + LogC.from_real(1 + 1e-6))
     result = run_check("11-l-dual-route")
     assert not result.passed
     assert result.detail == "routes differ by 1.00e-06"

@@ -44,7 +44,6 @@ from hyperweyl.correspond import (
     appendix_table,
     bfs_m_args,
     builtin_relations,
-    check_limit,
     contracts,
     draw_point,
     eval_relation,
@@ -89,8 +88,10 @@ def test_table_census():
 
 
 def test_a_cold_table_walks_each_space_once(monkeypatch):
-    # 56 rows read representative words for their M label and 32 for their
-    # J target; the words of each space come from one orbit walk
+    # 32 rows read representative words for their J target while the table
+    # is built, and each of the 56 rows reads the words of its M label for
+    # its independent representative; the words of each space come from
+    # one orbit walk
     from collections import Counter
 
     from hyperweyl import coxeter
@@ -108,6 +109,8 @@ def test_a_cold_table_walks_each_space_once(monkeypatch):
         f.cache_clear()
     monkeypatch.setattr(coxeter, "_orbit_words", counted)
     assert len(appendix_table()) == 56
+    for row in appendix_table():
+        bfs_m_args(row.label)
     assert walks == {56: 1, 32: 1}
 
 
@@ -322,31 +325,42 @@ def test_all_zero_coefficients_warn():
 # ---------------------------------------------------------------------------
 
 
+def _shifted_residuals(rel, q):
+    """The relation's residual at q with b shifted by each of SHIFTS."""
+    return [eval_relation(rel, replace(q, b=q.b + 1j * t)) for t in correspond.SHIFTS]
+
+
 @pytest.mark.parametrize("label", ["+v(0,7)", "+v(1,7)", "+v(0,1)", "+v(2,7)"])
 def test_check_limit_converges(label):
+    # a row's limit relation, normalizer·M - (pi/2)·target, closes as b
+    # moves up the imaginary axis
     rng = random.Random(sum(ord(ch) for ch in label))
-    _, report = draw_point(rng, "W", lambda q: check_limit(label, q))
-    assert report.verdict
-    assert all(b < a for a, b in zip(report.errors, report.errors[1:]))
-    assert report.errors[-1] <= 0.6 * report.errors[0]
-    d = report.to_dict()
-    assert d["label"] == label and d["verdict"] is True
+    row = appendix_row(label)
+    _, errors = draw_point(rng, "W", lambda q: _shifted_residuals(row.limit, q))
+    assert contracts(errors)
+    assert all(b < a for a, b in zip(errors, errors[1:]))
+    assert errors[-1] <= 0.6 * errors[0]
+    (norm, m), (_, target) = row.limit.terms
+    assert norm is row.normalizer and m.args == row.m_args and target is row.target
 
 
 def test_collapsed_rows_share_the_target_value():
     # +v(0,7) and +v(1,7) carry the same L target; the reference values
     # their limits aim at must coincide.
     rng = random.Random(77)
-    _, (r1, r2) = draw_point(rng, "W", lambda q: [check_limit(lab, q) for lab in ("+v(0,7)", "+v(1,7)")])
-    assert r1.verdict and r2.verdict
-    diff = abs((r1.target_log - r2.target_log).to_complex() - 1.0)
+    r1, r2 = map(appendix_row, ("+v(0,7)", "+v(1,7)"))
+    (norm, m2), _ = r2.limit.terms
+    pair = Relation("pair", (r1.limit.terms[0], (GammaSinExpr(-norm.prefactor, norm.numerator, norm.denominator), m2)))
+    one_target = Relation.equal("one target", r1.target, r2.target)
+    _, (e1, e2, gaps, diff) = draw_point(rng, "W", lambda q: [
+        *(_shifted_residuals(rel, q) for rel in (r1.limit, r2.limit, pair)), eval_relation(one_target, q)])
+    assert contracts(e1) and contracts(e2)
     assert diff <= 1e-10
     # the two rows are distinct representatives, and their normalized
     # shifted values agree at every shift, not only in the limit
-    assert len(r1.values) == len(r2.values) == len(r1.shifts)
-    combined = r1.errors[-1] + r2.errors[-1]
-    for v1, v2 in zip(r1.values, r2.values):
-        assert abs((v1 - v2).to_complex() - 1.0) <= combined
+    assert len(e1) == len(e2) == len(gaps) == len(correspond.SHIFTS)
+    combined = e1[-1] + e2[-1]
+    assert all(gap <= combined for gap in gaps)
 
 
 def test_normalizer_is_b_aware():
@@ -600,7 +614,7 @@ def test_kept_probes_admit_what_the_evaluations_admit():
     for label in ("+v(0,7)", "+v(1,7)", "+v(0,1)", "+v(2,7)"):
         for _ in range(15):
             q = gen_point(rng, "W")
-            admitted = _admitted(lambda x: check_limit(label, x), q)
+            admitted = _admitted(lambda x: _shifted_residuals(appendix_row(label).limit, x), q)
             assert margins_ok(*limit_probe_args(label, q)) == admitted, (label, q)
             seen.setdefault(label, set()).add(admitted)
     # every probe met both verdicts

@@ -114,3 +114,20 @@ def test_only_hypnum_names_the_margins():
             seen |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
             found += [f"{path.name}: {name}" for name in sorted(seen & names)]
     assert not found, "margin names outside hypnum: " + ", ".join(found)
+
+
+def test_catalog_agreements_are_relations():
+    # checks 10, 11, 12, 13 and 14 compare function values only through
+    # correspond.eval_relation: none of them converts a log value back to a
+    # complex number to compare it by hand
+    checks = {"_function_invariance", "_l_dual_route", "_relations", "_limits", "_appendix"}
+    path = Path(hyperweyl.__file__).parent / "selftest.py"
+    tree = ast.parse(path.read_text(), filename=str(path))
+    found = [
+        f"{fn.name}:{node.lineno}"
+        for fn in tree.body if isinstance(fn, ast.FunctionDef) and fn.name in checks
+        for node in ast.walk(fn) if isinstance(node, ast.Attribute) and node.attr == "to_complex"
+    ]
+    defined = {fn.name for fn in tree.body if isinstance(fn, ast.FunctionDef)}
+    assert checks <= defined, sorted(checks - defined)
+    assert not found, "hand-made comparisons: " + ", ".join(found)
