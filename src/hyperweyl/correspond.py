@@ -5,11 +5,12 @@ quotient and a large imaginary shift of the b coordinate, onto one of the
 seven-slot functions evaluated at a fixed rational-linear change of letters.
 This module holds that table (``appendix_table``), one record per row
 holding its targets, its normalizer and its three claims as Relations (sums
-of function terms that vanish, evaluated by eval_relation); the three
-built-in contiguous relations and their exact translations; relation_limit,
-which carries any eight-slot relation through the limit onto the
-seven-slot relation among its rows' targets; and draw_point, which draws a
-random point together with the evaluation to be done there, redrawing
+of function terms that vanish, each compiled on first use into one family
+evaluator, which eval_relation, relation_report and the probes read); the
+three built-in contiguous relations and their exact translations;
+relation_limit, which carries any eight-slot relation through the limit onto
+the seven-slot relation among its rows' targets; and draw_point, which draws
+a random point together with the evaluation to be done there, redrawing
 wherever that evaluation refuses the point as too close to a pole.
 """
 
@@ -53,12 +54,9 @@ from .hypnum import (
     PointW,
     PrecisionWarning,
     combine_exponentials,
-    eval_J_log,
-    eval_L_7f6_log,
-    eval_L_log,
-    eval_M_log,
     require_margins,
     _families,
+    _joined,
 )
 
 __all__ = [
@@ -129,25 +127,16 @@ class FunTerm:
     def alphabet(self):
         return self.args[0].alphabet
 
-    def numeric_args(self, values):
-        return tuple(form.evaluate(values) for form in self.args)
+    @cached_property
+    def _family(self):
+        """The term alone, compiled as a relation of one term is."""
+        return _joined([(_ONE, self.kind, self.args)], len(self.alphabet))
 
     def eval_log(self, values) -> LogC:
-        nums = self.numeric_args(values)
-        if self.kind == "M":
-            return eval_M_log(nums)
-        if self.kind == "J":
-            return eval_J_log(nums)
-        if self.kind == "L":
-            return eval_L_log(nums)
-        return eval_L_7f6_log(nums)
+        return self._family.evaluate(values)
 
     def substitute(self, forms: Sequence[LinForm]) -> "FunTerm":
         return FunTerm(self.kind, tuple(a.substitute(forms) for a in self.args))
-
-    def probe_args(self, values):
-        """The evaluator's (gamma, sine) arguments; only bench/ calls it."""
-        return _families()[self.kind].probe_args(self.numeric_args(values))
 
     def classify(self):
         """Coset label of the argument arrangement (group images only)."""
@@ -156,6 +145,9 @@ class FunTerm:
         if self.kind == "J":
             return classify_j(self.args)
         return classify_l(self.args)
+
+
+_ONE, _MINUS_ONE = (GammaSinExpr(Fraction(k), (), ()) for k in (1, -1))
 
 
 @dataclass(frozen=True)
@@ -168,12 +160,17 @@ class Relation:
     @classmethod
     def equal(cls, name, first: FunTerm, second: FunTerm) -> "Relation":
         """first - second = 0, residual |first - second| / max(|first|, |second|)."""
-        plus, minus = (GammaSinExpr(Fraction(k), (), ()) for k in (1, -1))
-        return cls(name, ((plus, first), (minus, second)))
+        return cls(name, ((_ONE, first), (_MINUS_ONE, second)))
 
     @property
     def alphabet(self):
         return self.terms[0][1].alphabet
+
+    @cached_property
+    def _family(self):
+        """The terms whose coefficient is not zero, compiled into one family."""
+        return _joined([(coef, fun.kind, fun.args) for coef, fun in self.terms if coef.prefactor],
+                       len(self.alphabet))
 
     def term_labels(self):
         out = []
@@ -545,64 +542,36 @@ def translate_relation(r: Relation, word, side: str) -> Relation:
     return Relation(name, terms)
 
 
-def _point_values(r: Relation, p):
-    want = 8 if r.alphabet == W_SYMBOLS else 7
-    if isinstance(p, (PointW, PointV)):
-        vals = p.args()
-    else:
-        vals = tuple(complex(z) for z in p)
-    if len(vals) != want:
-        raise ValueError(f"need {want} coordinate values for this relation")
-    return vals
-
-
-def _term_logs(r: Relation, p) -> list:
-    """Log of coefficient times function for each term at p; None for a term
-    whose coefficient vanishes."""
-    values = _point_values(r, p)
-    return [
-        None if coef.prefactor == 0 else coef.eval_log(values) + fun.eval_log(values)
-        for coef, fun in r.terms
-    ]
-
-
-def _residual(logs) -> float:
-    """Scaled residual |sum| / max |term| of the term logs that are not None;
-    warns when none are left."""
-    logs = [lg for lg in logs if lg is not None]
+def _logs_and_residual(r: Relation, p) -> tuple:
+    """(log of each term whose coefficient is not zero, scaled residual
+    |sum| / max |term|) at p; warns, and reads 0.0, when none is left."""
+    logs = r._family.term_logs(p)
     if not logs:
-        warnings.warn(
-            "all relation coefficients vanish; residual is trivially zero",
-            PrecisionWarning,
-        )
-        return 0.0
-    return combine_exponentials(logs)[1]
+        warnings.warn("all relation coefficients vanish; residual is trivially zero", PrecisionWarning)
+        return logs, 0.0
+    return logs, combine_exponentials(logs)[1]
 
 
 def eval_relation(r: Relation, p) -> float:
     """Scaled residual |sum| / max |term| of the relation at a point."""
-    return _residual(_term_logs(r, p))
+    return _logs_and_residual(r, p)[1]
 
 
 def relation_report(r: Relation, p) -> dict:
     """Per-term log magnitudes and phases plus the scaled residual."""
-    logs = _term_logs(r, p)
-    terms = []
-    for (_, fun), lab, lg in zip(r.terms, r.term_labels(), logs):
-        term = {"kind": fun.kind, "label": lab and str(lab)}
-        term.update({"zero": True} if lg is None else {"log_mag": lg.log_mag, "phase": lg.phase})
-        terms.append(term)
-    return {"relation": r.name, "residual": _residual(logs), "terms": terms}
+    logs, residual = _logs_and_residual(r, p)
+    logs, terms = iter(logs), []
+    for (coef, fun), lab in zip(r.terms, r.term_labels()):
+        lg = coef.prefactor and next(logs)
+        terms.append({"kind": fun.kind, "label": lab and str(lab),
+                      **({"log_mag": lg.log_mag, "phase": lg.phase} if lg else {"zero": True})})
+    return {"relation": r.name, "residual": residual, "terms": terms}
 
 
 def relation_probe_args(r: Relation, p):
     """All gamma and sine arguments the relation's evaluation touches at p;
     only bench/ calls it."""
-    values = _point_values(r, p)
-    return _join_probes(
-        probe for coef, fun in r.terms if coef.prefactor != 0
-        for probe in (coef.probe_args(values), fun.probe_args(values))
-    )
+    return r._family.probe_args(p)
 
 
 # ---------------------------------------------------------------------------
@@ -649,11 +618,7 @@ def limit_probe_args(t, p: PointW, shifts=SHIFTS):
     """Gamma/sine arguments the row's limit relation evaluates at p shifted by
     each of shifts; only bench/ calls it."""
     limit = appendix_row(t).limit
-    return _join_probes(relation_probe_args(limit, replace(p, b=p.b + 1j * float(t_im))) for t_im in shifts)
-
-
-def _join_probes(probes) -> tuple:
-    probes = list(probes)
+    probes = [relation_probe_args(limit, replace(p, b=p.b + 1j * float(t_im))) for t_im in shifts]
     return tuple(z for g, _ in probes for z in g), tuple(z for _, s in probes for z in s)
 
 

@@ -80,6 +80,10 @@ class LinForm:
     def coefs(self) -> tuple:
         return tuple(Fraction(x, self._den) for x in self._num[1:])
 
+    def row(self) -> tuple:
+        """The constant and the coefficients as floats, each correctly rounded."""
+        return tuple(x / self._den for x in self._num)
+
     # -- constructors ---------------------------------------------------
 
     @classmethod

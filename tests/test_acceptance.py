@@ -434,11 +434,16 @@ def test_function_invariance_check_fails_on_a_foreign_generator(monkeypatch):
 
 
 def test_l_dual_route_check_fails_on_a_scaled_route(monkeypatch):
-    from hyperweyl import correspond
-    from hyperweyl.hypnum import LogC
+    # the 7F6 route's coefficient scaled by 1 + 1e-6, in the family every
+    # L7F6 term compiles from
+    from fractions import Fraction
 
-    route = correspond.eval_L_7f6_log
-    monkeypatch.setattr(correspond, "eval_L_7f6_log", lambda args: route(args) + LogC.from_real(1 + 1e-6))
+    from hyperweyl import hypnum
+
+    desc = hypnum._descriptions()["L7F6"]
+    (route,) = desc.halves
+    scaled = route._replace(coef=route.coef * hypnum.GammaSinExpr(Fraction(1_000_001, 1_000_000), (), ()))
+    monkeypatch.setitem(hypnum._families(), "L7F6", hypnum._Family(desc._replace(halves=(scaled,))))
     result = run_check("11-l-dual-route")
     assert not result.passed
     assert result.detail == "routes differ by 1.00e-06"

@@ -17,7 +17,7 @@ from fractions import Fraction
 
 import pytest
 
-from hyperweyl import correspond
+from hyperweyl import correspond, hypnum
 from hyperweyl.coxeter import (
     all_m_labels, jl_label, orbit_color, parse_label, triple_orbits, triple_words,
 )
@@ -32,6 +32,7 @@ from hyperweyl.hypnum import (
     eval_J_log,
     eval_M_log,
     lgamma,
+    lgamma_array,
     log_sin_pi,
     margins_ok,
 )
@@ -294,6 +295,76 @@ def test_translations_stay_sound():
             assert residual <= bound
 
 
+def _builtins_and_translates():
+    """The three built-in relations, each with its six generator translates."""
+    for name, relation in builtin_relations().items():
+        side, gens = ("v", V_GENERATOR_NAMES) if name == "orbit1jll" else ("w", Q_GENERATOR_NAMES)
+        yield side, relation
+        for g in gens:
+            yield side, translate_relation(relation, (g,), side)
+
+
+def test_compiled_term_logs_match_the_per_term_sum(monkeypatch):
+    # each term's log from the relation's one compiled family against its
+    # coefficient and its function each evaluated on its own, at the
+    # function's numeric arguments; the two round differently, so they agree
+    # to 1e-13 of the size of the function's halves, which may cancel (to
+    # 1.2e-2 in a term of roy463.s5, where the values differ by 1.1e-12)
+    rng = random.Random(36)
+    combine, ratios = hypnum.combine_exponentials, []
+
+    def recorded(logs):
+        out = combine(logs)
+        ratios.append(out[1])
+        return out
+
+    monkeypatch.setattr(hypnum, "combine_exponentials", recorded)
+
+    def per_term(r, q):
+        vals, out = q.args(), []
+        for coef, fun in r.terms:
+            log = coef.eval_log(vals) + hypnum._families()[fun.kind].evaluate([f.evaluate(vals) for f in fun.args])
+            out.append((log, ratios[-1]))
+        return out
+
+    for side, r in _builtins_and_translates():
+        for _ in range(5):
+            _, (got, want) = draw_point(rng, side.upper(), lambda q: (r._family.term_logs(q), per_term(r, q)))
+            assert len(got) == len(want) == 3, r.name
+            for a, (b, ratio) in zip(got, want):
+                assert abs(cmath.exp((a - b).as_log()) - 1) * ratio <= 1e-13, r.name
+
+
+def test_compiled_rows_are_the_substituted_forms(monkeypatch):
+    # the rows a relation compiles to are its families' forms with each
+    # term's arguments substituted, and its coefficients' forms, each once
+    relations = [Relation(r.name, r.terms) for _, r in _builtins_and_translates()]
+    monkeypatch.setattr(LinForm, "substitute", None)
+    families = [r._family for r in relations]
+    monkeypatch.undo()
+    for r, family in zip(relations, families):
+        want = set()
+        for coef, fun in r.terms:
+            want |= {f.substitute(fun.args).row() for f in hypnum._families()[fun.kind].forms}
+            want |= {f.row() for _, f in coef.numerator + coef.denominator}
+        assert {tuple(row) for row in family._matrix.tolist()} == want, r.name
+        assert len(family._matrix) == len(want), r.name
+    # roy463: six halves, whose log-gammas are one call over 43 rows, and 4
+    # sine rows
+    roy = builtin_relations()["roy463"]
+    assert roy._family._incidence.shape[0] == 6 and len(roy._family._sine_rows) == 4
+    p = gen_point(random.Random(43), "W", lambda q: relation_probe_args(roy, q))
+    sizes = []
+
+    def counted(zs):
+        sizes.append(len(zs))
+        return lgamma_array(zs)
+
+    monkeypatch.setattr(hypnum, "lgamma_array", counted)
+    eval_relation(roy, p)
+    assert sizes == [43]
+
+
 def test_translation_by_empty_word_is_identity():
     base = builtin_relations()["roy463"]
     same = translate_relation(base, (), "w")
@@ -323,6 +394,14 @@ def test_all_zero_coefficients_warn():
 # ---------------------------------------------------------------------------
 # limits
 # ---------------------------------------------------------------------------
+
+
+def test_contracts_at_its_edges():
+    # the last error, not the middle one, meets LIMIT_DECAY = 0.6 of the
+    # first; 0.65 of it is too little; and every step must strictly decrease
+    assert contracts([1.0, 0.65, 0.5])
+    assert not contracts([1.0, 0.7, 0.65])
+    assert not contracts([1.0, 0.5, 0.5])
 
 
 def _shifted_residuals(rel, q):

@@ -124,10 +124,14 @@ def gamma_ratio(a, y):
 # ---------------------------------------------------------------------------
 
 
+def logc(z: complex) -> LogC:
+    return LogC(math.log(abs(z)), cmath.phase(z))
+
+
 def test_logc_roundtrip():
     z = 0.37 - 1.2j
-    assert abs(LogC.from_complex(z).to_complex() - z) < 1e-15
-    assert LogC.from_complex(0).to_complex() == 0
+    assert abs(logc(z).to_complex() - z) < 1e-15
+    assert LogC(-math.inf, 0.0).to_complex() == 0
 
 
 def test_logc_phase_not_normalized():
@@ -138,8 +142,8 @@ def test_logc_phase_not_normalized():
 
 
 def test_logc_algebra():
-    a = LogC.from_complex(2 + 1j)
-    b = LogC.from_complex(0.3 - 0.4j)
+    a = logc(2 + 1j)
+    b = logc(0.3 - 0.4j)
     assert abs((a + b).to_complex() - (2 + 1j) * (0.3 - 0.4j)) < 1e-14
     assert abs((a - b).to_complex() - (2 + 1j) / (0.3 - 0.4j)) < 1e-14
     assert abs((-a).to_complex() - 1 / (2 + 1j)) < 1e-15
@@ -148,19 +152,17 @@ def test_logc_algebra():
 def test_logc_overflow_guard():
     with pytest.raises(OverflowError):
         LogC(800.0, 0.0).to_complex()
-    with pytest.raises(ValueError):
-        LogC.from_real(-1.0)
 
 
 def test_combine_exponentials():
-    a, b = LogC.from_complex(3 + 0.5j), LogC.from_complex(-1 + 2j)
+    a, b = logc(3 + 0.5j), logc(-1 + 2j)
     # the weights 2 and -1 go into the logs, as log 2 and i pi
     out, ratio = combine_exponentials([a + LogC(math.log(2.0), 0.0), b + LogC(0.0, math.pi)])
     assert abs(out.to_complex() - (2 * (3 + 0.5j) - (-1 + 2j))) < 1e-13
     assert 0 < ratio <= 2
     # near-total cancellation reported through the ratio
-    c = LogC.from_complex(1.0)
-    d = LogC.from_complex(-(1.0 + 1e-11))
+    c = logc(1.0)
+    d = logc(-(1.0 + 1e-11))
     _, ratio = combine_exponentials([c, d])
     assert ratio < 1e-9
 
