@@ -35,7 +35,7 @@ from .coxeter import (
     jl_label,
     orbit_color,
     parse_label,
-    representative_words,
+    representative_rows,
 )
 from .exactalg import (
     LinForm,
@@ -297,20 +297,16 @@ class AppendixRow:
 
 @lru_cache(maxsize=None)
 def bfs_m_args(label) -> tuple:
-    """Independent coset representative: the symbolic slot vector of the
-    breadth-first representative word, reduced.
+    """Independent coset representative: the slot vector of the label's
+    breadth-first representative word, read from representative_rows("M")
+    (which asserts that it classifies to the label), reduced.
 
     Generally a different representative than the table row (the function
     stabilizer mixes all slots under left multiplication), but the same
-    coset: it classifies to the label, and the eight-slot function values
-    agree everywhere.
+    coset, so the eight-slot function values agree everywhere.
     """
     label = parse_label(label) if isinstance(label, str) else label
-    word = representative_words("M")[label]
-    forms = word_to_matrix(word, "w")
-    if classify_m(forms) != label:
-        raise AssertionError(f"word for {label} classifies elsewhere")
-    return tuple(e.reduced() for e in forms)
+    return tuple(e.reduced() for e in representative_rows("M")[label])
 
 
 @lru_cache(maxsize=1)
@@ -373,8 +369,9 @@ def gamma2_target(t) -> FunTerm:
     its arguments written in the surviving eight-slot letters.
 
     L-labelled rows instantiate the canonical arrangement of their L coset
-    at the letter change; J-labelled rows apply a representative group word
-    for their J coset to it.
+    at the letter change; J-labelled rows apply the rows of their J coset's
+    breadth-first representative, read from representative_rows("J"), to
+    it.
     """
     _, t_label = jl_label(parse_label(t) if isinstance(t, str) else t)
     x = xfromw()
@@ -382,11 +379,7 @@ def gamma2_target(t) -> FunTerm:
         args = tuple(f.substitute(x) for f in l_coset_args(t_label))
         kind = "L"
     else:
-        word = representative_words("J")[t_label]
-        beta = word_to_matrix(word, "v")
-        if classify_j(beta) != t_label:
-            raise AssertionError(f"word for {t_label} classifies elsewhere")
-        args = apply(beta, x)
+        args = apply(representative_rows("J")[t_label], x)
         kind = "J"
     return FunTerm(kind, tuple(a.reduced() for a in args))
 

@@ -20,12 +20,14 @@ since a generator's rows carry every classifying form to another
 (_space).  Words, orbits, group orders, distances and triple censuses share
 one core, built on first use: each generator of a side, in the order of
 W_GENERATOR_NAMES or V_GENERATOR_NAMES, as an index array of label images,
-one breadth-first orbit walk that records words, one pointer-jumping sweep
-that finds orbits without them (_orbit_minima), Schreier-Sims, one table of
-the 56x56 discrete distances that every other space's distances gather,
-and each space's action on its three-element label sets (_triples): the
-sets as rows in combinations() order, an n x n rank table that finds the
-row of a sorted set, and each generator's image of every row.
+one breadth-first orbit walk that records words, whose tree one fold turns
+into every label's representative rows (one generator product per edge),
+one pointer-jumping sweep that finds orbits without them (_orbit_minima),
+Schreier-Sims, one table of the 56x56 discrete distances that every other
+space's distances gather, and each space's action on its three-element
+label sets (_triples): the sets as rows in combinations() order, an n x n
+rank table that finds the row of a sorted set, and each generator's image
+of every row.
 """
 
 from __future__ import annotations
@@ -49,6 +51,7 @@ from .exactalg import (
     V_SYMBOLS,
     W_GENERATOR_NAMES,
     W_SYMBOLS,
+    apply,
     generator,
     symbol_forms,
 )
@@ -61,7 +64,6 @@ __all__ = [
     "act",
     "all_m_labels",
     "all_j_labels",
-    "all_l_labels",
     "all_t_labels",
     "parse_label",
     "classify_m",
@@ -83,6 +85,7 @@ __all__ = [
     "d6_certificate",
     "perm_group_order",
     "representative_words",
+    "representative_rows",
 ]
 
 
@@ -196,10 +199,6 @@ def all_m_labels():
 
 def all_j_labels():
     return list(_table("J").values())
-
-
-def all_l_labels():
-    return list(_table("L").values())
 
 
 def all_t_labels():
@@ -527,18 +526,34 @@ def perm_group_order(gens: Sequence) -> int:
 @lru_cache(maxsize=None)
 def representative_words(space: str = "M"):
     """Minimal-length, first-found representative word for every label, as
-    a read-only mapping built once per space.
+    a read-only mapping built once per space, in the order the breadth-first
+    walk reached the labels.
 
     Words compose left to right; the word's label is the result of applying
     its letters in order to the identity's label, the classify_m, classify_j
     or classify_l of the symbol forms (+v(0,7), the all-plus string or the
-    label 4).
+    label 4).  Every word but the identity's is its parent's word plus one
+    letter, so the words form a tree, which representative_rows folds into
+    the representatives' rows.
     """
     if space not in ("M", "J", "L"):
         raise ValueError("space must be M, J or L")
     labels, index, perms = _space(space)
     words = _orbit_words(perms, index[_classify(space, symbol_forms(_SPACES[space][1]))])
     return MappingProxyType({labels[k]: word for k, word in words.items()})
+
+
+@lru_cache(maxsize=None)
+def representative_rows(space: str):
+    """word_to_matrix of every label's representative word, as a read-only
+    mapping built once per space by one fold of the breadth-first tree: a
+    label's rows are its parent's times its last letter's generator, one
+    apply per edge, and are asserted to classify to the label."""
+    words, side, rows = representative_words(space), _SPACES[space][1], {}
+    for label, word in words.items():
+        rows[word] = apply(rows[word[:-1]], generator(side, word[-1])) if word else symbol_forms(side)
+        assert _classify(space, rows[word]) == label, f"{space}: the word for {label} classifies elsewhere"
+    return MappingProxyType({label: rows[word] for label, word in words.items()})
 
 
 def _orbit_minima(images, n: int) -> np.ndarray:

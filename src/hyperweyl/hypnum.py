@@ -60,9 +60,7 @@ __all__ = [
     "Growth",
     "GammaSinExpr",
     "combine_exponentials",
-    "lgamma",
     "lgamma_array",
-    "log_sin_pi",
     "series_sigma",
     "SeriesResult",
     "sum_pfq",
@@ -87,7 +85,6 @@ _POLE_MARGIN = 1e-12
 # the two kinds of factor a GammaSinExpr holds
 FACTOR_GAMMA = "Gamma"
 FACTOR_SIN = "SinPi"
-_SINE_MARGIN_TEXT = "sine argument {} within {} of an integer: sine margin violated"
 
 _LOG_PI = math.log(math.pi)
 _HALF_LOG_TWO_PI = 0.5 * math.log(2.0 * math.pi)
@@ -137,7 +134,7 @@ def _hold_margins(kinds, args) -> None:
             if _near_nonpos_int(z, GAMMA_MARGIN):
                 raise DegeneratePointError(f"gamma argument {z} within {GAMMA_MARGIN} of a pole")
         elif _dist_to_int(z) < SIN_MARGIN:
-            raise DegeneratePointError(_SINE_MARGIN_TEXT.format(z, SIN_MARGIN))
+            raise DegeneratePointError(f"sine argument {z} within {SIN_MARGIN} of an integer: sine margin violated")
 
 
 # ---------------------------------------------------------------------------
@@ -235,29 +232,12 @@ def _expm1_2pii(z: complex) -> complex:
 
 
 def _log_sin_pi_c(z: complex) -> complex:
+    """log sin(pi z), safe for |Im z| up to 1e4 and beyond."""
     if z.imag < 0:
         return _log_sin_pi_c(z.conjugate()).conjugate()
     # sin(pi z) = exp(-i pi z) (exp(2 pi i z) - 1) / (2 i); the extracted
     # exponential dominates for large Im z, so nothing overflows
     return -1j * math.pi * z + cmath.log(_expm1_2pii(z)) - _LOG_TWO_I
-
-
-def log_sin_pi(z: complex, margin: float = SIN_MARGIN) -> LogC:
-    """log sin(pi z) with the dominant exponential factored out.
-
-    Safe for |Im z| up to 1e4 and beyond.  Rejects a non-finite z, and z
-    closer than `margin` to an integer (callers that have already
-    margin-checked may pass the hard pole margin explicitly).
-    """
-    z = complex(z)
-    if not cmath.isfinite(z):
-        raise EvaluationDomainError(f"non-finite sine argument {z}")
-    d = _dist_to_int(z)
-    if d < _POLE_MARGIN:
-        raise DegeneratePointError(f"sin(pi z) vanishes at z = {z}")
-    if d < margin:
-        raise DegeneratePointError(_SINE_MARGIN_TEXT.format(z, margin))
-    return _logc_from_log(_log_sin_pi_c(z))
 
 
 def lgamma_array(zs) -> np.ndarray:
@@ -297,11 +277,6 @@ def lgamma_array(zs) -> np.ndarray:
     if low:
         out[reflect] = _LOG_PI - np.array([_log_sin_pi_c(v) for v in low]) - out[reflect]
     return out.reshape(z.shape)
-
-
-def lgamma(z: complex) -> LogC:
-    """log Gamma(z), lgamma_array's batch of one."""
-    return _logc_from_log(complex(lgamma_array([z])[0]))
 
 
 # ---------------------------------------------------------------------------

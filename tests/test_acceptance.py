@@ -56,7 +56,8 @@ def fresh_tables():
     does not leak."""
     from hyperweyl import coxeter
 
-    caches = (coxeter._space, coxeter._triples, coxeter.distance_table, coxeter.representative_words)
+    caches = (coxeter._space, coxeter._triples, coxeter.distance_table, coxeter.representative_words,
+              coxeter.representative_rows)
     for cached in caches:
         cached.cache_clear()
     yield
@@ -396,6 +397,18 @@ def test_coset_census_check_fails_without_s6(monkeypatch, fresh_tables):
     result = run_check("01-coset-census")
     assert not result.passed
     assert result.detail == "12 labels reached from the base label"
+
+
+def test_representative_rows_fail_on_a_word_that_leads_elsewhere(monkeypatch, fresh_tables):
+    # +v(0,5) handed its parent's word s1, which leads to +v(0,6): the fold
+    # asserts that each label's rows classify to it and names the label
+    from hyperweyl import coxeter
+    from hyperweyl.coxeter import MLabel
+
+    words = {**coxeter.representative_words("M"), MLabel(1, 0, 5): ("s1",)}
+    monkeypatch.setattr(coxeter, "representative_words", lambda space: words)
+    with pytest.raises(AssertionError, match=r"^M: the word for \+v\(0,5\) classifies elsewhere$"):
+        coxeter.representative_rows("M")
 
 
 def test_coxeter_presentation_check_fails_on_a_wrong_generator(monkeypatch):

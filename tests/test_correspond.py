@@ -31,9 +31,7 @@ from hyperweyl.hypnum import (
     combine_exponentials,
     eval_J_log,
     eval_M_log,
-    lgamma,
     lgamma_array,
-    log_sin_pi,
     margins_ok,
 )
 from hyperweyl.correspond import (
@@ -104,8 +102,8 @@ def test_a_cold_table_walks_each_space_once(monkeypatch):
         walks[len(words)] += 1
         return words
 
-    cached = (coxeter.representative_words, correspond.bfs_m_args, correspond.gamma2_target,
-              correspond.appendix_table, correspond._rows_by_label)
+    cached = (coxeter.representative_words, coxeter.representative_rows, correspond.bfs_m_args,
+              correspond.gamma2_target, correspond.appendix_table, correspond._rows_by_label)
     for f in cached:
         f.cache_clear()
     monkeypatch.setattr(coxeter, "_orbit_words", counted)
@@ -113,6 +111,28 @@ def test_a_cold_table_walks_each_space_once(monkeypatch):
     for row in appendix_table():
         bfs_m_args(row.label)
     assert walks == {56: 1, 32: 1}
+
+
+def test_a_cold_table_applies_one_generator_per_tree_edge(monkeypatch):
+    # the M and J walks' trees have 55 and 31 edges, each one apply of the
+    # fold, and each of the 32 J targets applies its rows to the letter
+    # change once; replaying every word from the identity took 1,028
+    from hyperweyl import coxeter, exactalg
+
+    apply, calls = exactalg.apply, []
+
+    def counted(matrix, forms):
+        calls.append(len(matrix))
+        return apply(matrix, forms)
+
+    for f in (coxeter.representative_words, coxeter.representative_rows, correspond.bfs_m_args,
+              correspond.gamma2_target, correspond.appendix_table, correspond._rows_by_label):
+        f.cache_clear()
+    for module in (exactalg, coxeter, correspond):
+        monkeypatch.setattr(module, "apply", counted)
+    for row in appendix_table():
+        bfs_m_args(row.label)
+    assert (len(calls), calls.count(8)) == (55 + 31 + 32, 55)
 
 
 def test_row_structure():
@@ -501,11 +521,11 @@ def test_growth_of_one_factor(kind, beta):
     p = PointW(0.3 + 0.1j, 0.45 - 0.2j, 0.6, 0.2, 0.7 + 0.05j, 0.35, 0.55)
     form = LinForm.parse(f"a{beta:+d}b", W_SYMBOLS)
     key = "gamma_num" if kind == "gamma" else "sin_num"
-    growth, rest = GammaSinExpr.build(W_SYMBOLS, 1, **{key: (form,)}).growth(p.args())
-    exact = lgamma if kind == "gamma" else log_sin_pi
+    factor = GammaSinExpr.build(W_SYMBOLS, 1, **{key: (form,)})
+    growth, rest = factor.growth(p.args())
 
     def gaps(shifts):
-        return [abs(cmath.exp((exact(form.evaluate(replace(p, b=p.b + 1j * t).args())) - rest).as_log()
+        return [abs(cmath.exp((factor.eval_log(replace(p, b=p.b + 1j * t).args()) - rest).as_log()
                               - growth.at(t, p.args())) - 1) for t in shifts]
 
     if kind == "gamma":

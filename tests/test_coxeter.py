@@ -13,7 +13,6 @@ from hyperweyl.coxeter import (
     MLabel,
     act,
     all_j_labels,
-    all_l_labels,
     all_m_labels,
     all_t_labels,
     classify_j,
@@ -33,10 +32,12 @@ from hyperweyl.coxeter import (
     orbit_color,
     parse_label,
     perm_group_order,
+    representative_rows,
     representative_words,
     t_distance,
     triple_orbits,
     triple_words,
+    _table,
 )
 from hyperweyl.exactalg import (
     Q_GENERATOR_NAMES,
@@ -50,7 +51,13 @@ from hyperweyl.exactalg import (
 
 W_GENS = W_GENERATOR_NAMES
 V_GENS = V_GENERATOR_NAMES
-SPACE_LABELS = {"M": all_m_labels, "J": all_j_labels, "L": all_l_labels, "T": all_t_labels}
+
+
+def l_labels():
+    return list(_table("L").values())
+
+
+SPACE_LABELS = {"M": all_m_labels, "J": all_j_labels, "L": l_labels, "T": all_t_labels}
 
 
 def fold(space, word, start):
@@ -75,7 +82,7 @@ def fold_j(word, start=JLabel((1,) * 6)):
 def test_label_counts():
     assert len(all_m_labels()) == 56
     assert len(all_j_labels()) == 32
-    assert len(all_l_labels()) == 12
+    assert len(l_labels()) == 12
     assert len(all_t_labels()) == 44
 
 
@@ -88,14 +95,14 @@ def test_label_order():
     assert [str(lab) for lab in all_j_labels()] == [f"{k}{n}" for k in "pn" for n in range(16)]
     assert [lab.signs for lab in all_j_labels()[:2]] == [(1,) * 6, (1, -1, -1, 1, 1, 1)]
     assert all_j_labels()[16].signs == (-1,) * 6
-    assert [str(lab) for lab in all_l_labels()] == [f"{k}{bar}" for k in range(1, 7) for bar in ("", "bar")]
-    assert all_t_labels() == all_l_labels() + all_j_labels()
+    assert [str(lab) for lab in l_labels()] == [f"{k}{bar}" for k in range(1, 7) for bar in ("", "bar")]
+    assert all_t_labels() == l_labels() + all_j_labels()
     for space, labels in SPACE_LABELS.items():
         assert list(_space(space)[0]) == labels()
 
 
 def test_parse_roundtrip():
-    for lab in all_m_labels() + all_j_labels() + all_l_labels():
+    for lab in all_m_labels() + all_j_labels() + l_labels():
         assert parse_label(str(lab)) == lab
 
 
@@ -278,6 +285,16 @@ def test_representative_words_reach_their_labels():
         assert fold_j(word) == lab
 
 
+@pytest.mark.parametrize("space, side", [("M", "w"), ("J", "v"), ("L", "v")])
+def test_representative_rows_are_the_replayed_words(space, side):
+    # the fold of the breadth-first tree against the replay of each word
+    # from the identity that it replaces
+    words, rows = representative_words(space), representative_rows(space)
+    assert list(rows) == list(words)
+    for lab, word in words.items():
+        assert rows[lab] == word_to_matrix(word, side), lab
+
+
 # ---------------------------------------------------------------------------
 # the three orbits and the label correspondence
 # ---------------------------------------------------------------------------
@@ -308,7 +325,7 @@ def test_jl_label_is_two_to_one_on_l_part():
     from collections import Counter
 
     counts = Counter(jl_label(lab) for lab in all_m_labels())
-    for lab in all_l_labels():
+    for lab in l_labels():
         assert counts[(Color.BLUE, lab)] == 1
         assert counts[(Color.RED, lab)] == 1
     for lab in all_j_labels():
@@ -377,7 +394,7 @@ def test_t_distance_matches_hamming_on_sign_strings():
 
 def test_l_distance_marks_shared_indices():
     # 0 on equal labels, 4 on a label and its bar, 2 where the indices differ
-    labels = all_l_labels()
+    labels = l_labels()
     want = [[0 if a == b else 4 if a.index == b.index else 2 for b in labels] for a in labels]
     assert distance_table("L").tolist() == want
 
@@ -529,13 +546,13 @@ def test_d6_certificate():
 
 
 def _l_perm(word):
-    """Permutation of the indices of all_l_labels() that a word induces."""
-    labels = all_l_labels()
+    """Permutation of the indices of l_labels() that a word induces."""
+    labels = l_labels()
     return tuple(labels.index(fold("L", word, lab)) for lab in labels)
 
 
 def test_subgroup_images_on_the_l_labels():
-    labels = all_l_labels()
+    labels = l_labels()
     # G_J permutes the six coordinates without signs: all of S6
     g_j = [_l_perm(w) for w in SUBGROUP_WORDS["G_J"][1]]
     assert all(labels[p[k]].barred == lab.barred for p in g_j for k, lab in enumerate(labels))

@@ -31,6 +31,7 @@ from hyperweyl.hypnum import (
     DivergentSeriesError,
     EvaluationDomainError,
     GammaPoleError,
+    GammaSinExpr,
     LogC,
     PointV,
     PointW,
@@ -43,9 +44,7 @@ from hyperweyl.hypnum import (
     j_probe_args,
     l7f6_probe_args,
     l_probe_args,
-    lgamma,
     lgamma_array,
-    log_sin_pi,
     m_probe_args,
     margins_ok,
     require_margins,
@@ -116,7 +115,17 @@ def rel(x, y):
 
 def gamma_ratio(a, y):
     """Gamma(a+y)/Gamma(a), through log-gamma differences."""
-    return (lgamma(complex(a) + complex(y)) - lgamma(complex(a))).to_complex()
+    top, bottom = lgamma_array([complex(a) + complex(y), complex(a)])
+    return cmath.exp(top - bottom)
+
+
+# sin(pi z) as a sine factor of a gamma-sine product over A, evaluated
+# through its family at A = z: it holds the families' sine margin
+SINE = GammaSinExpr.build(V_SYMBOLS, sin_num=("A",))
+
+
+def log_sin(z) -> LogC:
+    return SINE.eval_log((z,) + (0,) * 6)
 
 
 # ---------------------------------------------------------------------------
@@ -137,7 +146,7 @@ def test_logc_roundtrip():
 def test_logc_phase_not_normalized():
     big = LogC(0.0, 10 * math.pi)
     assert abs(big.to_complex() - 1.0) < 1e-12
-    total = lgamma(3) + lgamma(4) + lgamma(5)
+    total = sum((LogC(w.real, w.imag) for w in lgamma_array([3, 4, 5])), LogC(0.0, 0.0))
     assert abs(total.to_complex() - 2 * 6 * 24) < 1e-9
 
 
@@ -173,26 +182,26 @@ def test_combine_exponentials():
 
 
 def test_lgamma_classic_values():
-    assert abs(lgamma(5).to_complex() - 24.0) < 24 * 1e-13
-    assert abs(lgamma(0.5).to_complex() - math.sqrt(math.pi)) < 1e-13
+    assert abs(cmath.exp(lgamma_array([5])[0]) - 24.0) < 24 * 1e-13
+    assert abs(cmath.exp(lgamma_array([0.5])[0]) - math.sqrt(math.pi)) < 1e-13
 
 
 def test_lgamma_matches_real_axis():
     for x in (0.13, 0.77, 3.7, 12.0, 40.5, 97.3):
-        assert abs(lgamma(x).as_log() - math.lgamma(x)) < 1e-12 * max(1, abs(math.lgamma(x)))
+        assert abs(lgamma_array([x])[0] - math.lgamma(x)) < 1e-12 * max(1, abs(math.lgamma(x)))
 
 
 def test_lgamma_pinned_complex():
-    got = lgamma(1 + 2j).as_log()
+    got = lgamma_array([1 + 2j])[0]
     assert abs(got - LGAMMA_1_2I) < 1e-13
 
 
 def test_lgamma_poles_rejected():
     for z in (0, -3, -3 + 1e-13j, -17.0):
         with pytest.raises(GammaPoleError):
-            lgamma(z)
+            lgamma_array([z])[0]
     # just outside the hard margin is allowed
-    lgamma(-3 + 1e-11)
+    lgamma_array([-3 + 1e-11])[0]
 
 
 def test_lgamma_reflection_residual():
@@ -203,8 +212,8 @@ def test_lgamma_reflection_residual():
         if abs(z - round(z.real)) < 0.1:
             continue
         count += 1
-        lhs = lgamma(z).as_log() + lgamma(1 - z).as_log()
-        rhs = math.log(math.pi) - log_sin_pi(z, margin=1e-9).as_log()
+        lhs = complex(lgamma_array([z])[0] + lgamma_array([1 - z])[0])
+        rhs = math.log(math.pi) - log_sin(z).as_log()
         d = lhs - rhs
         k = round(d.imag / (2 * math.pi))
         residual = abs(complex(d.real, d.imag - 2 * math.pi * k))
@@ -230,7 +239,7 @@ def test_lgamma_mpmath_oracle():
     worst = 0.0
     for z in _oracle_points():
         with mp.workdps(30):
-            d = complex(mp.mpc(lgamma(z).as_log()) - mp.loggamma(mp.mpc(z)))
+            d = complex(mp.mpc(complex(lgamma_array([z])[0])) - mp.loggamma(mp.mpc(z)))
         worst = max(worst, abs(cmath.exp(d) - 1))
     assert worst <= 3e-14
 
@@ -239,7 +248,7 @@ def test_lgamma_is_the_array_log_gamma_of_one():
     points = _oracle_points()
     batch = lgamma_array(points)
     assert batch.shape == (400,)
-    assert [lgamma(z).as_log() for z in points] == batch.tolist()
+    assert [lgamma_array([z])[0] for z in points] == batch.tolist()
     assert lgamma_array(np.array(points).reshape(20, 20)).tolist() == batch.reshape(20, 20).tolist()
 
 
@@ -258,11 +267,11 @@ def test_non_finite_arguments_are_out_of_the_domain():
     # not a bare ValueError from round(), an OverflowError or a silent NaN
     for z in (complex(math.nan, 0), complex(math.inf, 0), complex(1, math.inf)):
         with pytest.raises(EvaluationDomainError, match=re.escape(str(z))):
-            lgamma(z)
+            lgamma_array([z])[0]
         with pytest.raises(EvaluationDomainError, match=re.escape(str(z))):
             lgamma_array([2.5, z])
-        with pytest.raises(EvaluationDomainError, match=re.escape(str(z))):
-            log_sin_pi(z)
+        with pytest.raises(EvaluationDomainError, match="non-finite argument"):
+            log_sin(z)
 
 
 def test_lgamma_recursion_residual():
@@ -271,10 +280,11 @@ def test_lgamma_recursion_residual():
         z = complex(rng.uniform(-15, 15), rng.uniform(-15, 15))
         if abs(z - round(z.real)) < 0.1 or abs(z) < 0.1:
             continue
-        d = lgamma(z + 1).as_log() - lgamma(z).as_log() - cmath.log(z)
+        up, at = lgamma_array([z + 1, z])
+        d = up - at - cmath.log(z)
         k = round(d.imag / (2 * math.pi))
         residual = abs(complex(d.real, d.imag - 2 * math.pi * k))
-        assert residual <= 1e-13 * max(1.0, abs(lgamma(z + 1).as_log()))
+        assert residual <= 1e-13 * max(1.0, abs(up))
 
 
 # ---------------------------------------------------------------------------
@@ -283,34 +293,31 @@ def test_lgamma_recursion_residual():
 
 
 def test_log_sin_pi_exact_points():
-    assert abs(log_sin_pi(0.5).as_log()) < 1e-15
-    assert abs(log_sin_pi(1 / 6).as_log() - math.log(0.5)) < 1e-14
+    assert abs(log_sin(0.5).as_log()) < 1e-15
+    assert abs(log_sin(1 / 6).as_log() - math.log(0.5)) < 1e-14
 
 
 def test_log_sin_pi_large_imag():
-    v = log_sin_pi(0.3 + 40j)
+    v = log_sin(0.3 + 40j)
     assert abs(v.log_mag - LOG_SIN_03_40I_MAG) < 1e-12 * LOG_SIN_03_40I_MAG
     assert abs(v.phase - LOG_SIN_03_40I_PHASE) < 1e-12
     # no overflow far beyond double range for the plain sine
-    w = log_sin_pi(0.4 + 1e4j)
+    w = log_sin(0.4 + 1e4j)
     assert abs(w.log_mag - (1e4 * math.pi - math.log(2))) < 1e-8 * w.log_mag
 
 
 def test_log_sin_pi_conjugation():
     z = 0.27 + 3.1j
-    a = log_sin_pi(z).as_log()
-    b = log_sin_pi(z.conjugate()).as_log()
+    a = log_sin(z).as_log()
+    b = log_sin(z.conjugate()).as_log()
     assert abs(a.conjugate() - b) < 1e-14 * max(1, abs(a))
 
 
 def test_log_sin_pi_margins():
-    log_sin_pi(0.51)
-    with pytest.raises(DegeneratePointError):
-        log_sin_pi(1.02)
-    # callers that have checked margins themselves may relax the guard
-    log_sin_pi(1.02, margin=1e-6)
-    with pytest.raises(DegeneratePointError):
-        log_sin_pi(3.0, margin=1e-15)
+    log_sin(0.51)
+    for z in (1.02, 3.0):
+        with pytest.raises(DegeneratePointError, match=re.escape(f"sine argument {complex(z)} within 0.05")):
+            log_sin(z)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Every name a package module, test file or demo imports is used there or
-re-exported, and every name a package module lists in ``__all__`` is bound
-there.
+re-exported, every name a package module lists in ``__all__`` is bound
+there, and every export of the numeric, group and correspondence modules is
+read outside the tests.
 
 A stdlib-only guard over the source: an import that outlives its last use,
 or an export that outlives its definition (say after a class is deleted),
@@ -74,6 +75,26 @@ def test_every_export_is_defined(path):
     tree = ast.parse(path.read_text(), filename=str(path))
     missing = sorted(_exported(tree) - _bound(tree))
     assert not missing, f"{path.name} exports undefined names: " + ", ".join(missing)
+
+
+def _read(path):
+    """Names a file reads: loaded names and attributes."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    return {node.id for node in ast.walk(tree) if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)} | {
+        node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+
+
+def test_every_export_is_read_outside_the_tests():
+    # an export that only its own tests call is a fork to delete: each name
+    # in the __all__ of these modules must be read by the package (its
+    # definition and __all__ entry are no reads), a demo or the benchmark
+    readers = MODULES + sorted(ROOT.glob("demos/*.py")) + sorted(ROOT.glob("bench/*.py"))
+    read = set().union(*map(_read, readers))
+    unread = [
+        f"{path.stem}.{name}" for path in MODULES if path.stem in ("hypnum", "coxeter", "correspond")
+        for name in sorted(_exported(ast.parse(path.read_text(), filename=str(path)))) if name not in read
+    ]
+    assert not unread, "exports read only by tests: " + ", ".join(unread)
 
 
 def test_importing_the_cli_builds_no_table():
